@@ -41,9 +41,9 @@ from .ngram import (
     Probability,
     bigram_prob,
     candidate_scores,
+    choose,
     disambiguate,
     emission_prob,
-    score_candidate,
     trigram_prob,
 )
 from .phonemes import Phoneme, PhonemePattern, phonify, phonify_graphemes
@@ -103,6 +103,7 @@ __all__ = [
     "ambiguous_count",
     "bigram_prob",
     "candidate_scores",
+    "choose",
     "classify",
     "cluster_graphemes",
     "count_emissions",
@@ -123,7 +124,6 @@ __all__ = [
     "phonify",
     "phonify_graphemes",
     "save_model",
-    "score_candidate",
     "train_model",
     "trigram_prob",
 ]

@@ -8,8 +8,10 @@ pipeline failure on the input text, 6 ambiguous input with no model.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
+from .data import open_text
 from .errors import (
     ConfigError,
     DataFormatError,
@@ -36,6 +38,10 @@ _KIND_CODES = {
     "F": Resolution.FALLBACK,
     "P": Resolution.PASS_THROUGH,
 }
+
+# input is decoded with surrogateescape, so a byte that is not UTF-8
+# arrives as a lone surrogate U+DC80..U+DCFF and is reported per line
+_BAD_BYTE = re.compile("[\udc80-\udcff]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,7 +121,11 @@ def _trace_line(record) -> str:
 
 def cmd_transliterate(args) -> int:
     engine = _engine_from_args(args)
-    fin = open(args.input, encoding="utf-8") if args.input else sys.stdin
+    fin = (
+        open(args.input, encoding="utf-8", errors="surrogateescape")
+        if args.input
+        else sys.stdin
+    )
     fout = (
         open(args.output, "w", encoding="utf-8", newline="\n")
         if args.output
@@ -123,9 +133,18 @@ def cmd_transliterate(args) -> int:
     )
     try:
         for line_no, raw in enumerate(fin, 1):
-            result = engine.transliterate_line(
-                raw.rstrip("\r\n"), collect_trace=args.trace
-            )
+            line = raw.rstrip("\r\n")
+            try:
+                bad = _BAD_BYTE.search(line)
+                if bad:
+                    raise PipelineError(
+                        f"invalid UTF-8 byte 0x{ord(bad.group()) - 0xDC00:02x} "
+                        f"at offset {bad.start()}"
+                    )
+                result = engine.transliterate_line(line, collect_trace=args.trace)
+            except PipelineError as err:
+                err.input_line = line_no  # main() names the line in the report
+                raise
             fout.write(result.output + "\n")
             for record in result.trace:
                 sys.stderr.write(f"{line_no}\t{_trace_line(record)}\n")
@@ -139,7 +158,7 @@ def cmd_transliterate(args) -> int:
 
 def cmd_train(args) -> int:
     inventory = load_inventory(args.inventory)
-    with open(args.corpus, encoding="utf-8") as fh:
+    with open_text(args.corpus) as fh:
         corpus_lines = [line.rstrip("\r\n") for line in fh]
     pairs = load_aligned(args.aligned)
     model = train_model(inventory, corpus_lines, pairs)
@@ -160,7 +179,7 @@ def _load_system_rows(path):
     Rule.  The unit class is irrelevant to scoring, so placeholder
     graphemes are used."""
     rows = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, raw in enumerate(fh, 1):
             line = raw.rstrip("\r\n")
             if not line.strip() or line.lstrip().startswith("#"):
@@ -241,10 +260,14 @@ def cmd_evaluate(args) -> int:
 
 
 def main(argv=None) -> int:
-    for stream in (sys.stdin, sys.stdout, sys.stderr):
+    for stream, errors in (
+        (sys.stdin, "surrogateescape"),
+        (sys.stdout, "strict"),
+        (sys.stderr, "strict"),
+    ):
         if hasattr(stream, "reconfigure"):
             try:
-                stream.reconfigure(encoding="utf-8")
+                stream.reconfigure(encoding="utf-8", errors=errors)
             except (ValueError, OSError):
                 pass  # already closed or not a real stream; use as-is
     parser = build_parser()
@@ -254,14 +277,15 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"translit: config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except MissingModelError as err:
-        print(f"translit: {err}", file=sys.stderr)
-        return EXIT_MISSING_MODEL
     except DataFormatError as err:
         print(f"translit: data error: {err}", file=sys.stderr)
         return EXIT_DATA
     except PipelineError as err:
-        print(f"translit: {err}", file=sys.stderr)
+        line_no = getattr(err, "input_line", None)
+        where = f"line {line_no}: " if line_no is not None else ""
+        print(f"translit: {where}{err}", file=sys.stderr)
+        if isinstance(err, MissingModelError):
+            return EXIT_MISSING_MODEL
         return EXIT_PIPELINE
     except TransliterationError as err:
         print(f"translit: {err}", file=sys.stderr)

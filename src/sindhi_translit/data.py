@@ -1,8 +1,32 @@
-"""Locations of the data files shipped inside the package."""
+"""Locations of the data files shipped inside the package, and the
+reader every data file goes through."""
 
 from __future__ import annotations
 
+import io
 from importlib import resources
+
+from .errors import DataFormatError
+
+
+def open_text(path) -> io.StringIO:
+    """Read a UTF-8 data file into a line-iterable text stream with
+    universal newlines, as ``open(path, encoding="utf-8")`` would.
+
+    Bytes that are not UTF-8 raise DataFormatError naming the path and
+    line instead of a bare UnicodeDecodeError.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise DataFormatError(
+            f"invalid UTF-8 byte 0x{raw[err.start]:02x}",
+            path=path,
+            line=raw.count(b"\n", 0, err.start) + 1,
+        ) from None
+    return io.StringIO(text, newline=None)
 
 
 def _data(*parts) -> str:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from .data import open_text
 from .errors import DataFormatError, UnmappedGraphemeError
 from .phonemes import Phoneme, PhonemePattern
 from .script import VIRAMA, CharClass, Grapheme, is_word_separator, normalize
@@ -77,9 +78,6 @@ class MappingTable:
     def __len__(self):
         return len(self._entries)
 
-    def get(self, key: str, role: Role, position: Position = Position.ANY):
-        return self._entries.get((key, role, position))
-
     def lookup(
         self,
         key: str,
@@ -134,7 +132,7 @@ def load_mapping(path) -> MappingTable:
     """
     entries = {}
     role_by_code = {r.value: r for r in Role}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, raw in enumerate(fh, 1):
             line = raw.rstrip("\r\n")
             if not line.strip() or line.lstrip().startswith("#"):
@@ -225,7 +223,6 @@ def map_phonemes(
             run_start = None
 
     units = []
-    offset = 0
     for i, (g, role) in enumerate(flat):
         if role is None:
             units.append(
@@ -237,6 +234,7 @@ def map_phonemes(
             )
             if candidates is None:
                 if unmapped_policy == UNMAPPED_ERROR:
+                    offset = sum(len(x.text) for x, _role in flat[:i])
                     raise UnmappedGraphemeError(g.text, offset)
                 units.append(
                     MappedUnit(
@@ -253,7 +251,6 @@ def map_phonemes(
                 )
             else:
                 units.append(MappedUnit(g, candidates))
-        offset += len(g.text)
     return units
 
 

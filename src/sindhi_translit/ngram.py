@@ -167,19 +167,6 @@ def emission_prob(model: NgramModel, target: str, c: str) -> Probability:
     )
 
 
-def score_candidate(
-    model: NgramModel, target: str, c_prev: str, c: str, c_next: str
-) -> Probability:
-    """Emission times the two neighbour transitions, in log space."""
-    return Probability.product(
-        (
-            emission_prob(model, target, c),
-            bigram_prob(model, c_prev, c),
-            bigram_prob(model, c, c_next),
-        )
-    )
-
-
 def candidate_scores(
     model: NgramModel,
     unit: MappedUnit,
@@ -207,27 +194,16 @@ def candidate_scores(
     return [Probability.product((e, left, right)) for e in emission_factors]
 
 
-def disambiguate(
-    model: NgramModel,
-    unit: MappedUnit,
-    c_prev: str,
-    c_next: str,
-    *,
-    mode: str = MODE_BIGRAM,
-    c_prev2: str = BOUNDARY,
-) -> str:
-    """Pick a candidate for an ambiguous unit and record it on the unit.
+def choose(unit: MappedUnit, scores) -> str:
+    """Pick a candidate from its scores and record it on the unit.
 
-    The choice is the first candidate (table order) attaining the
-    maximum score.  Resolution is Statistical only when that maximum is
-    positive and unique; ties and all-zero scores fall back to the
-    leading candidate and are marked Fallback.
+    ``scores`` holds one score per candidate in table order, as
+    :func:`candidate_scores` returns them.  The choice is the first
+    candidate attaining the maximum exact score.  Resolution is
+    Statistical only when that maximum is positive and unique; ties and
+    all-zero scores fall back to the leading candidate and are marked
+    Fallback.
     """
-    if len(unit.candidates) < 2:
-        raise ValueError("disambiguate needs a unit with at least two candidates")
-    scores = candidate_scores(
-        model, unit, c_prev, c_next, mode=mode, c_prev2=c_prev2
-    )
     exact = [s.exact() for s in scores]
     best = max(exact)
     if best > 0:
@@ -242,3 +218,21 @@ def disambiguate(
     unit.resolved = unit.candidates[index]
     unit.resolution = resolution
     return unit.resolved
+
+
+def disambiguate(
+    model: NgramModel,
+    unit: MappedUnit,
+    c_prev: str,
+    c_next: str,
+    *,
+    mode: str = MODE_BIGRAM,
+    c_prev2: str = BOUNDARY,
+) -> str:
+    """Score an ambiguous unit in its context and :func:`choose` a
+    candidate, recording it on the unit."""
+    if len(unit.candidates) < 2:
+        raise ValueError("disambiguate needs a unit with at least two candidates")
+    return choose(
+        unit, candidate_scores(model, unit, c_prev, c_next, mode=mode, c_prev2=c_prev2)
+    )

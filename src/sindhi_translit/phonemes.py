@@ -52,7 +52,6 @@ def phonify_graphemes(graphemes, *, orphan_policy: str = ORPHAN_REJECT) -> list[
         raise ValueError(f"unknown orphan policy {orphan_policy!r}")
     out = []
     i = 0
-    offset = 0  # code-point offset into the normalised text, for error reports
     n = len(graphemes)
     while i < n:
         g = graphemes[i]
@@ -60,7 +59,6 @@ def phonify_graphemes(graphemes, *, orphan_policy: str = ORPHAN_REJECT) -> list[
             nxt = graphemes[i + 1] if i + 1 < n else None
             if nxt is not None and nxt.char_class is CharClass.VOWEL_SYMBOL:
                 out.append(Phoneme((g, nxt), PhonemePattern.CONSONANT_VOWEL))
-                offset += len(g.text) + len(nxt.text)
                 i += 2
                 continue
             out.append(Phoneme((g,), PhonemePattern.CONSONANT))
@@ -68,11 +66,11 @@ def phonify_graphemes(graphemes, *, orphan_policy: str = ORPHAN_REJECT) -> list[
             out.append(Phoneme((g,), PhonemePattern.VOWEL))
         elif g.char_class is CharClass.VOWEL_SYMBOL:
             if orphan_policy == ORPHAN_REJECT:
+                offset = sum(len(x.text) for x in graphemes[:i])
                 raise OrphanMatraError(g.text, offset)
             out.append(Phoneme((g,), PhonemePattern.OTHER))
         else:
             out.append(Phoneme((g,), PhonemePattern.OTHER))
-        offset += len(g.text)
         i += 1
     return out
 

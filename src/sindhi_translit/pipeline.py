@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass, field, replace
 
 from . import data as shipped
-from .errors import ConfigError, MissingModelError
+from .errors import ConfigError, DataFormatError, MissingModelError
 from .mapping import (
     UNMAPPED_ERROR,
     UNMAPPED_POLICIES,
@@ -28,7 +28,7 @@ from .ngram import (
     MODES,
     NgramModel,
     candidate_scores,
-    disambiguate,
+    choose,
 )
 from .phonemes import ORPHAN_POLICIES, ORPHAN_REJECT, phonify
 from .script import CharClass, is_word_separator, load_inventory
@@ -69,8 +69,8 @@ class EngineConfig:
         relative to the file itself."""
         values = {}
         try:
-            fh = open(path, encoding="utf-8")
-        except OSError as err:
+            fh = shipped.open_text(path)
+        except (OSError, DataFormatError) as err:
             raise ConfigError(f"cannot read config file: {err}") from None
         base = os.path.dirname(os.path.abspath(path))
         with fh:
@@ -158,13 +158,14 @@ class Transliterator:
         units = map_phonemes(self.table, phonemes, unmapped_policy=self.config.unmapped)
         graphemes = [u.source for u in units]
         trace = []
-        offset = 0
         for i, unit in enumerate(units):
+            scores = None
             if unit.resolved is None:
                 if self.model is None:
+                    offset = sum(len(g.text) for g in graphemes[:i])
                     raise MissingModelError(unit.source.text, offset)
                 c_prev2, c_prev, c_next = self._context(graphemes, i)
-                disambiguate(
+                scores = candidate_scores(
                     self.model,
                     unit,
                     c_prev,
@@ -172,37 +173,18 @@ class Transliterator:
                     mode=self.config.mode,
                     c_prev2=c_prev2,
                 )
-                if collect_trace:
-                    scores = candidate_scores(
-                        self.model,
-                        unit,
-                        c_prev,
-                        c_next,
-                        mode=self.config.mode,
-                        c_prev2=c_prev2,
-                    )
-                    trace.append(
-                        TraceRecord(
-                            i,
-                            unit.source.text,
-                            unit.candidates,
-                            tuple(s.value for s in scores),
-                            unit.resolved,
-                            unit.resolution,
-                        )
-                    )
-            elif collect_trace and unit.source.char_class is not CharClass.OTHER:
+                choose(unit, scores)
+            if collect_trace and unit.source.char_class is not CharClass.OTHER:
                 trace.append(
                     TraceRecord(
                         i,
                         unit.source.text,
                         unit.candidates,
-                        None,
+                        None if scores is None else tuple(s.value for s in scores),
                         unit.resolved,
                         unit.resolution,
                     )
                 )
-            offset += len(unit.source.text)
         output = "".join(u.resolved for u in units)
         return LineResult(output, units, trace)
 

@@ -14,6 +14,7 @@ import enum
 import unicodedata
 from dataclasses import dataclass
 
+from .data import open_text
 from .errors import DataFormatError
 
 NUKTA = "़"
@@ -191,7 +192,7 @@ def load_inventory(path) -> ScriptInventory:
     """
     sets = {"C": set(), "V": set(), "M": set()}
     seen = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, raw in enumerate(fh, 1):
             line = raw.rstrip("\r\n")
             if not line.strip() or line.lstrip().startswith("#"):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .data import open_text
 from .errors import AlignmentError, DataFormatError
 from .ngram import BOUNDARY, NgramModel
 from .script import ScriptInventory, cluster_graphemes, is_word_separator, normalize
@@ -158,7 +159,7 @@ def parse_aligned_line(line: str):
 def load_aligned(path) -> list[AlignedPair]:
     """Read an aligned corpus file, validating per-row alignment."""
     pairs = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, raw in enumerate(fh, 1):
             try:
                 pair = parse_aligned_line(raw.rstrip("\r\n"))
@@ -203,7 +204,7 @@ def save_model(model: NgramModel, path) -> None:
 
 def load_model(path, *, add_one_smoothing: bool = False) -> NgramModel:
     """Read a model file back, validating header and section sizes."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         raw_lines = fh.read().splitlines()
     if not raw_lines:
         raise DataFormatError("empty model file", path=path)

@@ -294,3 +294,89 @@ def test_evaluate_include_passthrough(capsys, demo_model_path):
         raise AssertionError("no total_characters in report")
 
     assert chars(included) > chars(excluded)
+
+
+def test_pipeline_error_names_input_line(capsys, monkeypatch, demo_model_path):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("कमल\nतारो\nिक\n"))
+    code, out, err = run(["transliterate", "--model", str(demo_model_path)], capsys)
+    assert code == EXIT_PIPELINE
+    assert out == "ڪمل\nتآرا\n"  # lines before the failing one are written
+    assert err == (
+        "translit: line 3: vowel symbol 'ि' at offset 0 has no preceding consonant\n"
+    )
+
+
+def test_missing_model_error_names_input_line(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("कमल\nआम\nकमल सरो\n"))
+    code, out, err = run(["transliterate"], capsys)
+    assert code == EXIT_MISSING_MODEL
+    assert out == "ڪمل\nآم\n"
+    assert err == (
+        "translit: line 3: grapheme 'स' at offset 4 has multiple candidates "
+        "and no model is loaded to pick one\n"
+    )
+
+
+def test_invalid_utf8_on_stdin_exits_pipeline(capsys, monkeypatch, demo_model_path):
+    raw = "कमल\n".encode() + b"\xe0\xa4\x95\xff\n"
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    code, out, err = run(["transliterate", "--model", str(demo_model_path)], capsys)
+    assert code == EXIT_PIPELINE
+    assert out == "ڪمل\n"
+    assert err == "translit: line 2: invalid UTF-8 byte 0xff at offset 1\n"
+
+
+def test_invalid_utf8_in_input_file_exits_pipeline(tmp_path, capsys, demo_model_path):
+    src = tmp_path / "in.txt"
+    src.write_bytes("कमल\nतारो\n".encode() + b"\xe0\xa4\n")
+    code, _, err = run(
+        ["transliterate", "--model", str(demo_model_path), "-i", str(src)], capsys
+    )
+    assert code == EXIT_PIPELINE
+    assert err == "translit: line 3: invalid UTF-8 byte 0xe0 at offset 0\n"
+
+
+@pytest.mark.parametrize(
+    "kind", ["inventory", "mapping", "model", "corpus", "aligned", "gold", "system"]
+)
+def test_invalid_utf8_in_data_file_exits_data(
+    kind, tmp_path, capsys, monkeypatch, demo_model_path
+):
+    files = {
+        "inventory": shipped.inventory_path(),
+        "mapping": shipped.mapping_path(),
+        "model": str(demo_model_path),
+        "corpus": shipped.demo_corpus_path(),
+        "aligned": shipped.demo_aligned_path(),
+        "gold": shipped.demo_gold_path(),
+        "system": shipped.demo_gold_path(),
+    }
+    good = Path(files[kind]).read_bytes()
+    bad = tmp_path / f"{kind}.tsv"
+    bad.write_bytes(good + b"\xff\n")
+    files[kind] = str(bad)
+    if kind in ("inventory", "mapping", "model"):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("क\n"))
+        argv = ["transliterate", f"--{kind}", files[kind]]
+    elif kind in ("corpus", "aligned"):
+        argv = [
+            "train",
+            "--inventory", files["inventory"],
+            "--corpus", files["corpus"],
+            "--aligned", files["aligned"],
+            "-o", str(tmp_path / "model.tsv"),
+        ]
+    else:
+        argv = ["evaluate", "--gold", files["gold"], "--system", files["system"]]
+    code, _, err = run(argv, capsys)
+    assert code == EXIT_DATA
+    line = good.count(b"\n") + 1
+    assert err == f"translit: data error: {bad}:{line}: invalid UTF-8 byte 0xff\n"
+
+
+def test_invalid_utf8_in_config_exits_config(tmp_path, capsys):
+    cfg = tmp_path / "engine.cfg"
+    cfg.write_bytes(b"mode=bigram\nmodel=\xff\n")
+    code, _, err = run(["transliterate", "--config", str(cfg)], capsys)
+    assert code == EXIT_CONFIG
+    assert f"{cfg}:2: invalid UTF-8 byte 0xff" in err

@@ -15,7 +15,6 @@ from sindhi_translit.ngram import (
     candidate_scores,
     disambiguate,
     emission_prob,
-    score_candidate,
     trigram_prob,
 )
 from sindhi_translit.script import CharClass, Grapheme
@@ -81,7 +80,7 @@ def test_score_hand_example(toy_inventory):
     # emission 3/4 x left 2/3 x right 1/2 = 1/4
     pairs = pairs_from(("ब", "ا"), ("ब", "ا"), ("ब", "ا"), ("इ", "ا"))
     model = train_model(toy_inventory, ["अबच अब अच"], pairs)
-    score = score_candidate(model, "ا", "अ", "ब", "च")
+    (score,) = candidate_scores(model, unit_for("ब", ["ا"]), "अ", "च")
     assert score.exact() == Fraction(1, 4)
     assert score.value == pytest.approx(0.25)
     assert score.log_value == pytest.approx(math.log(0.25))
@@ -90,7 +89,8 @@ def test_score_hand_example(toy_inventory):
 def test_score_zero_factor_kills_product(toy_inventory):
     pairs = pairs_from(("ब", "ا"))
     model = train_model(toy_inventory, ["अब"], pairs)
-    assert score_candidate(model, "ا", "च", "ब", BOUNDARY).exact() == 0
+    (score,) = candidate_scores(model, unit_for("ब", ["ا"]), "च", BOUNDARY)
+    assert score.exact() == 0
 
 
 def test_target_unigram_never_stored():

@@ -3,14 +3,21 @@ from pathlib import Path
 import pytest
 
 from sindhi_translit import data as shipped
+from sindhi_translit import ngram, pipeline
 from sindhi_translit.errors import (
     ConfigError,
     MissingModelError,
     OrphanMatraError,
     UnmappedGraphemeError,
 )
-from sindhi_translit.mapping import UNMAPPED_PASS, Resolution
-from sindhi_translit.ngram import BOUNDARY, MODE_TRIGRAM
+from sindhi_translit.mapping import UNMAPPED_PASS, MappedUnit, Resolution
+from sindhi_translit.ngram import (
+    BOUNDARY,
+    MODE_TRIGRAM,
+    MODES,
+    candidate_scores,
+    disambiguate,
+)
 from sindhi_translit.phonemes import ORPHAN_PASS
 from sindhi_translit.pipeline import EngineConfig, Transliterator
 from sindhi_translit.script import cluster_graphemes
@@ -38,6 +45,11 @@ def test_ambiguous_without_model_fails(rule_engine):
     with pytest.raises(MissingModelError) as excinfo:
         rule_engine.transliterate_line("सरो")
     assert "स" in str(excinfo.value)
+    assert excinfo.value.offset == 0
+    # code points before स: क़ two (base plus nukta), म one, ला two, space one
+    with pytest.raises(MissingModelError) as excinfo:
+        rule_engine.transliterate_line("क़मला सरो")
+    assert excinfo.value.offset == 6
 
 
 def test_statistical_line(engine):
@@ -102,8 +114,10 @@ def test_unmapped_policies(tmp_path, demo_model_path):
     table = tmp_path / "map.tsv"
     table.write_text("क\tA\tK\n", encoding="utf-8")
     strict = Transliterator(EngineConfig(inventory=str(inv), mapping=str(table)))
-    with pytest.raises(UnmappedGraphemeError):
-        strict.transliterate_line("कम")
+    with pytest.raises(UnmappedGraphemeError) as excinfo:
+        strict.transliterate_line("कका कम")
+    assert excinfo.value.grapheme == "म"
+    assert excinfo.value.offset == 5
     lax = Transliterator(
         EngineConfig(inventory=str(inv), mapping=str(table), unmapped=UNMAPPED_PASS)
     )
@@ -121,6 +135,58 @@ def test_trace_records(engine):
     for record in ambiguous:
         assert len(record.scores) == len(record.candidates)
         assert record.chosen in record.candidates
+
+
+def sample_lines():
+    return Path(shipped.demo_sample_path()).read_text(encoding="utf-8").splitlines()
+
+
+@pytest.mark.parametrize("collect_trace", [False, True])
+def test_each_ambiguous_unit_scored_once(engine, monkeypatch, collect_trace):
+    scored = []
+
+    def counting(model, unit, *args, **kwargs):
+        scored.append(unit)
+        return candidate_scores(model, unit, *args, **kwargs)
+
+    # both names, so a call routed through ngram.disambiguate counts too
+    for module in (pipeline, ngram):
+        monkeypatch.setattr(module, "candidate_scores", counting)
+    total = 0
+    for line in sample_lines():
+        scored.clear()
+        result = engine.transliterate_line(line, collect_trace=collect_trace)
+        ambiguous = [u for u in result.units if u.is_ambiguous]
+        assert [id(u) for u in scored] == [id(u) for u in ambiguous]
+        total += len(ambiguous)
+    assert total > 0
+
+
+@pytest.mark.parametrize("smoothing", [False, True])
+@pytest.mark.parametrize("mode", MODES)
+def test_trace_scores_are_the_deciding_scores(demo_model_path, mode, smoothing):
+    engine = Transliterator(
+        EngineConfig(model=str(demo_model_path), mode=mode, smoothing=smoothing)
+    )
+    kinds = set()
+    for line in sample_lines():
+        result = engine.transliterate_line(line, collect_trace=True)
+        graphemes = [u.source for u in result.units]
+        for record in result.trace:
+            if record.scores is None:
+                continue
+            c_prev2, c_prev, c_next = engine._context(graphemes, record.index)
+            fresh = MappedUnit(graphemes[record.index], record.candidates)
+            scores = candidate_scores(
+                engine.model, fresh, c_prev, c_next, mode=mode, c_prev2=c_prev2
+            )
+            assert list(record.scores) == [s.value for s in scores]
+            chosen = disambiguate(
+                engine.model, fresh, c_prev, c_next, mode=mode, c_prev2=c_prev2
+            )
+            assert (chosen, fresh.resolution) == (record.chosen, record.resolution)
+            kinds.add(record.resolution)
+    assert Resolution.STATISTICAL in kinds
 
 
 def test_no_trace_by_default(engine):
