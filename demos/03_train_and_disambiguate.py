@@ -9,6 +9,7 @@ transition ratios.
 Run:  python3 demos/03_train_and_disambiguate.py
 """
 
+import tempfile
 from pathlib import Path
 
 from sindhi_translit import data as shipped
@@ -35,9 +36,15 @@ for target, source in [("ت", "त"), ("ط", "त"), ("ن", "ं"), ("م", "ं"
     print(f"  P({source} | {target})  = {p.numerator}/{p.denominator}")
 print()
 
-model_path = Path("/tmp/sindhi_demo_model.tsv")
-save_model(model, model_path)
-engine = Transliterator(EngineConfig(model=str(model_path)))
+# the engine reads the model file once, so a throwaway copy will do
+with tempfile.TemporaryDirectory(prefix="sindhi_demo_") as workdir:
+    model_path = Path(workdir) / "model.tsv"
+    save_model(model, model_path)
+    engine = Transliterator(EngineConfig(model=str(model_path)))
+    print("the model file is plain TSV; it starts:")
+    for row in model_path.read_text(encoding="utf-8").splitlines()[:4]:
+        print(f"  {row}")
+    print()
 
 for line in ["तारो", "खंड", "हिकु"]:
     result = engine.transliterate_line(line, collect_trace=True)
@@ -51,5 +58,3 @@ for line in ["तारो", "खंड", "हिकु"]:
         )
         print(f"    {record.source}: {scored}  ->  {record.chosen}"
               f"  ({record.resolution.value})")
-print()
-print(f"model file kept at {model_path} — inspect it, it is plain TSV")

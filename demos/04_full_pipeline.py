@@ -12,17 +12,16 @@ from sindhi_translit.script import load_inventory
 from sindhi_translit.training import load_aligned, save_model, train_model
 
 # train into a throwaway location; real deployments keep the model file
-workdir = Path(tempfile.mkdtemp(prefix="sindhi_demo_"))
-model_path = workdir / "model.tsv"
 inventory = load_inventory(shipped.inventory_path())
 corpus = Path(shipped.demo_corpus_path()).read_text(encoding="utf-8").splitlines()
-save_model(train_model(inventory, corpus, load_aligned(shipped.demo_aligned_path())),
-           model_path)
-
-# a config file is just key=value lines; paths resolve against the file
-config_path = workdir / "engine.cfg"
-config_path.write_text("model = model.tsv\nmode = bigram\n", encoding="utf-8")
-engine = Transliterator(EngineConfig.from_file(config_path))
+model = train_model(inventory, corpus, load_aligned(shipped.demo_aligned_path()))
+with tempfile.TemporaryDirectory(prefix="sindhi_demo_") as tmp:
+    workdir = Path(tmp)
+    save_model(model, workdir / "model.tsv")
+    # a config file is just key=value lines; paths resolve against the file
+    config_path = workdir / "engine.cfg"
+    config_path.write_text("model = model.tsv\nmode = bigram\n", encoding="utf-8")
+    engine = Transliterator(EngineConfig.from_file(config_path))
 
 sample = Path(shipped.demo_sample_path()).read_text(encoding="utf-8").splitlines()
 print(f"{len(sample)} lines through the engine:")

@@ -22,13 +22,13 @@ from sindhi_translit.training import (
     train_model,
 )
 
-workdir = Path(tempfile.mkdtemp(prefix="sindhi_demo_"))
-model_path = workdir / "model.tsv"
 inventory = load_inventory(shipped.inventory_path())
 corpus = Path(shipped.demo_corpus_path()).read_text(encoding="utf-8").splitlines()
-save_model(train_model(inventory, corpus, load_aligned(shipped.demo_aligned_path())),
-           model_path)
-engine = Transliterator(EngineConfig(model=str(model_path)))
+model = train_model(inventory, corpus, load_aligned(shipped.demo_aligned_path()))
+with tempfile.TemporaryDirectory(prefix="sindhi_demo_") as workdir:
+    model_path = Path(workdir) / "model.tsv"
+    save_model(model, model_path)
+    engine = Transliterator(EngineConfig(model=str(model_path)))
 
 gold = load_aligned(shipped.demo_gold_path())
 system_rows = []

@@ -8,7 +8,12 @@ pipeline failure on the input text, 6 ambiguous input with no model.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
+import os
 import re
+import shutil
+import stat
 import sys
 
 from .data import open_text
@@ -119,19 +124,50 @@ def _trace_line(record) -> str:
     )
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """The path to write new contents of ``path`` to.
+
+    When ``path`` is missing or a regular file with no other links, in a
+    writable directory, that is a temporary file beside it, which
+    replaces ``path`` (keeping its mode) when the block completes and is
+    removed when the block fails, so ``path`` is never left
+    half-written.  Anything else, such as a device, a FIFO or a
+    symlink, is written in place.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    try:
+        st = os.lstat(path)
+    except FileNotFoundError:
+        st = None
+    regular = st is None or (stat.S_ISREG(st.st_mode) and st.st_nlink == 1)
+    if not regular or not os.access(directory, os.W_OK):
+        yield path
+        return
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        if st is not None:
+            shutil.copymode(path, tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def cmd_transliterate(args) -> int:
     engine = _engine_from_args(args)
-    fin = (
-        open(args.input, encoding="utf-8", errors="surrogateescape")
-        if args.input
-        else sys.stdin
-    )
-    fout = (
-        open(args.output, "w", encoding="utf-8", newline="\n")
-        if args.output
-        else sys.stdout
-    )
-    try:
+    with contextlib.ExitStack() as stack:
+        fin = sys.stdin
+        if args.input:
+            fin = stack.enter_context(
+                open(args.input, encoding="utf-8", errors="surrogateescape")
+            )
+        fout = sys.stdout
+        if args.output:
+            target = stack.enter_context(_replacing(args.output))
+            fout = stack.enter_context(open(target, "w", encoding="utf-8", newline="\n"))
         for line_no, raw in enumerate(fin, 1):
             line = raw.rstrip("\r\n")
             try:
@@ -148,11 +184,6 @@ def cmd_transliterate(args) -> int:
             fout.write(result.output + "\n")
             for record in result.trace:
                 sys.stderr.write(f"{line_no}\t{_trace_line(record)}\n")
-    finally:
-        if args.input:
-            fin.close()
-        if args.output:
-            fout.close()
     return EXIT_OK
 
 
@@ -162,7 +193,8 @@ def cmd_train(args) -> int:
         corpus_lines = [line.rstrip("\r\n") for line in fh]
     pairs = load_aligned(args.aligned)
     model = train_model(inventory, corpus_lines, pairs)
-    save_model(model, args.out)
+    with _replacing(args.out) as target:
+        save_model(model, target)
     print(f"corpus lines      {len(corpus_lines)}")
     print(f"aligned rows      {len(pairs)}")
     print(f"unigram entries   {len(model.unigram)}")
@@ -240,23 +272,44 @@ def cmd_evaluate(args) -> int:
             raise DataFormatError(
                 f"system has {len(system_rows)} rows, gold has {len(gold)}"
             )
+        report = evaluate(
+            system_rows, gold, include_passthrough=args.include_passthrough
+        )
     else:
-        engine = _engine_from_args(args)
-        system_rows = []
-        for pair in gold:
-            text = "".join(
-                " " if unit == WORD_GAP else unit for unit in pair.source_units
-            )
-            system_rows.append(engine.transliterate_line(text).units)
-    report = evaluate(
-        system_rows, gold, include_passthrough=args.include_passthrough
-    )
+        report = _evaluate_end_to_end(args, gold)
     text = format_report(report)
     print(text)
     if args.report:
-        with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
+        with _replacing(args.report) as target, open(
+            target, "w", encoding="utf-8", newline="\n"
+        ) as fh:
             fh.write(text + "\n")
     return EXIT_OK
+
+
+def _evaluate_end_to_end(args, gold):
+    """Run the engine on each gold row's source side and score it.  A
+    row the engine rejects is skipped and reported, naming the gold
+    file and the error; a missing model still stops the run."""
+    engine = _engine_from_args(args)
+    system_rows, kept, rejected = [], [], []
+    for index, pair in enumerate(gold):
+        text = "".join(" " if unit == WORD_GAP else unit for unit in pair.source_units)
+        try:
+            system_rows.append(engine.transliterate_line(text).units)
+        except MissingModelError:
+            raise
+        except PipelineError as err:
+            rejected.append((index, f"{args.gold}: {err}"))
+            continue
+        kept.append(index)
+    report = evaluate(
+        system_rows,
+        [gold[i] for i in kept],
+        include_passthrough=args.include_passthrough,
+    )
+    skipped = rejected + [(kept[i], reason) for i, reason in report.skipped]
+    return dataclasses.replace(report, skipped=tuple(sorted(skipped)))
 
 
 def main(argv=None) -> int:

@@ -2,18 +2,28 @@
 
 The engine is configured once (inventory, mapping table, optional model,
 policies) and then converts lines independently: same input, same
-output, no hidden state.  Context for the statistical layer is the
-neighbouring source graphemes within the word; word edges contribute
-the boundary symbol.
+output.  Context for the statistical layer is the neighbouring source
+graphemes within the word; word edges contribute the boundary symbol.
+Every decision is therefore local to a word, and the engine converts a
+line word by word, each distinct word once.
 """
 
 from __future__ import annotations
 
+import bisect
 import os
+import unicodedata
 from dataclasses import dataclass, field, replace
 
 from . import data as shipped
-from .errors import ConfigError, DataFormatError, MissingModelError
+from .errors import (
+    ConfigError,
+    DataFormatError,
+    MissingModelError,
+    OrphanMatraError,
+    PipelineError,
+    UnmappedGraphemeError,
+)
 from .mapping import (
     UNMAPPED_ERROR,
     UNMAPPED_POLICIES,
@@ -31,8 +41,13 @@ from .ngram import (
     choose,
 )
 from .phonemes import ORPHAN_POLICIES, ORPHAN_REJECT, phonify
-from .script import CharClass, is_word_separator, load_inventory
+from .script import NUKTA, CharClass, is_word_separator, load_inventory, normalize
 from .training import load_model
+
+# distinct words an engine keeps converted; the memo empties when full.
+# An entry holds its own units, about 1.4 KiB for a random word, so the
+# memo stays under about 1.5 MiB.
+WORD_MEMO_SIZE = 1024
 
 _CONFIG_KEYS = (
     "inventory",
@@ -125,7 +140,13 @@ class LineResult:
 
 
 class Transliterator:
-    """A configured conversion engine; one instance, many lines."""
+    """A configured conversion engine; one instance, many lines.
+
+    Every decision is local to a word, so an untraced line is converted
+    word by word and each distinct word only once: its units are kept
+    in a bounded memo and copied into every later result.  The memo
+    fills on demand and never changes an output.
+    """
 
     def __init__(self, config: EngineConfig | None = None):
         config = config or EngineConfig()
@@ -150,14 +171,105 @@ class Transliterator:
         self.model: NgramModel | None = None
         if config.model is not None:
             self.model = load_model(config.model, add_one_smoothing=config.smoothing)
+        inv = self.inventory
+        self._key_chars = frozenset(
+            "".join(inv.consonants | inv.independent_vowels | inv.vowel_symbols)
+        )
+        self._memo = {}  # NFC word -> field tuples of its units
 
     def transliterate_line(self, line: str, *, collect_trace: bool = False) -> LineResult:
         """Convert one line of Devanagari text; line breaks are not part
-        of the input."""
-        phonemes = phonify(self.inventory, line, orphan_policy=self.config.orphan_matra)
+        of the input.
+
+        A traced line is converted whole, never from the memo, so its
+        scores are the ones that made each choice.  Error offsets count
+        code points of ``line`` as given.
+        """
+        text = normalize(line)
+        trace = []
+        try:
+            if collect_trace:
+                units = self._convert(text, trace)
+            else:
+                units = self._convert_by_word(text)
+        except (OrphanMatraError, UnmappedGraphemeError, MissingModelError) as err:
+            offset = err.offset
+            if text != line:
+                # the first raw prefix whose NFC form reaches past the
+                # offset ends with the faulty code point
+                offset = bisect.bisect_right(
+                    range(len(line) + 1),
+                    offset,
+                    key=lambda k: len(normalize(line[:k])),
+                ) - 1
+            raise type(err)(err.grapheme, offset) from None
+        return LineResult("".join(u.resolved for u in units), units, trace)
+
+    def transliterate_lines(self, lines, *, collect_trace: bool = False):
+        """Convert an iterable of lines, yielding one LineResult each."""
+        for line in lines:
+            yield self.transliterate_line(line, collect_trace=collect_trace)
+
+    def _convert_by_word(self, text):
+        """Units of NFC ``text``, each word taken from the memo or
+        converted and memoised; every unit is a fresh object."""
+        units = []
+        try:
+            for word in self._words(text):
+                fields = self._memo.get(word)
+                if fields is not None:
+                    units += [MappedUnit(*f) for f in fields]
+                    continue
+                word_units = self._convert(word)
+                if len(self._memo) >= WORD_MEMO_SIZE:
+                    self._memo.clear()
+                self._memo[word] = [
+                    (u.source, u.candidates, u.resolved, u.resolution, u.unmapped)
+                    for u in word_units
+                ]
+                units += word_units
+        except PipelineError as err:
+            # an error in a later word can take precedence (an orphan
+            # sign over an unmapped grapheme), so the whole line decides
+            self._convert(text)
+            raise PipelineError(
+                f"internal error: {text!r} failed word by word ({err}) "
+                "but not as a whole line"
+            ) from err
+        return units
+
+    def _words(self, text):
+        """Split NFC ``text`` into words and single separator characters.
+
+        A character splits when it is in no inventory key, is neither a
+        letter nor a mark, and no nukta follows it: clustering then
+        makes it a separator grapheme of its own, which no grapheme,
+        word position or context reaches across.
+        """
+        pieces = []
+        start = 0
+        key_chars = self._key_chars
+        for i, ch in enumerate(text):
+            if (
+                ch not in key_chars
+                and unicodedata.category(ch)[0] not in "LM"
+                and text[i + 1 : i + 2] != NUKTA
+            ):
+                if start < i:
+                    pieces.append(text[start:i])
+                pieces.append(ch)
+                start = i + 1
+        if start < len(text):
+            pieces.append(text[start:])
+        return pieces
+
+    def _convert(self, text, trace=None):
+        """Units of ``text`` from the staged functions, each ambiguous
+        unit scored in its word-local context; with a ``trace`` list,
+        one record per non-Other unit is appended to it."""
+        phonemes = phonify(self.inventory, text, orphan_policy=self.config.orphan_matra)
         units = map_phonemes(self.table, phonemes, unmapped_policy=self.config.unmapped)
         graphemes = [u.source for u in units]
-        trace = []
         for i, unit in enumerate(units):
             scores = None
             if unit.resolved is None:
@@ -174,7 +286,7 @@ class Transliterator:
                     c_prev2=c_prev2,
                 )
                 choose(unit, scores)
-            if collect_trace and unit.source.char_class is not CharClass.OTHER:
+            if trace is not None and unit.source.char_class is not CharClass.OTHER:
                 trace.append(
                     TraceRecord(
                         i,
@@ -185,19 +297,13 @@ class Transliterator:
                         unit.resolution,
                     )
                 )
-        output = "".join(u.resolved for u in units)
-        return LineResult(output, units, trace)
-
-    def transliterate_lines(self, lines, *, collect_trace: bool = False):
-        """Convert an iterable of lines, yielding one LineResult each."""
-        for line in lines:
-            yield self.transliterate_line(line, collect_trace=collect_trace)
+        return units
 
     def _context(self, graphemes, index):
         """Boundary-padded word-local context around position ``index``.
 
         Separator graphemes never appear as context; they (and the ends
-        of the line) read as the boundary symbol.  Returns
+        of the text) read as the boundary symbol.  Returns
         (prev-but-one, prev, next) grapheme keys.
         """
         boundary = self.model.boundary if self.model else BOUNDARY

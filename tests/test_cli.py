@@ -1,9 +1,12 @@
 import io
+import os
+import stat
 import sys
 from pathlib import Path
 
 import pytest
 
+from sindhi_translit import cli
 from sindhi_translit import data as shipped
 from sindhi_translit.cli import (
     EXIT_CONFIG,
@@ -304,6 +307,98 @@ def test_pipeline_error_names_input_line(capsys, monkeypatch, demo_model_path):
     assert err == (
         "translit: line 3: vowel symbol 'ि' at offset 0 has no preceding consonant\n"
     )
+
+
+def test_failed_run_leaves_output_file_untouched(tmp_path, capsys, demo_model_path):
+    src = tmp_path / "in.txt"
+    src.write_text("कमल\nतारो\nिक\n", encoding="utf-8")
+    dst = tmp_path / "out.txt"
+    dst.write_bytes(b"old output\n")
+    code, _, err = run(
+        ["transliterate", "--model", str(demo_model_path), "-i", str(src), "-o", str(dst)],
+        capsys,
+    )
+    assert code == EXIT_PIPELINE
+    assert "line 3" in err
+    assert dst.read_bytes() == b"old output\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.txt", "out.txt"]
+
+
+def test_failed_save_leaves_model_file_untouched(tmp_path, capsys, monkeypatch):
+    def failing_save(model, path):
+        Path(path).write_text("half a model", encoding="utf-8")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "save_model", failing_save)
+    out_path = tmp_path / "model.tsv"
+    out_path.write_bytes(b"old model\n")
+    code, _, err = run(
+        [
+            "train",
+            "--inventory", str(shipped.inventory_path()),
+            "--corpus", str(shipped.demo_corpus_path()),
+            "--aligned", str(shipped.demo_aligned_path()),
+            "-o", str(out_path),
+        ],
+        capsys,
+    )
+    assert code == EXIT_IO
+    assert "disk full" in err
+    assert out_path.read_bytes() == b"old model\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["model.tsv"]
+
+
+def test_output_keeps_mode_and_symlink(tmp_path, capsys, demo_model_path):
+    src = tmp_path / "in.txt"
+    src.write_text("कमल\n", encoding="utf-8")
+    dst = tmp_path / "out.txt"
+    dst.write_bytes(b"old output\n")
+    dst.chmod(0o640)
+    link = tmp_path / "link.txt"
+    link.symlink_to(dst)
+    for target in (dst, link):
+        code, _, _ = run(
+            ["transliterate", "--model", str(demo_model_path), "-i", str(src),
+             "-o", str(target)],
+            capsys,
+        )
+        assert code == EXIT_OK
+    assert link.is_symlink()
+    assert dst.read_text(encoding="utf-8") == "ڪمل\n"
+    assert dst.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.txt", "link.txt", "out.txt"]
+
+
+def test_output_to_devnull_is_written_in_place(tmp_path, capsys, demo_model_path):
+    # checked before the run, so a temp file never replaces the device
+    with cli._replacing(os.devnull) as target:
+        assert target == os.devnull
+    src = tmp_path / "in.txt"
+    src.write_text("कमल\n", encoding="utf-8")
+    code, _, _ = run(
+        ["transliterate", "--model", str(demo_model_path), "-i", str(src),
+         "-o", os.devnull],
+        capsys,
+    )
+    assert code == EXIT_OK
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def test_evaluate_end_to_end_skips_rejected_rows(tmp_path, capsys, demo_model_path):
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("क म ल\tڪ م ل\nा क\tA K\nआ म\tآ م\n", encoding="utf-8")
+    code, out, err = run(
+        ["evaluate", "--gold", str(gold), "--end-to-end", "--model", str(demo_model_path)],
+        capsys,
+    )
+    assert code == EXIT_OK
+    assert err == ""
+    assert "Skipped rows: 1" in out
+    assert (
+        f"row 1: {gold}: vowel symbol 'ा' at offset 0 has no preceding consonant" in out
+    )
+    assert "total_sentences=2" in out
+    assert "overall_accuracy=100.00" in out
 
 
 def test_missing_model_error_names_input_line(capsys, monkeypatch):

@@ -31,3 +31,4 @@ def test_demo_exits_zero(demo, tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert list(tmp_path.iterdir()) == []  # nothing left behind

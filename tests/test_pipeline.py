@@ -20,7 +20,7 @@ from sindhi_translit.ngram import (
 )
 from sindhi_translit.phonemes import ORPHAN_PASS
 from sindhi_translit.pipeline import EngineConfig, Transliterator
-from sindhi_translit.script import cluster_graphemes
+from sindhi_translit.script import cluster_graphemes, is_word_separator
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +50,14 @@ def test_ambiguous_without_model_fails(rule_engine):
     with pytest.raises(MissingModelError) as excinfo:
         rule_engine.transliterate_line("क़मला सरो")
     assert excinfo.value.offset == 6
+
+
+def test_error_offset_counts_raw_code_points(rule_engine):
+    # precomposed क़ is one code point here but two once normalised
+    with pytest.raises(OrphanMatraError) as excinfo:
+        rule_engine.transliterate_line("\u0958क \u093e")
+    assert excinfo.value.offset == 3
+    assert "at offset 3" in str(excinfo.value)
 
 
 def test_statistical_line(engine):
@@ -141,25 +149,52 @@ def sample_lines():
     return Path(shipped.demo_sample_path()).read_text(encoding="utf-8").splitlines()
 
 
+def words_of(units):
+    """(word text, units) for each separator-delimited run of units."""
+    words, current = [], []
+    for unit in units + [None]:
+        if unit is None or is_word_separator(unit.source):
+            if current:
+                words.append(("".join(u.source.text for u in current), current))
+            current = []
+        else:
+            current.append(unit)
+    return words
+
+
 @pytest.mark.parametrize("collect_trace", [False, True])
-def test_each_ambiguous_unit_scored_once(engine, monkeypatch, collect_trace):
+def test_each_ambiguous_unit_scored_once(demo_model_path, monkeypatch, collect_trace):
+    # a fresh engine, so no word has been converted yet
+    engine = Transliterator(EngineConfig(model=str(demo_model_path)))
     scored = []
 
     def counting(model, unit, *args, **kwargs):
-        scored.append(unit)
+        scored.append((unit.source.text, unit.candidates))
         return candidate_scores(model, unit, *args, **kwargs)
 
     # both names, so a call routed through ngram.disambiguate counts too
     for module in (pipeline, ngram):
         monkeypatch.setattr(module, "candidate_scores", counting)
-    total = 0
-    for line in sample_lines():
-        scored.clear()
-        result = engine.transliterate_line(line, collect_trace=collect_trace)
-        ambiguous = [u for u in result.units if u.is_ambiguous]
-        assert [id(u) for u in scored] == [id(u) for u in ambiguous]
-        total += len(ambiguous)
-    assert total > 0
+    seen = set()
+    first_pass = repeat_pass = 0
+    for repeat in (False, True):
+        for line in sample_lines():
+            scored.clear()
+            result = engine.transliterate_line(line, collect_trace=collect_trace)
+            expected = []
+            for word, units in words_of(result.units):
+                # untraced, only a word's first occurrence is scored;
+                # traced, every ambiguous unit of the line is
+                if collect_trace or word not in seen:
+                    expected += [(u.source.text, u.candidates) for u in units if u.is_ambiguous]
+                seen.add(word)
+            assert scored == expected
+            if repeat:
+                repeat_pass += len(scored)
+            else:
+                first_pass += len(scored)
+    assert first_pass > 0
+    assert repeat_pass == (first_pass if collect_trace else 0)
 
 
 @pytest.mark.parametrize("smoothing", [False, True])
