@@ -179,7 +179,7 @@ def cmd_transliterate(args) -> int:
                     )
                 result = engine.transliterate_line(line, collect_trace=args.trace)
             except PipelineError as err:
-                err.input_line = line_no  # main() names the line in the report
+                err.where = f"line {line_no}: "  # main() prefixes the report
                 raise
             fout.write(result.output + "\n")
             for record in result.trace:
@@ -290,14 +290,16 @@ def cmd_evaluate(args) -> int:
 def _evaluate_end_to_end(args, gold):
     """Run the engine on each gold row's source side and score it.  A
     row the engine rejects is skipped and reported, naming the gold
-    file and the error; a missing model still stops the run."""
+    file and the error; a missing model still stops the run, naming the
+    gold file and the row."""
     engine = _engine_from_args(args)
     system_rows, kept, rejected = [], [], []
     for index, pair in enumerate(gold):
         text = "".join(" " if unit == WORD_GAP else unit for unit in pair.source_units)
         try:
             system_rows.append(engine.transliterate_line(text).units)
-        except MissingModelError:
+        except MissingModelError as err:
+            err.where = f"{args.gold}: row {index}: "
             raise
         except PipelineError as err:
             rejected.append((index, f"{args.gold}: {err}"))
@@ -334,9 +336,7 @@ def main(argv=None) -> int:
         print(f"translit: data error: {err}", file=sys.stderr)
         return EXIT_DATA
     except PipelineError as err:
-        line_no = getattr(err, "input_line", None)
-        where = f"line {line_no}: " if line_no is not None else ""
-        print(f"translit: {where}{err}", file=sys.stderr)
+        print(f"translit: {getattr(err, 'where', '')}{err}", file=sys.stderr)
         if isinstance(err, MissingModelError):
             return EXIT_MISSING_MODEL
         return EXIT_PIPELINE

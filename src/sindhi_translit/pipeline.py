@@ -5,7 +5,7 @@ policies) and then converts lines independently: same input, same
 output.  Context for the statistical layer is the neighbouring source
 graphemes within the word; word edges contribute the boundary symbol.
 Every decision is therefore local to a word, and the engine converts a
-line word by word, each distinct word once.
+line word by word, each distinct word once, traced or not.
 """
 
 from __future__ import annotations
@@ -32,21 +32,15 @@ from .mapping import (
     load_mapping,
     map_phonemes,
 )
-from .ngram import (
-    BOUNDARY,
-    MODE_BIGRAM,
-    MODES,
-    NgramModel,
-    candidate_scores,
-    choose,
-)
+from .ngram import MODE_BIGRAM, MODES, NgramModel, candidate_scores, choose
 from .phonemes import ORPHAN_POLICIES, ORPHAN_REJECT, phonify
-from .script import NUKTA, CharClass, is_word_separator, load_inventory, normalize
+from .script import NUKTA, CharClass, load_inventory, normalize
 from .training import load_model
 
 # distinct words an engine keeps converted; the memo empties when full.
-# An entry holds its own units, about 1.4 KiB for a random word, so the
-# memo stays under about 1.5 MiB.
+# An entry holds its own unit fields and scores, about 1.5 KiB for a
+# random word (tracemalloc on the benchmark's train-eval inputs), so a
+# full memo holds about 1.5 MiB.
 WORD_MEMO_SIZE = 1024
 
 _CONFIG_KEYS = (
@@ -142,10 +136,11 @@ class LineResult:
 class Transliterator:
     """A configured conversion engine; one instance, many lines.
 
-    Every decision is local to a word, so an untraced line is converted
-    word by word and each distinct word only once: its units are kept
-    in a bounded memo and copied into every later result.  The memo
-    fills on demand and never changes an output.
+    Every decision is local to a word, so a line is converted word by
+    word and each distinct word only once: its unit fields and deciding
+    scores are kept in a bounded memo, from which every later result
+    gets fresh units and, when traced, its records.  The memo fills on
+    demand and never changes an output or a trace.
     """
 
     def __init__(self, config: EngineConfig | None = None):
@@ -175,23 +170,17 @@ class Transliterator:
         self._key_chars = frozenset(
             "".join(inv.consonants | inv.independent_vowels | inv.vowel_symbols)
         )
-        self._memo = {}  # NFC word -> field tuples of its units
+        self._memo = {}  # NFC word -> its entry from _convert
 
     def transliterate_line(self, line: str, *, collect_trace: bool = False) -> LineResult:
         """Convert one line of Devanagari text; line breaks are not part
         of the input.
 
-        A traced line is converted whole, never from the memo, so its
-        scores are the ones that made each choice.  Error offsets count
-        code points of ``line`` as given.
+        Error offsets count code points of ``line`` as given.
         """
         text = normalize(line)
-        trace = []
         try:
-            if collect_trace:
-                units = self._convert(text, trace)
-            else:
-                units = self._convert_by_word(text)
+            units, trace = self._convert_by_word(text, collect_trace)
         except (OrphanMatraError, UnmappedGraphemeError, MissingModelError) as err:
             offset = err.offset
             if text != line:
@@ -210,48 +199,54 @@ class Transliterator:
         for line in lines:
             yield self.transliterate_line(line, collect_trace=collect_trace)
 
-    def _convert_by_word(self, text):
+    def _convert_by_word(self, text, collect_trace):
         """Units of NFC ``text``, each word taken from the memo or
-        converted and memoised; every unit is a fresh object."""
-        units = []
+        converted and memoised, and with ``collect_trace`` one record per
+        non-Other unit; every unit is a fresh object."""
+        units, trace = [], []
         try:
             for word in self._words(text):
-                fields = self._memo.get(word)
-                if fields is not None:
-                    units += [MappedUnit(*f) for f in fields]
-                    continue
-                word_units = self._convert(word)
-                if len(self._memo) >= WORD_MEMO_SIZE:
-                    self._memo.clear()
-                self._memo[word] = [
-                    (u.source, u.candidates, u.resolved, u.resolution, u.unmapped)
-                    for u in word_units
-                ]
-                units += word_units
+                entry = self._memo.get(word)
+                if entry is None:
+                    entry = self._convert(word)
+                    if len(self._memo) >= WORD_MEMO_SIZE:
+                        self._memo.clear()
+                    self._memo[word] = entry
+                fields, scores = entry
+                if collect_trace:
+                    trace += [
+                        TraceRecord(i, source.text, candidates, unit_scores, resolved, kind)
+                        for i, ((source, candidates, resolved, kind, _), unit_scores)
+                        in enumerate(zip(fields, scores), len(units))
+                        if source.char_class is not CharClass.OTHER
+                    ]
+                units += [MappedUnit(*f) for f in fields]
         except PipelineError as err:
             # an error in a later word can take precedence (an orphan
-            # sign over an unmapped grapheme), so the whole line decides
+            # sign over an unmapped grapheme), so the whole line decides;
+            # any scores this re-run computes are thrown away
             self._convert(text)
             raise PipelineError(
                 f"internal error: {text!r} failed word by word ({err}) "
                 "but not as a whole line"
             ) from err
-        return units
+        return units, trace
 
     def _words(self, text):
         """Split NFC ``text`` into words and single separator characters.
 
-        A character splits when it is in no inventory key, is neither a
-        letter nor a mark, and no nukta follows it: clustering then
-        makes it a separator grapheme of its own, which no grapheme,
-        word position or context reaches across.
+        A character splits when it is neither a letter nor a mark and no
+        nukta follows it.  Inventory keys hold letters and marks only, so
+        clustering makes exactly these characters separator graphemes of
+        their own, which no grapheme, word position or context reaches
+        across.
         """
         pieces = []
         start = 0
         key_chars = self._key_chars
         for i, ch in enumerate(text):
             if (
-                ch not in key_chars
+                ch not in key_chars  # a quick test first: keys hold letters and marks
                 and unicodedata.category(ch)[0] not in "LM"
                 and text[i + 1 : i + 2] != NUKTA
             ):
@@ -263,58 +258,36 @@ class Transliterator:
             pieces.append(text[start:])
         return pieces
 
-    def _convert(self, text, trace=None):
-        """Units of ``text`` from the staged functions, each ambiguous
-        unit scored in its word-local context; with a ``trace`` list,
-        one record per non-Other unit is appended to it."""
-        phonemes = phonify(self.inventory, text, orphan_policy=self.config.orphan_matra)
+    def _convert(self, word):
+        """Memo entry for ``word``: the fields of each unit, and the float
+        scores that chose each unit (None for a unit not scored).  An
+        ambiguous unit is scored in the context of the word's grapheme
+        keys, padded with two boundary symbols on the left and one on
+        the right."""
+        phonemes = phonify(self.inventory, word, orphan_policy=self.config.orphan_matra)
         units = map_phonemes(self.table, phonemes, unmapped_policy=self.config.unmapped)
-        graphemes = [u.source for u in units]
+        if self.model is not None:
+            edge = self.model.boundary
+            keys = [edge, edge, *(u.source.text for u in units), edge]
+        fields, scores = [], []
         for i, unit in enumerate(units):
-            scores = None
+            unit_scores = None
             if unit.resolved is None:
                 if self.model is None:
-                    offset = sum(len(g.text) for g in graphemes[:i])
+                    offset = sum(len(u.source.text) for u in units[:i])
                     raise MissingModelError(unit.source.text, offset)
-                c_prev2, c_prev, c_next = self._context(graphemes, i)
-                scores = candidate_scores(
+                unit_scores = candidate_scores(
                     self.model,
                     unit,
-                    c_prev,
-                    c_next,
+                    keys[i + 1],
+                    keys[i + 3],
                     mode=self.config.mode,
-                    c_prev2=c_prev2,
+                    c_prev2=keys[i],
                 )
-                choose(unit, scores)
-            if trace is not None and unit.source.char_class is not CharClass.OTHER:
-                trace.append(
-                    TraceRecord(
-                        i,
-                        unit.source.text,
-                        unit.candidates,
-                        None if scores is None else tuple(s.value for s in scores),
-                        unit.resolved,
-                        unit.resolution,
-                    )
-                )
-        return units
-
-    def _context(self, graphemes, index):
-        """Boundary-padded word-local context around position ``index``.
-
-        Separator graphemes never appear as context; they (and the ends
-        of the text) read as the boundary symbol.  Returns
-        (prev-but-one, prev, next) grapheme keys.
-        """
-        boundary = self.model.boundary if self.model else BOUNDARY
-        c_prev = c_prev2 = c_next = boundary
-        j = index - 1
-        if j >= 0 and not is_word_separator(graphemes[j]):
-            c_prev = graphemes[j].text
-            k = j - 1
-            if k >= 0 and not is_word_separator(graphemes[k]):
-                c_prev2 = graphemes[k].text
-        j = index + 1
-        if j < len(graphemes) and not is_word_separator(graphemes[j]):
-            c_next = graphemes[j].text
-        return c_prev2, c_prev, c_next
+                choose(unit, unit_scores)
+                unit_scores = tuple(s.value for s in unit_scores)
+            fields.append(
+                (unit.source, unit.candidates, unit.resolved, unit.resolution, unit.unmapped)
+            )
+            scores.append(unit_scores)
+        return fields, scores

@@ -188,7 +188,10 @@ def load_inventory(path) -> ScriptInventory:
     """Read an inventory file: ``<class>TAB<grapheme>`` per line.
 
     Class is C, V or M; ``#`` starts a comment; blank lines are skipped.
-    A grapheme listed under two different classes is an error.
+    A grapheme holds letters and marks only, so a character of any other
+    kind in text is always a separator grapheme of its own (unless a
+    nukta follows it); a grapheme listed under two different classes is
+    an error.
     """
     sets = {"C": set(), "V": set(), "M": set()}
     seen = {}
@@ -211,6 +214,13 @@ def load_inventory(path) -> ScriptInventory:
                 )
             if not key:
                 raise DataFormatError("empty grapheme field", path=path, line=line_no)
+            if any(unicodedata.category(ch)[0] not in "LM" for ch in key):
+                raise DataFormatError(
+                    f"grapheme {key!r} holds a character that is neither a letter "
+                    "nor a mark",
+                    path=path,
+                    line=line_no,
+                )
             if key in seen and seen[key] != code:
                 raise DataFormatError(
                     f"grapheme {key!r} already listed under class {seen[key]!r}",

@@ -401,6 +401,18 @@ def test_evaluate_end_to_end_skips_rejected_rows(tmp_path, capsys, demo_model_pa
     assert "overall_accuracy=100.00" in out
 
 
+def test_evaluate_end_to_end_missing_model_names_gold_row(tmp_path, capsys):
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("# comment\nक म ल\tڪ م ل\nआ त\tآ ت\n", encoding="utf-8")
+    code, out, err = run(["evaluate", "--gold", str(gold), "--end-to-end"], capsys)
+    assert code == EXIT_MISSING_MODEL
+    assert out == ""
+    assert err == (
+        f"translit: {gold}: row 1: grapheme 'त' at offset 1 has multiple candidates "
+        "and no model is loaded to pick one\n"
+    )
+
+
 def test_missing_model_error_names_input_line(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("कमल\nआम\nकमल सरो\n"))
     code, out, err = run(["transliterate"], capsys)

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import word_context
 from sindhi_translit import data as shipped
 from sindhi_translit import ngram, pipeline
 from sindhi_translit.errors import (
@@ -98,12 +99,25 @@ def test_transliterate_lines(engine):
     assert outputs == ["ڪمل", "آم"]
 
 
-def test_context_is_word_local(engine):
-    graphemes = cluster_graphemes(engine.inventory, "कम ल")
-    c_prev2, c_prev, c_next = engine._context(graphemes, 3)
-    assert (c_prev2, c_prev, c_next) == (BOUNDARY, BOUNDARY, BOUNDARY)
-    c_prev2, c_prev, c_next = engine._context(graphemes, 1)
-    assert (c_prev2, c_prev, c_next) == (BOUNDARY, "क", BOUNDARY)
+def test_context_is_word_local(inventory, demo_model_path, monkeypatch):
+    graphemes = cluster_graphemes(inventory, "कम ल")
+    assert word_context(graphemes, 3) == (BOUNDARY, BOUNDARY, BOUNDARY)
+    assert word_context(graphemes, 1) == (BOUNDARY, "क", BOUNDARY)
+    # the engine scores each ambiguous unit in exactly that context
+    engine = Transliterator(EngineConfig(model=str(demo_model_path)))
+    contexts = []
+
+    def recording(model, unit, c_prev, c_next, *, mode, c_prev2):
+        contexts.append((c_prev2, c_prev, c_next))
+        return candidate_scores(model, unit, c_prev, c_next, mode=mode, c_prev2=c_prev2)
+
+    monkeypatch.setattr(pipeline, "candidate_scores", recording)
+    result = engine.transliterate_line("त, सत हसी सतसत सच")
+    graphemes = [u.source for u in result.units]
+    expected = [word_context(graphemes, i) for i, u in enumerate(result.units) if u.is_ambiguous]
+    assert contexts == expected
+    assert len(expected) >= 6
+    assert any(BOUNDARY not in context for context in expected)
 
 
 def test_orphan_matra_policies(demo_model_path):
@@ -183,9 +197,8 @@ def test_each_ambiguous_unit_scored_once(demo_model_path, monkeypatch, collect_t
             result = engine.transliterate_line(line, collect_trace=collect_trace)
             expected = []
             for word, units in words_of(result.units):
-                # untraced, only a word's first occurrence is scored;
-                # traced, every ambiguous unit of the line is
-                if collect_trace or word not in seen:
+                # traced or not, only a word's first occurrence is scored
+                if word not in seen:
                     expected += [(u.source.text, u.candidates) for u in units if u.is_ambiguous]
                 seen.add(word)
             assert scored == expected
@@ -194,7 +207,7 @@ def test_each_ambiguous_unit_scored_once(demo_model_path, monkeypatch, collect_t
             else:
                 first_pass += len(scored)
     assert first_pass > 0
-    assert repeat_pass == (first_pass if collect_trace else 0)
+    assert repeat_pass == 0
 
 
 @pytest.mark.parametrize("smoothing", [False, True])
@@ -210,7 +223,9 @@ def test_trace_scores_are_the_deciding_scores(demo_model_path, mode, smoothing):
         for record in result.trace:
             if record.scores is None:
                 continue
-            c_prev2, c_prev, c_next = engine._context(graphemes, record.index)
+            c_prev2, c_prev, c_next = word_context(
+                graphemes, record.index, engine.model.boundary
+            )
             fresh = MappedUnit(graphemes[record.index], record.candidates)
             scores = candidate_scores(
                 engine.model, fresh, c_prev, c_next, mode=mode, c_prev2=c_prev2

@@ -143,6 +143,15 @@ def test_load_rejects_cross_class_duplicate(tmp_path):
         load_inventory(path)
 
 
+@pytest.mark.parametrize("key", ["क१", "क ", "क\u200d", "1"])
+def test_load_rejects_key_that_is_not_letters_and_marks(tmp_path, key):
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"C\tख\nC\t{key}\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match="neither a letter nor a mark") as excinfo:
+        load_inventory(path)
+    assert f"{path}:2:" in str(excinfo.value)
+
+
 def test_load_tolerates_same_class_duplicate(tmp_path):
     path = tmp_path / "dup.tsv"
     path.write_text("C\tक\nC\tक\n", encoding="utf-8")

@@ -7,27 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import word_context
 from sindhi_translit import data as shipped
 from sindhi_translit import pipeline
 from sindhi_translit.errors import MissingModelError, PipelineError
 from sindhi_translit.mapping import UNMAPPED_PASS, Resolution, map_phonemes
-from sindhi_translit.ngram import BOUNDARY, MODE_TRIGRAM, candidate_scores, choose
+from sindhi_translit.ngram import MODE_TRIGRAM, candidate_scores, choose
 from sindhi_translit.phonemes import ORPHAN_PASS, phonify
 from sindhi_translit.pipeline import EngineConfig, LineResult, TraceRecord, Transliterator
-from sindhi_translit.script import CharClass, is_word_separator, normalize
-
-
-def word_context(graphemes, index, boundary=BOUNDARY):
-    """Word-local (prev-but-one, prev, next) keys around ``index``;
-    separators and the line ends read as the boundary symbol."""
-    def key(j):
-        if 0 <= j < len(graphemes) and not is_word_separator(graphemes[j]):
-            return graphemes[j].text
-        return None
-
-    prev = key(index - 1)
-    prev2 = key(index - 2) if prev is not None else None
-    return tuple(boundary if k is None else k for k in (prev2, prev, key(index + 1)))
+from sindhi_translit.script import CharClass, normalize
 
 
 def raw_offset(line, nfc_offset):
