@@ -22,6 +22,11 @@ UNMAPPED_ERROR = "error"
 UNMAPPED_PASS = "pass"
 UNMAPPED_POLICIES = (UNMAPPED_ERROR, UNMAPPED_PASS)
 
+# (key, role, position flags) lookups a table keeps answered; the memo
+# empties when full
+LOOKUP_MEMO_SIZE = 1024
+_UNSEEN = object()  # memo default: None is a memoised miss
+
 
 class Role(enum.Enum):
     """Context under which a grapheme is looked up.
@@ -74,6 +79,7 @@ class MappingTable:
                 raise ValueError(f"empty candidate list for {key!r}")
             if len(set(cands)) != len(cands):
                 raise ValueError(f"duplicate candidates for {key!r}")
+        self._memo = {}  # (key, role value, word_initial, word_final) -> answer
 
     def __len__(self):
         return len(self._entries)
@@ -92,8 +98,22 @@ class MappingTable:
         variants (word-initial, then word-final) before the plain row.
         A key that misses entirely is retried with any virama stripped,
         since the vowel killer has no letter of its own in the target
-        script.
+        script.  Answers, misses included, are memoised per key, role
+        and position flags.
         """
+        # the role's value string, not the member: hashing an enum
+        # member runs Python code
+        memo_key = (key, role._value_, word_initial, word_final)
+        hit = self._memo.get(memo_key, _UNSEEN)
+        if hit is _UNSEEN:
+            if len(self._memo) >= LOOKUP_MEMO_SIZE:
+                self._memo.clear()
+            hit = self._memo[memo_key] = self._search(
+                key, role, word_initial, word_final
+            )
+        return hit
+
+    def _search(self, key, role, word_initial, word_final):
         roles = (role,) if role is Role.ANY else (role, Role.ANY)
         for r in roles:
             if word_initial:
@@ -108,12 +128,7 @@ class MappingTable:
             if hit is not None:
                 return hit
         if VIRAMA in key:
-            return self.lookup(
-                key.replace(VIRAMA, ""),
-                role,
-                word_initial=word_initial,
-                word_final=word_final,
-            )
+            return self._search(key.replace(VIRAMA, ""), role, word_initial, word_final)
         return None
 
     def ambiguous_keys(self) -> set[str]:

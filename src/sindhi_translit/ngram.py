@@ -204,17 +204,21 @@ def choose(unit: MappedUnit, scores) -> str:
     all-zero scores fall back to the leading candidate and are marked
     Fallback.
     """
-    exact = [s.exact() for s in scores]
-    best = max(exact)
-    if best > 0:
-        winners = [i for i, x in enumerate(exact) if x == best]
-        index = winners[0]
-        resolution = (
-            Resolution.STATISTICAL if len(winners) == 1 else Resolution.FALLBACK
-        )
-    else:
-        index = 0
-        resolution = Resolution.FALLBACK
+    # exact ratios compared by cross-multiplying: denominators are >= 1
+    index, tied = 0, False
+    best = scores[0]
+    for i, s in enumerate(scores[1:], 1):
+        lhs, rhs = s.numerator * best.denominator, best.numerator * s.denominator
+        if lhs > rhs:
+            index, tied, best = i, False, s
+        elif lhs == rhs:
+            tied = True
+    # an all-zero row never moves the index off the leading candidate
+    resolution = (
+        Resolution.STATISTICAL
+        if best.numerator > 0 and not tied
+        else Resolution.FALLBACK
+    )
     unit.resolved = unit.candidates[index]
     unit.resolution = resolution
     return unit.resolved

@@ -38,9 +38,9 @@ from .script import NUKTA, CharClass, load_inventory, normalize
 from .training import load_model
 
 # distinct words an engine keeps converted; the memo empties when full.
-# An entry holds its own unit fields and scores, about 1.5 KiB for a
-# random word (tracemalloc on the benchmark's train-eval inputs), so a
-# full memo holds about 1.5 MiB.
+# An entry holds its unit fields and scores and shares the inventory's
+# interned graphemes, about 0.8 KiB for a random word (tracemalloc on
+# the benchmark's train-eval inputs), so a full memo holds about 0.8 MiB.
 WORD_MEMO_SIZE = 1024
 
 _CONFIG_KEYS = (
@@ -114,9 +114,14 @@ class EngineConfig:
         return replace(self, **updates) if updates else self
 
 
-@dataclass(frozen=True)
+@dataclass
 class TraceRecord:
-    """How one non-Other grapheme was resolved."""
+    """How one non-Other grapheme was resolved.
+
+    Not frozen: records are built fresh for every traced line and
+    nothing hashes them, and a frozen dataclass costs several times as
+    much to build.
+    """
 
     index: int
     source: str

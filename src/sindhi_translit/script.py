@@ -20,6 +20,10 @@ from .errors import DataFormatError
 NUKTA = "़"
 VIRAMA = "्"
 
+# distinct pieces of text an inventory keeps classified; the cache
+# empties when full
+GRAPHEME_CACHE_SIZE = 1024
+
 
 class CharClass(enum.Enum):
     """Role a grapheme plays in the source script.
@@ -74,7 +78,8 @@ class ScriptInventory:
 
     Immutable after construction.  Multi-code-point entries (nukta
     consonants, the nasalised vowel) are allowed; clustering matches
-    them longest-first.
+    them longest-first.  Graphemes are interned per piece of text, so
+    each distinct piece is classified once.
     """
 
     def __init__(self, consonants, independent_vowels, vowel_symbols):
@@ -105,6 +110,17 @@ class ScriptInventory:
                 self._long_keys.setdefault(key[0], []).append(key)
         for keys in self._long_keys.values():
             keys.sort(key=len, reverse=True)
+        self._graphemes = {}  # piece of text -> its Grapheme
+
+    def grapheme(self, piece: str) -> Grapheme:
+        """The classified Grapheme for ``piece``, built once and shared
+        (graphemes are frozen) until the bounded cache empties."""
+        g = self._graphemes.get(piece)
+        if g is None:
+            if len(self._graphemes) >= GRAPHEME_CACHE_SIZE:
+                self._graphemes.clear()
+            g = self._graphemes[piece] = Grapheme(piece, classify(self, piece))
+        return g
 
     def class_of_key(self, key: str) -> CharClass | None:
         """Exact-key lookup; None when the key is not listed."""
@@ -165,10 +181,13 @@ def cluster_graphemes(inventory: ScriptInventory, text: str) -> list[Grapheme]:
         j = i + (len(key) if key else 1)
         while j < n and t[j] == NUKTA:
             j += 1
-        if j < n and t[j] == VIRAMA and classify(inventory, t[i:j]) is CharClass.CONSONANT:
+        if (
+            j < n
+            and t[j] == VIRAMA
+            and inventory.grapheme(t[i:j]).char_class is CharClass.CONSONANT
+        ):
             j += 1
-        piece = t[i:j]
-        out.append(Grapheme(piece, classify(inventory, piece)))
+        out.append(inventory.grapheme(t[i:j]))
         i = j
     return out
 

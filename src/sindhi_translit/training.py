@@ -223,7 +223,7 @@ def load_model(path, *, add_one_smoothing: bool = False) -> NgramModel:
     declared = {}
     for token in raw_lines[1].split(" ")[1:]:
         name, _, size = token.partition("=")
-        if name not in _SECTIONS or not size.isdigit():
+        if name not in _SECTIONS or not (size.isascii() and size.isdigit()):
             raise DataFormatError(
                 f"bad sections token {token!r}", path=path, line=2
             )
@@ -233,7 +233,7 @@ def load_model(path, *, add_one_smoothing: bool = False) -> NgramModel:
                               path=path, line=2)
 
     sections = {name: {} for name in _SECTIONS}
-    current = None
+    current = counts = arity = None
     for line_no, line in enumerate(raw_lines[2:], 3):
         if not line:
             continue
@@ -243,7 +243,7 @@ def load_model(path, *, add_one_smoothing: bool = False) -> NgramModel:
                 raise DataFormatError(
                     f"unknown section {name!r}", path=path, line=line_no
                 )
-            current = name
+            current, counts, arity = name, sections[name], _KEY_ARITY[name]
             continue
         if current is None:
             raise DataFormatError("counts before any section header",
@@ -251,25 +251,26 @@ def load_model(path, *, add_one_smoothing: bool = False) -> NgramModel:
         key_part, tab, count_part = line.partition("\t")
         if not tab:
             raise DataFormatError("expected <key>TAB<count>", path=path, line=line_no)
-        try:
-            count = int(count_part)
-        except ValueError:
+        # save_model writes plain ASCII digits; int() alone would also
+        # take signs, spaces, underscores and non-ASCII digits
+        if not (count_part.isascii() and count_part.isdigit()):
             raise DataFormatError(
-                f"non-integer count {count_part!r}", path=path, line=line_no
-            ) from None
-        if count < 0:
-            raise DataFormatError(f"negative count {count}", path=path, line=line_no)
-        parts = key_part.split(" ")
-        if len(parts) != _KEY_ARITY[current]:
-            raise DataFormatError(
-                f"{current} key needs {_KEY_ARITY[current]} part(s), got {len(parts)}",
+                f"count {count_part!r} is not a run of ASCII digits",
                 path=path,
                 line=line_no,
             )
-        key = parts[0] if _KEY_ARITY[current] == 1 else tuple(parts)
-        if key in sections[current]:
+        count = int(count_part)
+        parts = key_part.split(" ")
+        if len(parts) != arity:
+            raise DataFormatError(
+                f"{current} key needs {arity} part(s), got {len(parts)}",
+                path=path,
+                line=line_no,
+            )
+        key = parts[0] if arity == 1 else tuple(parts)
+        if key in counts:
             raise DataFormatError(f"duplicate key {key_part!r}", path=path, line=line_no)
-        sections[current][key] = count
+        counts[key] = count
 
     for name in _SECTIONS:
         if len(sections[name]) != declared[name]:

@@ -1,0 +1,200 @@
+"""The caches inside the staged functions never change an answer: the
+interned graphemes of `cluster_graphemes`, the lookup memo of
+`MappingTable` and the integer comparison in `choose`, each against an
+uncached test-local rule, also with bounds so small that the caches
+empty mid-line."""
+
+from fractions import Fraction
+from pathlib import Path
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sindhi_translit import data as shipped
+from sindhi_translit import mapping, script
+from sindhi_translit.mapping import (
+    MappedUnit,
+    MappingTable,
+    Position,
+    Resolution,
+    Role,
+    load_mapping,
+)
+from sindhi_translit.ngram import Probability, choose
+from sindhi_translit.script import (
+    NUKTA,
+    VIRAMA,
+    CharClass,
+    Grapheme,
+    classify,
+    cluster_graphemes,
+    load_inventory,
+    normalize,
+)
+
+SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+BOUNDS = [None, 2]  # None keeps the shipped bound
+
+INVENTORY_KEYS = [
+    row.split("\t")[1]
+    for row in Path(shipped.inventory_path()).read_text(encoding="utf-8").splitlines()
+    if row and not row.startswith("#")
+]
+MAPPING_KEYS = sorted({
+    normalize(row.split("\t")[0])
+    for row in Path(shipped.mapping_path()).read_text(encoding="utf-8").splitlines()
+    if row.strip() and not row.lstrip().startswith("#")
+})
+
+
+def bounded(module, name, bound):
+    """Patch a cache bound (None: the shipped one) for a ``with`` block."""
+    return mock.patch.object(module, name, bound or getattr(module, name))
+
+
+# ---------------------------------------------------------------------
+# interned graphemes
+
+def uncached_cluster(inventory, text):
+    """The clustering rule with `classify` and a fresh Grapheme per piece."""
+    t = normalize(text)
+    out, i, n = [], 0, len(t)
+    while i < n:
+        key = inventory.longest_key_match(t, i)
+        j = i + (len(key) if key else 1)
+        while j < n and t[j] == NUKTA:
+            j += 1
+        if j < n and t[j] == VIRAMA and classify(inventory, t[i:j]) is CharClass.CONSONANT:
+            j += 1
+        out.append(Grapheme(t[i:j], classify(inventory, t[i:j])))
+        i = j
+    return out
+
+
+texts = st.lists(
+    st.one_of(
+        st.sampled_from(
+            INVENTORY_KEYS
+            + [NUKTA, VIRAMA, "क़", " ", ",", "।", "1", "७", "a"]
+        ),
+        st.characters(),
+    ),
+    max_size=24,
+).map("".join)
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+@SETTINGS
+@given(lines=st.lists(texts, min_size=1, max_size=4))
+def test_cluster_graphemes_equals_uncached_rule(bound, lines):
+    inventory = load_inventory(shipped.inventory_path())
+    with bounded(script, "GRAPHEME_CACHE_SIZE", bound):
+        for line in lines:  # the cache carries over from line to line
+            assert cluster_graphemes(inventory, line) == uncached_cluster(inventory, line)
+            assert len(inventory._graphemes) <= script.GRAPHEME_CACHE_SIZE
+
+
+# ---------------------------------------------------------------------
+# lookup memo
+
+def direct_lookup(entries, key, role, word_initial, word_final):
+    """Search the rows themselves in precedence order."""
+    for r in (role,) if role is Role.ANY else (role, Role.ANY):
+        for position, wanted in (
+            (Position.WORD_INITIAL, word_initial),
+            (Position.WORD_FINAL, word_final),
+            (Position.ANY, True),
+        ):
+            if wanted and (key, r, position) in entries:
+                return entries[key, r, position]
+    if VIRAMA in key:
+        return direct_lookup(entries, key.replace(VIRAMA, ""), role, word_initial, word_final)
+    return None
+
+
+def with_virama(keys):
+    return st.sampled_from(keys).flatmap(
+        lambda k: st.sampled_from([k, k + VIRAMA, VIRAMA + k, k + VIRAMA + VIRAMA])
+    )
+
+
+def queries(keys):
+    return st.lists(
+        st.tuples(with_virama(keys), st.sampled_from(Role), st.booleans(), st.booleans()),
+        min_size=1,
+        max_size=30,
+    )
+
+
+SMALL_KEYS = ["क", "ख", "ि", "इ"]
+small_tables = st.dictionaries(
+    st.tuples(
+        st.sampled_from(SMALL_KEYS), st.sampled_from(Role), st.sampled_from(Position)
+    ),
+    st.lists(st.sampled_from(["x", "y", "z"]), min_size=1, max_size=3, unique=True).map(tuple),
+    max_size=20,
+)
+
+
+def check_lookups(table, entries, asked):
+    for key, role, initial, final in asked:
+        expected = direct_lookup(entries, key, role, initial, final)
+        got = table.lookup(key, role, word_initial=initial, word_final=final)
+        assert got == expected, (key, role, initial, final)
+        assert len(table._memo) <= mapping.LOOKUP_MEMO_SIZE
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+@SETTINGS
+@given(entries=small_tables, asked=queries(SMALL_KEYS + ["ж"]))
+def test_lookup_equals_direct_search_on_random_tables(bound, entries, asked):
+    with bounded(mapping, "LOOKUP_MEMO_SIZE", bound):
+        check_lookups(MappingTable(entries), entries, asked + asked[::-1])
+
+
+@pytest.fixture(scope="module")
+def shipped_rows():
+    return dict(load_mapping(shipped.mapping_path())._entries)
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+@SETTINGS
+@given(asked=queries(MAPPING_KEYS + ["ж"]))
+def test_lookup_equals_direct_search_on_shipped_table(bound, shipped_rows, asked):
+    table = load_mapping(shipped.mapping_path())
+    with bounded(mapping, "LOOKUP_MEMO_SIZE", bound):
+        check_lookups(table, shipped_rows, asked + asked[::-1])
+
+
+# ---------------------------------------------------------------------
+# integer comparison in choose
+
+def fraction_choice(scores):
+    """The decision rule over exact Fractions: first maximum, Statistical
+    only for a unique positive maximum."""
+    exact = [Fraction(s.numerator, s.denominator) for s in scores]
+    best = max(exact)
+    if best > 0:
+        winners = [i for i, x in enumerate(exact) if x == best]
+        return winners[0], (
+            Resolution.STATISTICAL if len(winners) == 1 else Resolution.FALLBACK
+        )
+    return 0, Resolution.FALLBACK
+
+
+factor = st.builds(Probability.from_counts, st.integers(0, 4), st.integers(0, 4))
+score = st.one_of(
+    factor, st.lists(factor, min_size=1, max_size=3).map(Probability.product)
+)
+
+
+@SETTINGS
+@given(scores=st.lists(score, min_size=2, max_size=5))
+def test_choose_equals_fraction_rule(scores):
+    candidates = tuple(f"c{i}" for i in range(len(scores)))
+    unit = MappedUnit(Grapheme("क", CharClass.CONSONANT), candidates)
+    index, resolution = fraction_choice(scores)
+    assert choose(unit, scores) == candidates[index]
+    assert (unit.resolved, unit.resolution) == (candidates[index], resolution)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import reference
+from sindhi_translit import cli
 from sindhi_translit.errors import AlignmentError, DataFormatError
 from sindhi_translit.ngram import BOUNDARY, NgramModel
 from sindhi_translit.training import (
@@ -267,6 +268,45 @@ def test_load_rejects_non_integer_count(tmp_path):
     with pytest.raises(DataFormatError) as excinfo:
         load_model(path)
     assert "4" in str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "count",
+    ["\u0967_\u0966", "1_0", " 5", "5 ", "+5", "-5", "\u0665", "\u00b2", ""],
+)
+def test_load_rejects_count_that_is_not_ascii_digits(tmp_path, capsys, count):
+    # save_model writes plain ASCII digits; int() would take most of these
+    path = tmp_path / "model.tsv"
+    path.write_text(
+        "TLMODEL v1 boundary=⊥\n"
+        "sections unigram=1 bigram=0 trigram=0 emission=0\n"
+        "[unigram]\n"
+        f"क\t{count}\n"
+        "[bigram]\n[trigram]\n[emission]\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(DataFormatError) as excinfo:
+        load_model(path)
+    assert str(excinfo.value).startswith(f"{path}:4: ")
+    code = cli.main(["transliterate", "--model", str(path)])
+    assert code == cli.EXIT_DATA
+    assert f"{path}:4:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("size", ["\u0967", "\u00b2", "+1", "1_0"])
+def test_load_rejects_section_size_that_is_not_ascii_digits(tmp_path, size):
+    path = tmp_path / "model.tsv"
+    path.write_text(
+        "TLMODEL v1 boundary=⊥\n"
+        f"sections unigram={size} bigram=0 trigram=0 emission=0\n"
+        "[unigram]\n"
+        "क\t1\n"
+        "[bigram]\n[trigram]\n[emission]\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(DataFormatError) as excinfo:
+        load_model(path)
+    assert str(excinfo.value).startswith(f"{path}:2: ")
 
 
 def test_load_rejects_wrong_key_arity(tmp_path):
