@@ -31,7 +31,6 @@ from .mapping import (
     MappingTable,
     Resolution,
     Role,
-    ambiguous_count,
     load_mapping,
     map_phonemes,
 )
@@ -64,7 +63,6 @@ from .training import (
     count_ngrams,
     load_aligned,
     load_model,
-    merge_models,
     save_model,
     train_model,
 )
@@ -100,7 +98,6 @@ __all__ = [
     "UndefinedAccuracyError",
     "UnmappedGraphemeError",
     "accuracy",
-    "ambiguous_count",
     "bigram_prob",
     "candidate_scores",
     "choose",
@@ -118,7 +115,6 @@ __all__ = [
     "load_mapping",
     "load_model",
     "map_phonemes",
-    "merge_models",
     "normalize",
     "normalize_target",
     "phonify",

@@ -27,7 +27,7 @@ from .errors import (
 from .evaluation import evaluate, format_report
 from .mapping import MappedUnit, Resolution
 from .pipeline import EngineConfig, Transliterator
-from .script import CharClass, Grapheme, load_inventory
+from .script import CharClass, Grapheme, cluster_graphemes, load_inventory
 from .training import WORD_GAP, load_aligned, save_model, train_model
 
 EXIT_OK = 0
@@ -192,6 +192,7 @@ def cmd_train(args) -> int:
     with open_text(args.corpus) as fh:
         corpus_lines = [line.rstrip("\r\n") for line in fh]
     pairs = load_aligned(args.aligned)
+    _check_source_units(inventory, pairs, args.aligned)
     model = train_model(inventory, corpus_lines, pairs)
     with _replacing(args.out) as target:
         save_model(model, target)
@@ -203,6 +204,24 @@ def cmd_train(args) -> int:
     print(f"emission entries  {len(model.emission)}")
     print(f"model written to  {args.out}")
     return EXIT_OK
+
+
+def _check_source_units(inventory, pairs, path):
+    """Reject an aligned source unit that the inventory does not cluster
+    into exactly one grapheme: text never yields it, so its emission
+    counts could never be used."""
+    checked = {WORD_GAP}
+    for pair in pairs:
+        for unit in pair.source_units:
+            if unit not in checked:
+                if len(cluster_graphemes(inventory, unit)) != 1:
+                    raise DataFormatError(
+                        f"source unit {unit!r} is not a single grapheme "
+                        "under the inventory",
+                        path=path,
+                        line=pair.line,
+                    )
+                checked.add(unit)
 
 
 def _load_system_rows(path):
@@ -277,6 +296,10 @@ def cmd_evaluate(args) -> int:
         )
     else:
         report = _evaluate_end_to_end(args, gold)
+    # name each skipped row by its line in the gold file
+    report = dataclasses.replace(
+        report, skipped=tuple((gold[i].line, reason) for i, reason in report.skipped)
+    )
     text = format_report(report)
     print(text)
     if args.report:
@@ -291,7 +314,7 @@ def _evaluate_end_to_end(args, gold):
     """Run the engine on each gold row's source side and score it.  A
     row the engine rejects is skipped and reported, naming the gold
     file and the error; a missing model still stops the run, naming the
-    gold file and the row."""
+    gold file and line."""
     engine = _engine_from_args(args)
     system_rows, kept, rejected = [], [], []
     for index, pair in enumerate(gold):
@@ -299,7 +322,7 @@ def _evaluate_end_to_end(args, gold):
         try:
             system_rows.append(engine.transliterate_line(text).units)
         except MissingModelError as err:
-            err.where = f"{args.gold}: row {index}: "
+            err.where = f"{args.gold}:{pair.line}: "
             raise
         except PipelineError as err:
             rejected.append((index, f"{args.gold}: {err}"))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import UndefinedAccuracyError
 from .mapping import Resolution
-from .training import WORD_GAP, AlignedPair
+from .training import WORD_GAP
 
 _ML_RESOLUTIONS = (Resolution.STATISTICAL, Resolution.FALLBACK)
 

@@ -10,12 +10,12 @@ deterministic fallback when statistics cannot decide.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .data import open_text
 from .errors import DataFormatError, UnmappedGraphemeError
-from .phonemes import Phoneme, PhonemePattern
-from .script import VIRAMA, CharClass, Grapheme, is_word_separator, normalize
+from .phonemes import PhonemePattern
+from .script import VIRAMA, Grapheme, is_word_separator, normalize
 
 # what to do with an inventory grapheme that has no table row
 UNMAPPED_ERROR = "error"
@@ -215,7 +215,7 @@ def map_phonemes(
     """
     if unmapped_policy not in UNMAPPED_POLICIES:
         raise ValueError(f"unknown unmapped policy {unmapped_policy!r}")
-    flat = []  # (grapheme, role)
+    flat = []  # (grapheme, role); OTHER units have no role
     for ph in phonemes:
         if ph.pattern is PhonemePattern.OTHER:
             flat.extend((g, None) for g in ph.graphemes)
@@ -224,51 +224,42 @@ def map_phonemes(
                 (g, _role_of(g, ph.pattern, idx)) for idx, g in enumerate(ph.graphemes)
             )
 
-    # word runs (for ^/$ rows): split on separator graphemes
-    initial = [False] * len(flat)
-    final = [False] * len(flat)
-    run_start = None
-    for i, (g, _role) in enumerate(flat + [(None, None)]):
-        in_word = g is not None and not is_word_separator(g)
-        if in_word and run_start is None:
-            run_start = i
-        elif not in_word and run_start is not None:
-            initial[run_start] = True
-            final[i - 1] = True
-            run_start = None
-
     units = []
+    last = len(flat) - 1
     for i, (g, role) in enumerate(flat):
         if role is None:
             units.append(
                 MappedUnit(g, (), resolved=g.text, resolution=Resolution.PASS_THROUGH)
             )
-        else:
-            candidates = table.lookup(
-                g.text, role, word_initial=initial[i], word_final=final[i]
+            continue
+        # a unit is at a word edge where the text ends or a separator
+        # grapheme is next to it; a neighbour with a role is a letter,
+        # never a separator
+        before = flat[i - 1] if i else None
+        after = flat[i + 1] if i < last else None
+        candidates = table.lookup(
+            g.text,
+            role,
+            word_initial=before is None
+            or (before[1] is None and is_word_separator(before[0])),
+            word_final=after is None
+            or (after[1] is None and is_word_separator(after[0])),
+        )
+        if candidates is None:
+            if unmapped_policy == UNMAPPED_ERROR:
+                offset = sum(len(u.source.text) for u in units)
+                raise UnmappedGraphemeError(g.text, offset)
+            units.append(
+                MappedUnit(
+                    g,
+                    (),
+                    resolved=g.text,
+                    resolution=Resolution.PASS_THROUGH,
+                    unmapped=True,
+                )
             )
-            if candidates is None:
-                if unmapped_policy == UNMAPPED_ERROR:
-                    offset = sum(len(x.text) for x, _role in flat[:i])
-                    raise UnmappedGraphemeError(g.text, offset)
-                units.append(
-                    MappedUnit(
-                        g,
-                        (),
-                        resolved=g.text,
-                        resolution=Resolution.PASS_THROUGH,
-                        unmapped=True,
-                    )
-                )
-            elif len(candidates) == 1:
-                units.append(
-                    MappedUnit(g, candidates, candidates[0], Resolution.RULE)
-                )
-            else:
-                units.append(MappedUnit(g, candidates))
+        elif len(candidates) == 1:
+            units.append(MappedUnit(g, candidates, candidates[0], Resolution.RULE))
+        else:
+            units.append(MappedUnit(g, candidates))
     return units
-
-
-def ambiguous_count(units) -> int:
-    """Number of units whose rule row offered more than one candidate."""
-    return sum(1 for u in units if u.is_ambiguous)

@@ -199,11 +199,6 @@ class Transliterator:
             raise type(err)(err.grapheme, offset) from None
         return LineResult("".join(u.resolved for u in units), units, trace)
 
-    def transliterate_lines(self, lines, *, collect_trace: bool = False):
-        """Convert an iterable of lines, yielding one LineResult each."""
-        for line in lines:
-            yield self.transliterate_line(line, collect_trace=collect_trace)
-
     def _convert_by_word(self, text, collect_trace):
         """Units of NFC ``text``, each word taken from the memo or
         converted and memoised, and with ``collect_trace`` one record per

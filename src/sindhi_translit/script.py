@@ -58,10 +58,6 @@ class Grapheme:
         if not self.text:
             raise ValueError("grapheme text must be non-empty")
 
-    @property
-    def codepoints(self) -> tuple[int, ...]:
-        return tuple(ord(ch) for ch in self.text)
-
 
 def normalize(text: str) -> str:
     """Canonical composition (NFC).
@@ -149,14 +145,14 @@ class ScriptInventory:
         )
 
 
-def classify(inventory: ScriptInventory, grapheme) -> CharClass:
-    """Class of a grapheme (or raw string) under the given inventory.
+def classify(inventory: ScriptInventory, text: str) -> CharClass:
+    """Class of a piece of text under the given inventory.
 
     The longest inventory prefix decides: a fused form like base+nukta
     that is not listed itself falls back to its base character's entry.
     Total: anything unlisted is OTHER.
     """
-    text = grapheme.text if isinstance(grapheme, Grapheme) else normalize(grapheme)
+    text = normalize(text)
     for end in range(len(text), 0, -1):
         cls = inventory.class_of_key(text[:end])
         if cls is not None:

@@ -9,7 +9,7 @@ sorted UTF-8 text and round-trips exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .data import open_text
 from .errors import AlignmentError, DataFormatError
@@ -31,11 +31,13 @@ class AlignedPair:
     """Positionally aligned source graphemes and target units.
 
     Equal length is the caller's promise; the counters reject pairs
-    that break it.
+    that break it.  ``line`` is the row's line in the file it was read
+    from, if any; it takes no part in comparisons.
     """
 
     source_units: tuple[str, ...]
     target_units: tuple[str, ...]
+    line: int | None = field(default=None, compare=False)
 
 
 def corpus_words(inventory: ScriptInventory, line: str) -> list[list[str]]:
@@ -120,29 +122,9 @@ def train_model(
     )
 
 
-def merge_models(first: NgramModel, second: NgramModel) -> NgramModel:
-    """Entry-wise sum of two models' counts."""
-    if first.boundary != second.boundary:
-        raise ValueError("cannot merge models with different boundary symbols")
-
-    def merged(a, b):
-        out = dict(a)
-        for key, count in b.items():
-            out[key] = out.get(key, 0) + count
-        return out
-
-    return NgramModel(
-        merged(first.unigram, second.unigram),
-        merged(first.bigram, second.bigram),
-        merged(first.trigram, second.trigram),
-        merged(first.emission, second.emission),
-        boundary=first.boundary,
-        add_one_smoothing=first.add_one_smoothing,
-    )
-
-
-def parse_aligned_line(line: str):
-    """One aligned row: source graphemes TAB target units, space-separated.
+def parse_aligned_line(line: str, line_no: int | None = None):
+    """One aligned row: source graphemes TAB target units, space-separated,
+    read from line ``line_no`` of its file.
 
     Returns None for blank and comment lines.
     """
@@ -153,7 +135,7 @@ def parse_aligned_line(line: str):
         raise DataFormatError("expected <source units>TAB<target units>")
     source = tuple(normalize(tok) for tok in parts[0].split() if tok)
     target = tuple(normalize(tok) for tok in parts[1].split() if tok)
-    return AlignedPair(source, target)
+    return AlignedPair(source, target, line_no)
 
 
 def load_aligned(path) -> list[AlignedPair]:
@@ -162,7 +144,7 @@ def load_aligned(path) -> list[AlignedPair]:
     with open_text(path) as fh:
         for line_no, raw in enumerate(fh, 1):
             try:
-                pair = parse_aligned_line(raw.rstrip("\r\n"))
+                pair = parse_aligned_line(raw.rstrip("\r\n"), line_no)
             except DataFormatError as err:
                 raise DataFormatError(str(err), path=path, line=line_no) from None
             if pair is None:

@@ -171,6 +171,29 @@ def test_train_writes_model(tmp_path, capsys):
     assert len(model.unigram) > 0
 
 
+def test_train_rejects_source_unit_of_several_graphemes(tmp_path, capsys):
+    aligned = tmp_path / "aligned.tsv"
+    aligned.write_text("# head\nक _ ख\tK _ X\nकि\tKI\n", encoding="utf-8")
+    out_path = tmp_path / "model.tsv"
+    code, out, err = run(
+        [
+            "train",
+            "--inventory", str(shipped.inventory_path()),
+            "--corpus", str(shipped.demo_corpus_path()),
+            "--aligned", str(aligned),
+            "-o", str(out_path),
+        ],
+        capsys,
+    )
+    assert code == EXIT_DATA
+    assert out == ""
+    assert err == (
+        f"translit: data error: {aligned}:3: source unit 'कि' is not a single "
+        "grapheme under the inventory\n"
+    )
+    assert not out_path.exists()
+
+
 def test_train_is_reproducible(tmp_path, capsys):
     paths = [tmp_path / "a.tsv", tmp_path / "b.tsv"]
     for path in paths:
@@ -230,6 +253,18 @@ def test_evaluate_system_rows(tmp_path, capsys):
     assert code == EXIT_OK
     assert "overall_accuracy=100.00" in out
     assert "ml_total=1" in out
+
+
+def test_evaluate_skipped_rows_name_gold_lines(tmp_path, capsys):
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("# head\nक ख\tK X\n\nग क\tG K\n", encoding="utf-8")
+    system = tmp_path / "system.tsv"
+    system.write_text("क ख\tK X\nग\tG\n", encoding="utf-8")
+    code, out, _ = run(
+        ["evaluate", "--gold", str(gold), "--system", str(system)], capsys
+    )
+    assert code == EXIT_OK
+    assert "Skipped rows: 1\n  row 4: 1 system units vs 2 gold units\n" in out
 
 
 def test_evaluate_counts_planted_errors(tmp_path, capsys):
@@ -395,7 +430,7 @@ def test_evaluate_end_to_end_skips_rejected_rows(tmp_path, capsys, demo_model_pa
     assert err == ""
     assert "Skipped rows: 1" in out
     assert (
-        f"row 1: {gold}: vowel symbol 'ा' at offset 0 has no preceding consonant" in out
+        f"row 2: {gold}: vowel symbol 'ा' at offset 0 has no preceding consonant" in out
     )
     assert "total_sentences=2" in out
     assert "overall_accuracy=100.00" in out
@@ -408,7 +443,7 @@ def test_evaluate_end_to_end_missing_model_names_gold_row(tmp_path, capsys):
     assert code == EXIT_MISSING_MODEL
     assert out == ""
     assert err == (
-        f"translit: {gold}: row 1: grapheme 'त' at offset 1 has multiple candidates "
+        f"translit: {gold}:3: grapheme 'त' at offset 1 has multiple candidates "
         "and no model is loaded to pick one\n"
     )
 

@@ -6,7 +6,6 @@ from sindhi_translit.mapping import (
     MappingTable,
     Resolution,
     Role,
-    ambiguous_count,
     load_mapping,
     map_phonemes,
 )
@@ -39,6 +38,27 @@ def test_positional_rows_beat_plain(tmp_path):
     assert t.lookup("क", Role.ANY, word_initial=True) == ("INI",)
     assert t.lookup("क", Role.ANY, word_final=True) == ("FIN",)
     assert t.lookup("क", Role.ANY) == ("MID",)
+
+
+def test_positional_rows_follow_word_edges(inventory, tmp_path):
+    # a word ends at the line's ends and at separators (spaces,
+    # punctuation, digits); an unlisted letter and a punctuation mark
+    # carrying a nukta are not separators
+    path = tmp_path / "map.tsv"
+    path.write_text("क\tA^\tI\nक\tA$\tF\nक\tA\tK\nम\tA\tM\n", encoding="utf-8")
+    t = load_mapping(path)
+    cases = {
+        "क": "I",
+        "ककक": "IKF",
+        " कमक कमक ": " IMF IMF ",
+        "कक,कक।कक": "IF,IF।IF",
+        "कक7कक१कक": "IF7IF१IF",
+        "ककaकक": "IKaKF",
+        "कक,\u093cकक": "IK,\u093cKF",
+    }
+    for line, want in cases.items():
+        units = map_phonemes(t, phonify(inventory, line))
+        assert "".join(u.resolved for u in units) == want, line
 
 
 def test_virama_key_falls_back_to_bare(table):
@@ -110,11 +130,6 @@ def test_unmapped_pass_policy(inventory, tmp_path):
 def test_unknown_policy_rejected(inventory, table):
     with pytest.raises(ValueError):
         map_phonemes(table, phonify(inventory, "क"), unmapped_policy="skip")
-
-
-def test_ambiguous_count(inventory, table):
-    units = map_phonemes(table, phonify(inventory, "सस ह"))
-    assert ambiguous_count(units) == 3
 
 
 def test_load_rejects_short_row(tmp_path):

@@ -71,6 +71,8 @@ def test_statistical_line(engine):
 def test_sentence_with_spaces(engine):
     result = engine.transliterate_line("तारो खंड हलु")
     assert result.output == "تآرا کنڊ هلا"
+    assert engine.transliterate_line("कमल").output == "ڪمل"
+    assert engine.transliterate_line("आम").output == "آم"
 
 
 def test_empty_line(engine):
@@ -92,11 +94,6 @@ def test_trigram_mode_runs(demo_model_path):
         EngineConfig(model=str(demo_model_path), mode=MODE_TRIGRAM)
     )
     assert engine.transliterate_line("तारो खंड").output == "تآرا کنڊ"
-
-
-def test_transliterate_lines(engine):
-    outputs = [r.output for r in engine.transliterate_lines(["कमल", "आम"])]
-    assert outputs == ["ڪمل", "آم"]
 
 
 def test_context_is_word_local(inventory, demo_model_path, monkeypatch):

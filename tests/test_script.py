@@ -49,7 +49,7 @@ def test_nukta_fuses_into_consonant(inventory):
     graphemes = cluster_graphemes(inventory, "ख़")
     assert len(graphemes) == 1
     assert graphemes[0].char_class is CharClass.CONSONANT
-    assert graphemes[0].codepoints == (0x0916, 0x093C)
+    assert graphemes[0].text == "\u0916\u093c"
 
 
 def test_precomposed_nukta_unifies(inventory):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
 from sindhi_translit import cli
@@ -13,7 +15,6 @@ from sindhi_translit.training import (
     count_ngrams,
     load_aligned,
     load_model,
-    merge_models,
     parse_aligned_line,
     save_model,
     train_model,
@@ -163,15 +164,6 @@ def test_count_emissions_agrees_with_reference():
             assert got.get((t, s), 0) == reference.emission_count(raw, t, s)
 
 
-def test_merge_equals_joint_count(toy_inventory):
-    first = ["अब अच", "चब"]
-    second = ["बच अ"]
-    merged = merge_models(
-        count_ngrams(toy_inventory, first), count_ngrams(toy_inventory, second)
-    )
-    assert merged == count_ngrams(toy_inventory, first + second)
-
-
 def test_parse_aligned_line():
     assert parse_aligned_line("# comment") is None
     assert parse_aligned_line("") is None
@@ -210,6 +202,46 @@ def test_save_load_roundtrip(demo_model, tmp_path):
     path = tmp_path / "model.tsv"
     save_model(demo_model, path)
     assert load_model(path) == demo_model
+
+
+# key parts as counting produces them: non-empty text with no whitespace
+_key_parts = st.text(
+    st.characters(blacklist_categories=("Cs",)).filter(lambda ch: not ch.isspace()),
+    min_size=1,
+    max_size=4,
+)
+_counts = st.integers(min_value=0, max_value=10**12)
+
+
+def _sections(arity):
+    keys = _key_parts if arity == 1 else st.tuples(*[_key_parts] * arity)
+    return st.dictionaries(keys, _counts, max_size=6)
+
+
+@pytest.fixture(scope="module")
+def model_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("roundtrip")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    model=st.builds(
+        NgramModel,
+        _sections(1),
+        _sections(2),
+        _sections(3),
+        _sections(2),
+        boundary=_key_parts,
+    )
+)
+def test_save_load_roundtrip_property(model_dir, model):
+    path = model_dir / "model.tsv"
+    save_model(model, path)
+    saved = path.read_bytes()
+    loaded = load_model(path)
+    assert loaded == model
+    save_model(loaded, path)
+    assert path.read_bytes() == saved
 
 
 def test_save_is_deterministic(demo_model, tmp_path):

@@ -101,31 +101,45 @@ CONFIGS = {
     "trigram": {"model": True, "mode": MODE_TRIGRAM},
     "trigram-smoothed": {"model": True, "mode": MODE_TRIGRAM, "smoothing": True},
     "pass": {"model": True, "orphan_matra": ORPHAN_PASS, "unmapped": UNMAPPED_PASS},
-    "trimmed": {"model": True, "mapping": True},
+    "trimmed": {"model": True, "mapping": "trimmed"},
     "trimmed-pass": {
-        "mapping": True, "orphan_matra": ORPHAN_PASS, "unmapped": UNMAPPED_PASS,
+        "mapping": "trimmed", "orphan_matra": ORPHAN_PASS, "unmapped": UNMAPPED_PASS,
     },
+    "positional": {"model": True, "mapping": "positional"},
 }
 _engines = {}  # one engine per config for the whole run, so its memo fills
 
 
 @pytest.fixture(scope="module")
-def trimmed_mapping_path(tmp_path_factory):
-    """The shipped table with every fourth row removed."""
+def mapping_paths(tmp_path_factory):
+    """Variants of the shipped table: "trimmed" has every fourth row
+    removed; "positional" adds word-initial rows for every other A row
+    and word-final rows for every third, with marked candidates."""
     rows = Path(shipped.mapping_path()).read_text(encoding="utf-8").splitlines()
-    path = tmp_path_factory.mktemp("mapping") / "trimmed.tsv"
-    path.write_text("".join(r + "\n" for i, r in enumerate(rows) if i % 4 != 1),
-                    encoding="utf-8")
-    return path
+    a_rows = [r.split("\t") for r in rows if r.split("\t")[1:2] == ["A"]]
+    positional = rows + [
+        "\t".join([key, "A^", *("^" + c for c in cands)])
+        for i, (key, _, *cands) in enumerate(a_rows) if i % 2 == 0
+    ] + [
+        "\t".join([key, "A$", *(c + "$" for c in cands)])
+        for i, (key, _, *cands) in enumerate(a_rows) if i % 3 == 0
+    ]
+    directory = tmp_path_factory.mktemp("mapping")
+    paths = {"trimmed": directory / "trimmed.tsv", "positional": directory / "positional.tsv"}
+    paths["trimmed"].write_text(
+        "".join(r + "\n" for i, r in enumerate(rows) if i % 4 != 1), encoding="utf-8"
+    )
+    paths["positional"].write_text("".join(r + "\n" for r in positional), encoding="utf-8")
+    return paths
 
 
-def shared_engine(name, demo_model_path, trimmed_mapping_path):
+def shared_engine(name, demo_model_path, mapping_paths):
     if name not in _engines:
         cfg = dict(CONFIGS[name])
         if cfg.pop("model", False):
             cfg["model"] = str(demo_model_path)
-        if cfg.pop("mapping", False):
-            cfg["mapping"] = str(trimmed_mapping_path)
+        if "mapping" in cfg:
+            cfg["mapping"] = str(mapping_paths[cfg["mapping"]])
         _engines[name] = Transliterator(EngineConfig(**cfg))
     return _engines[name]
 
@@ -143,8 +157,8 @@ def shared_engine(name, demo_model_path, trimmed_mapping_path):
 @example(line="\u0958क \u093e")
 @example(line="क\u094dस \u096d\u0967\u0964 \u0929ा, a1")
 @example(line="तारो तारो, तारो")
-def test_engine_equals_staged_functions(name, demo_model_path, trimmed_mapping_path, line):
-    engine = shared_engine(name, demo_model_path, trimmed_mapping_path)
+def test_engine_equals_staged_functions(name, demo_model_path, mapping_paths, line):
+    engine = shared_engine(name, demo_model_path, mapping_paths)
     for collect_trace in (False, True):
         assert outcome(converted(engine, line, collect_trace)) == outcome(
             staged_line(engine, line, collect_trace)
