@@ -18,6 +18,7 @@ import sys
 
 from .data import open_text
 from .errors import (
+    AlignmentError,
     ConfigError,
     DataFormatError,
     MissingModelError,
@@ -28,7 +29,7 @@ from .evaluation import evaluate, format_report
 from .mapping import MappedUnit, Resolution
 from .pipeline import EngineConfig, Transliterator
 from .script import CharClass, Grapheme, cluster_graphemes, load_inventory
-from .training import WORD_GAP, load_aligned, save_model, train_model
+from .training import WORD_GAP, load_aligned, parse_aligned_line, save_model, train_model
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -225,60 +226,47 @@ def _check_source_units(inventory, pairs, path):
 
 
 def _load_system_rows(path):
-    """System output in aligned-row format, with an optional third column
-    of per-unit resolution codes (R, S, F or P); absent codes default to
-    Rule.  The unit class is irrelevant to scoring, so placeholder
-    graphemes are used."""
+    """System output in aligned-row format, read as ``load_aligned``
+    reads rows, with an optional third column of per-unit resolution
+    codes (R, S, F or P); absent codes default to Rule.  The unit class
+    is irrelevant to scoring, so placeholder graphemes are used."""
     rows = []
     with open_text(path) as fh:
         for line_no, raw in enumerate(fh, 1):
             line = raw.rstrip("\r\n")
-            if not line.strip() or line.lstrip().startswith("#"):
+            try:
+                pair = parse_aligned_line(line, line_no)
+            except DataFormatError as err:
+                raise DataFormatError(str(err), path=path, line=line_no) from None
+            if pair is None:
                 continue
-            parts = line.split("\t")
-            if len(parts) < 2:
-                raise DataFormatError(
-                    "expected <source units>TAB<target units>", path=path, line=line_no
+            sources, targets = pair.source_units, pair.target_units
+            if len(sources) != len(targets):
+                raise AlignmentError(
+                    f"{len(sources)} source units vs {len(targets)} target units",
+                    path=path,
+                    line=line_no,
                 )
-            sources = parts[0].split()
-            targets = parts[1].split()
-            kinds = parts[2].split() if len(parts) > 2 else []
-            if kinds and len(kinds) != len(sources):
+            parts = line.split("\t")
+            codes = parts[2].split() if len(parts) > 2 else []
+            if codes and len(codes) != len(sources):
                 raise DataFormatError(
                     "resolution column length differs from unit count",
                     path=path,
                     line=line_no,
                 )
             units = []
-            for pos, (src, tgt) in enumerate(zip(sources, targets)):
+            for src, tgt, code in zip(sources, targets, codes or ["R"] * len(sources)):
                 if src == WORD_GAP:
-                    units.append(
-                        MappedUnit(
-                            Grapheme(" ", CharClass.OTHER),
-                            (),
-                            resolved=" ",
-                            resolution=Resolution.PASS_THROUGH,
-                        )
-                    )
+                    gap = Grapheme(" ", CharClass.OTHER)
+                    units.append(MappedUnit(gap, (), " ", Resolution.PASS_THROUGH))
                     continue
-                if kinds:
-                    kind = _KIND_CODES.get(kinds[pos])
-                    if kind is None:
-                        raise DataFormatError(
-                            f"unknown resolution code {kinds[pos]!r}",
-                            path=path,
-                            line=line_no,
-                        )
-                else:
-                    kind = Resolution.RULE
-                units.append(
-                    MappedUnit(
-                        Grapheme(src, CharClass.CONSONANT),
-                        (tgt,),
-                        resolved=tgt,
-                        resolution=kind,
+                kind = _KIND_CODES.get(code)
+                if kind is None:
+                    raise DataFormatError(
+                        f"unknown resolution code {code!r}", path=path, line=line_no
                     )
-                )
+                units.append(MappedUnit(Grapheme(src, CharClass.CONSONANT), (tgt,), tgt, kind))
             rows.append(units)
     return rows
 
@@ -289,7 +277,8 @@ def cmd_evaluate(args) -> int:
         system_rows = _load_system_rows(args.system)
         if len(system_rows) != len(gold):
             raise DataFormatError(
-                f"system has {len(system_rows)} rows, gold has {len(gold)}"
+                f"system {args.system} has {len(system_rows)} rows, "
+                f"gold {args.gold} has {len(gold)}"
             )
         report = evaluate(
             system_rows, gold, include_passthrough=args.include_passthrough

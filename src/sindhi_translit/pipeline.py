@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import bisect
 import os
-import unicodedata
 from dataclasses import dataclass, field, replace
 
 from . import data as shipped
@@ -34,7 +33,7 @@ from .mapping import (
 )
 from .ngram import MODE_BIGRAM, MODES, NgramModel, candidate_scores, choose
 from .phonemes import ORPHAN_POLICIES, ORPHAN_REJECT, phonify
-from .script import NUKTA, CharClass, load_inventory, normalize
+from .script import CharClass, load_inventory, normalize
 from .training import load_model
 
 # distinct words an engine keeps converted; the memo empties when full.
@@ -142,9 +141,10 @@ class Transliterator:
     """A configured conversion engine; one instance, many lines.
 
     Every decision is local to a word, so a line is converted word by
-    word and each distinct word only once: its unit fields and deciding
-    scores are kept in a bounded memo, from which every later result
-    gets fresh units and, when traced, its records.  The memo fills on
+    word, with the words split by ``ScriptInventory.words`` (the rule
+    training counts by), and each distinct word only once: its unit
+    fields and deciding scores are kept in a bounded memo, from which
+    every later result gets fresh units and, when traced, its records.  The memo fills on
     demand and never changes an output or a trace.
     """
 
@@ -171,10 +171,6 @@ class Transliterator:
         self.model: NgramModel | None = None
         if config.model is not None:
             self.model = load_model(config.model, add_one_smoothing=config.smoothing)
-        inv = self.inventory
-        self._key_chars = frozenset(
-            "".join(inv.consonants | inv.independent_vowels | inv.vowel_symbols)
-        )
         self._memo = {}  # NFC word -> its entry from _convert
 
     def transliterate_line(self, line: str, *, collect_trace: bool = False) -> LineResult:
@@ -205,7 +201,7 @@ class Transliterator:
         non-Other unit; every unit is a fresh object."""
         units, trace = [], []
         try:
-            for word in self._words(text):
+            for word in self.inventory.words(text):
                 entry = self._memo.get(word)
                 if entry is None:
                     entry = self._convert(word)
@@ -231,32 +227,6 @@ class Transliterator:
                 "but not as a whole line"
             ) from err
         return units, trace
-
-    def _words(self, text):
-        """Split NFC ``text`` into words and single separator characters.
-
-        A character splits when it is neither a letter nor a mark and no
-        nukta follows it.  Inventory keys hold letters and marks only, so
-        clustering makes exactly these characters separator graphemes of
-        their own, which no grapheme, word position or context reaches
-        across.
-        """
-        pieces = []
-        start = 0
-        key_chars = self._key_chars
-        for i, ch in enumerate(text):
-            if (
-                ch not in key_chars  # a quick test first: keys hold letters and marks
-                and unicodedata.category(ch)[0] not in "LM"
-                and text[i + 1 : i + 2] != NUKTA
-            ):
-                if start < i:
-                    pieces.append(text[start:i])
-                pieces.append(ch)
-                start = i + 1
-        if start < len(text):
-            pieces.append(text[start:])
-        return pieces
 
     def _convert(self, word):
         """Memo entry for ``word``: the fields of each unit, and the float

@@ -59,6 +59,12 @@ class Grapheme:
             raise ValueError("grapheme text must be non-empty")
 
 
+def _letter_or_mark(ch: str) -> bool:
+    """The word rule's one character test: a letter or a mark belongs to
+    a word, anything else (space, punctuation, digit) separates words."""
+    return unicodedata.category(ch)[0] in "LM"
+
+
 def normalize(text: str) -> str:
     """Canonical composition (NFC).
 
@@ -75,7 +81,8 @@ class ScriptInventory:
     Immutable after construction.  Multi-code-point entries (nukta
     consonants, the nasalised vowel) are allowed; clustering matches
     them longest-first.  Graphemes are interned per piece of text, so
-    each distinct piece is classified once.
+    each distinct piece is classified once.  ``words`` holds the word
+    rule that the engine and training share.
     """
 
     def __init__(self, consonants, independent_vowels, vowel_symbols):
@@ -106,6 +113,8 @@ class ScriptInventory:
                 self._long_keys.setdefault(key[0], []).append(key)
         for keys in self._long_keys.values():
             keys.sort(key=len, reverse=True)
+        # keys hold letters and marks only: a quick test before the rule
+        self._key_chars = frozenset("".join(self._class_by_key))
         self._graphemes = {}  # piece of text -> its Grapheme
 
     def grapheme(self, piece: str) -> Grapheme:
@@ -117,6 +126,32 @@ class ScriptInventory:
                 self._graphemes.clear()
             g = self._graphemes[piece] = Grapheme(piece, classify(self, piece))
         return g
+
+    def words(self, text: str) -> list[str]:
+        """Split NFC ``text`` into words and single separator characters.
+
+        A character splits when it is neither a letter nor a mark and no
+        nukta follows it.  Keys hold letters and marks only, so
+        clustering makes exactly these characters separator graphemes of
+        their own, which no grapheme, word position or context reaches
+        across.
+        """
+        pieces = []
+        start = 0
+        key_chars = self._key_chars
+        for i, ch in enumerate(text):
+            if (
+                ch not in key_chars
+                and not _letter_or_mark(ch)
+                and text[i + 1 : i + 2] != NUKTA
+            ):
+                if start < i:
+                    pieces.append(text[start:i])
+                pieces.append(ch)
+                start = i + 1
+        if start < len(text):
+            pieces.append(text[start:])
+        return pieces
 
     def class_of_key(self, key: str) -> CharClass | None:
         """Exact-key lookup; None when the key is not listed."""
@@ -190,13 +225,12 @@ def cluster_graphemes(inventory: ScriptInventory, text: str) -> list[Grapheme]:
 
 def is_word_separator(grapheme: Grapheme) -> bool:
     """True for OTHER graphemes that delimit words (spaces, punctuation,
-    digits).  Unlisted letters are not separators: they count as tokens
-    under their own keys."""
+    digits): the graphemes that ``ScriptInventory.words`` splits off.
+    Unlisted letters are not separators: they count as tokens under
+    their own keys."""
     if grapheme.char_class is not CharClass.OTHER:
         return False
-    return not any(
-        unicodedata.category(ch)[0] in ("L", "M") for ch in grapheme.text
-    )
+    return not any(map(_letter_or_mark, grapheme.text))
 
 
 def load_inventory(path) -> ScriptInventory:
@@ -205,8 +239,8 @@ def load_inventory(path) -> ScriptInventory:
     Class is C, V or M; ``#`` starts a comment; blank lines are skipped.
     A grapheme holds letters and marks only, so a character of any other
     kind in text is always a separator grapheme of its own (unless a
-    nukta follows it); a grapheme listed under two different classes is
-    an error.
+    nukta follows it), as ``ScriptInventory.words`` assumes; a grapheme
+    listed under two different classes is an error.
     """
     sets = {"C": set(), "V": set(), "M": set()}
     seen = {}
@@ -229,7 +263,7 @@ def load_inventory(path) -> ScriptInventory:
                 )
             if not key:
                 raise DataFormatError("empty grapheme field", path=path, line=line_no)
-            if any(unicodedata.category(ch)[0] not in "LM" for ch in key):
+            if not all(map(_letter_or_mark, key)):
                 raise DataFormatError(
                     f"grapheme {key!r} holds a character that is neither a letter "
                     "nor a mark",

@@ -43,20 +43,16 @@ class AlignedPair:
 def corpus_words(inventory: ScriptInventory, line: str) -> list[list[str]]:
     """Split a raw line into words of grapheme keys.
 
-    Separator graphemes delimit words and are dropped; unlisted letters
+    The words are the inventory's (``ScriptInventory.words``), the ones
+    the engine converts.  Separator pieces are dropped; unlisted letters
     are kept and counted under their own keys.
     """
-    words, current = [], []
-    for g in cluster_graphemes(inventory, line):
-        if is_word_separator(g):
-            if current:
-                words.append(current)
-                current = []
-        else:
-            current.append(g.text)
-    if current:
-        words.append(current)
-    return words
+    return [
+        [g.text for g in cluster_graphemes(inventory, piece)]
+        for piece in inventory.words(normalize(line))
+        # a separator piece is one character
+        if len(piece) > 1 or not is_word_separator(inventory.grapheme(piece))
+    ]
 
 
 def count_ngrams(inventory: ScriptInventory, lines) -> NgramModel:

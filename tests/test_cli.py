@@ -292,6 +292,44 @@ def test_evaluate_row_count_mismatch_exits_data(tmp_path, capsys):
     assert "data error" in err
 
 
+def test_evaluate_row_count_mismatch_names_both_files(tmp_path, capsys):
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("क\tK\nख\tX\n", encoding="utf-8")
+    system = tmp_path / "system.tsv"
+    system.write_text("क\tK\n", encoding="utf-8")
+    code, _, err = run(
+        ["evaluate", "--gold", str(gold), "--system", str(system)], capsys
+    )
+    assert code == EXIT_DATA
+    assert f"system {system} has 1 rows, gold {gold} has 2" in err
+
+
+def test_evaluate_system_rows_are_normalised(tmp_path, capsys):
+    # U+0958 is a composition exclusion: NFC spells it क + nukta
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("क\tK\n\u0958 ख\tQ X\n", encoding="utf-8")
+    system = tmp_path / "system.tsv"
+    system.write_text("क\tK\n\u0958 ख\tQ X\n", encoding="utf-8")
+    code, out, _ = run(
+        ["evaluate", "--gold", str(gold), "--system", str(system)], capsys
+    )
+    assert code == EXIT_OK
+    assert "overall_accuracy=100.00" in out
+    assert "Skipped rows" not in out
+
+
+def test_evaluate_unaligned_system_row_exits_data(tmp_path, capsys):
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("क\tK\nक ख ग\tK X G\n", encoding="utf-8")
+    system = tmp_path / "system.tsv"
+    system.write_text("क\tK\n# system\nक ख ग\tK X\n", encoding="utf-8")
+    code, _, err = run(
+        ["evaluate", "--gold", str(gold), "--system", str(system)], capsys
+    )
+    assert code == EXIT_DATA
+    assert f"{system}:3: 3 source units vs 2 target units" in err
+
+
 def test_evaluate_requires_a_source(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["evaluate", "--gold", "gold.tsv"])

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
 
 import reference
+from helpers import lines
 from sindhi_translit.errors import OrphanMatraError
 from sindhi_translit.phonemes import (
     ORPHAN_PASS,
@@ -124,9 +126,9 @@ def test_reject_policy_agrees_with_reference(inventory):
     assert raised > 10  # the generator should actually exercise orphans
 
 
-def test_losslessness(inventory):
-    rng = random.Random(17)
-    for _ in range(300):
-        text = _random_text(rng, rng.randrange(0, 25))
-        phonemes = phonify(inventory, text, orphan_policy=ORPHAN_PASS)
-        assert "".join(p.text for p in phonemes) == normalize(text)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=lines)
+@example(text="कीी िक अं.,x7?\u093c")
+def test_losslessness(inventory, text):
+    phonemes = phonify(inventory, text, orphan_policy=ORPHAN_PASS)
+    assert "".join(p.text for p in phonemes) == normalize(text)

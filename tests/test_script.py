@@ -1,7 +1,7 @@
-import random
-
 import pytest
+from hypothesis import example, given, settings
 
+from helpers import lines
 from sindhi_translit.errors import DataFormatError
 from sindhi_translit.script import (
     CharClass,
@@ -76,19 +76,12 @@ def test_virama_after_other_stays_alone(inventory):
     assert [g.text for g in graphemes] == ["x", "्"]
 
 
-def test_join_equals_normalize(inventory):
-    rng = random.Random(7)
-    pool = (
-        list("कखगतनमसहलरद")
-        + list("अआइईउऊ")
-        + list("ािीुेोंँ")
-        + ["़", "्", "अं", "क़", "ख़"]
-        + list(" .,7xyz?!-")
-    )
-    for _ in range(400):
-        text = "".join(rng.choice(pool) for _ in range(rng.randrange(0, 30)))
-        graphemes = cluster_graphemes(inventory, text)
-        assert "".join(g.text for g in graphemes) == normalize(text)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=lines)
+@example(text="क़ख़ अं.,7xyz?!-\u093c\u094d")
+def test_join_equals_normalize(inventory, text):
+    graphemes = cluster_graphemes(inventory, text)
+    assert "".join(g.text for g in graphemes) == normalize(text)
 
 
 def test_word_separator_predicate(inventory):

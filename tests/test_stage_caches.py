@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import INVENTORY_KEYS
 from sindhi_translit import data as shipped
 from sindhi_translit import mapping, script
 from sindhi_translit.mapping import (
@@ -37,11 +38,6 @@ from sindhi_translit.script import (
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 BOUNDS = [None, 2]  # None keeps the shipped bound
 
-INVENTORY_KEYS = [
-    row.split("\t")[1]
-    for row in Path(shipped.inventory_path()).read_text(encoding="utf-8").splitlines()
-    if row and not row.startswith("#")
-]
 MAPPING_KEYS = sorted({
     normalize(row.split("\t")[0])
     for row in Path(shipped.mapping_path()).read_text(encoding="utf-8").splitlines()

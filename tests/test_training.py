@@ -1,10 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
+from helpers import lines, separator_runs
 from sindhi_translit import cli
 from sindhi_translit.errors import AlignmentError, DataFormatError
 from sindhi_translit.ngram import BOUNDARY, NgramModel
@@ -35,6 +36,15 @@ def test_corpus_words_punctuation_and_digits(toy_inventory):
 
 def test_corpus_words_unlisted_letter_is_a_token(toy_inventory):
     assert corpus_words(toy_inventory, "अxब") == [["अ", "x", "ब"]]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(line=lines)
+@example(line=", \u093cक1\u093c \u094d\u093cख")
+@example(line="\u200d\u093cक \u0964\u093c x\u093c")
+@example(line="\u0958\u093c\u093c ,")
+def test_corpus_words_equals_separator_runs(inventory, line):
+    assert corpus_words(inventory, line) == separator_runs(inventory, line)
 
 
 def test_count_single_word(toy_inventory):

@@ -5,9 +5,8 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
-from helpers import word_context
+from helpers import lines, word_context
 from sindhi_translit import data as shipped
 from sindhi_translit import pipeline
 from sindhi_translit.errors import MissingModelError, PipelineError
@@ -75,24 +74,6 @@ def converted(engine, line, collect_trace):
     except PipelineError as err:
         return err
 
-
-# inventory keys, words of the demo sample (so contexts the model has
-# counted occur), and the spellings that stress clustering and word
-# edges: space + nukta, precomposed क़, virama, unlisted letters, both
-# digit scripts, danda and Latin punctuation
-INVENTORY_KEYS = [
-    row.split("\t")[1]
-    for row in Path(shipped.inventory_path()).read_text(encoding="utf-8").splitlines()
-    if row and not row.startswith("#")
-]
-SAMPLE_WORDS = sorted(
-    set(Path(shipped.demo_sample_path()).read_text(encoding="utf-8").split())
-)
-PIECES = INVENTORY_KEYS + SAMPLE_WORDS + [
-    " ", " ", " \u093c", "\u093c", "\u094d", "\u0958", "\u0929", "a", "1", "\u096d",
-    "\u0964", "\u0965", ",", "\u0902",
-]
-lines = st.lists(st.sampled_from(PIECES), max_size=14).map("".join)
 
 CONFIGS = {
     "no-model": {},
@@ -200,7 +181,7 @@ def test_word_split_the_whole_line_accepts_is_an_internal_error(demo_model_path,
     engine = Transliterator(EngineConfig(model=str(demo_model_path)))
     assert engine.transliterate_line("कि").output
     # a split that tears the vowel sign from its consonant
-    monkeypatch.setattr(engine, "_words", lambda text: ["क", "ि"])
+    monkeypatch.setattr(engine.inventory, "words", lambda text: ["क", "ि"])
     with pytest.raises(PipelineError, match="internal error") as excinfo:
         engine.transliterate_line("कि")
     assert type(excinfo.value) is PipelineError
