@@ -1,8 +1,9 @@
 """Command-line front end: ``translit transliterate | train | evaluate``.
 
 Exit codes are stable so scripts can branch on them: 0 success, 2 bad
-usage or configuration, 3 I/O failure, 4 malformed data file, 5
-pipeline failure on the input text, 6 ambiguous input with no model.
+usage or configuration, 3 I/O failure, 4 malformed data file (or a gold
+file that leaves nothing to score), 5 pipeline failure on the input
+text, 6 ambiguous input with no model.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import (
     PipelineError,
     TransliterationError,
 )
-from .evaluation import evaluate, format_report
+from .evaluation import evaluate, format_report, format_skipped
 from .mapping import MappedUnit, Resolution
 from .pipeline import EngineConfig, Transliterator
 from .script import CharClass, Grapheme, cluster_graphemes, load_inventory
@@ -289,6 +290,13 @@ def cmd_evaluate(args) -> int:
     report = dataclasses.replace(
         report, skipped=tuple((gold[i].line, reason) for i, reason in report.skipped)
     )
+    if report.total_characters == 0:
+        # accuracy over nothing is undefined: show why, then fail
+        print(format_skipped(report))
+        raise DataFormatError(
+            f"nothing to score ({len(report.skipped)} of {len(gold)} rows skipped)",
+            path=args.gold,
+        )
     text = format_report(report)
     print(text)
     if args.report:

@@ -217,6 +217,14 @@ def _fmt(value) -> str:
     return "n/a" if value is None else f"{value:.2f}%"
 
 
+def format_skipped(report: EvaluationReport) -> str:
+    """The "Skipped rows" section: a count, then one line per row."""
+    return "\n".join(
+        [f"Skipped rows: {len(report.skipped)}"]
+        + [f"  row {index}: {reason}" for index, reason in report.skipped]
+    )
+
+
 def format_report(report: EvaluationReport) -> str:
     """Human-readable summary plus a machine-readable key=value block."""
     rows = [
@@ -236,9 +244,7 @@ def format_report(report: EvaluationReport) -> str:
     ]
     lines += [f"  {name:<12} {count:>8}  {acc}" for name, count, acc in rows]
     if report.skipped:
-        lines.append("")
-        lines.append(f"Skipped rows: {len(report.skipped)}")
-        lines += [f"  row {index}: {reason}" for index, reason in report.skipped]
+        lines += ["", format_skipped(report)]
     lines.append("")
     for key in (
         "total_sentences",

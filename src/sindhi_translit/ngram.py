@@ -142,20 +142,25 @@ def _ratio(model: NgramModel, num: int, den: int) -> Probability:
     return Probability.from_counts(num, den)
 
 
+def _bigram_counts(model, c_prev, c):
+    return model.bigram.get((c_prev, c), 0), model.context_count(c_prev)
+
+
+def _trigram_counts(model, c_prev2, c_prev, c):
+    return (
+        model.trigram.get((c_prev2, c_prev, c), 0),
+        model.bigram.get((c_prev2, c_prev), 0),
+    )
+
+
 def bigram_prob(model: NgramModel, c_prev: str, c: str) -> Probability:
     """P(c | c_prev) as a ratio of bigram to context counts."""
-    return _ratio(
-        model, model.bigram.get((c_prev, c), 0), model.context_count(c_prev)
-    )
+    return _ratio(model, *_bigram_counts(model, c_prev, c))
 
 
 def trigram_prob(model: NgramModel, c_prev2: str, c_prev: str, c: str) -> Probability:
     """P(c | c_prev2, c_prev) as a ratio of trigram to bigram counts."""
-    return _ratio(
-        model,
-        model.trigram.get((c_prev2, c_prev, c), 0),
-        model.bigram.get((c_prev2, c_prev), 0),
-    )
+    return _ratio(model, *_trigram_counts(model, c_prev2, c_prev, c))
 
 
 def emission_prob(model: NgramModel, target: str, c: str) -> Probability:
@@ -167,6 +172,23 @@ def emission_prob(model: NgramModel, target: str, c: str) -> Probability:
     )
 
 
+def _context_counts(model, c, c_prev, c_next, mode, c_prev2):
+    """Raw (numerator, denominator) counts of the left and right context
+    factors of source ``c``.
+
+    In trigram mode the left factor conditions on the two previous
+    characters whenever that context was observed, and falls back to
+    the plain bigram factor otherwise.
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == MODE_TRIGRAM and model.bigram.get((c_prev2, c_prev), 0) > 0:
+        left = _trigram_counts(model, c_prev2, c_prev, c)
+    else:
+        left = _bigram_counts(model, c_prev, c)
+    return left, _bigram_counts(model, c, c_next)
+
+
 def candidate_scores(
     model: NgramModel,
     unit: MappedUnit,
@@ -176,22 +198,36 @@ def candidate_scores(
     mode: str = MODE_BIGRAM,
     c_prev2: str = BOUNDARY,
 ) -> list[Probability]:
-    """One score per candidate, in table order.
-
-    In trigram mode the left-context factor conditions on the two
-    previous characters whenever that context was observed, and falls
-    back to the plain bigram factor otherwise.
-    """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+    """One score per candidate, in table order: the candidate's
+    emission ratio times the left and right context factors."""
     c = unit.source.text
-    emission_factors = [emission_prob(model, b, c) for b in unit.candidates]
-    if mode == MODE_TRIGRAM and model.bigram.get((c_prev2, c_prev), 0) > 0:
-        left = trigram_prob(model, c_prev2, c_prev, c)
-    else:
-        left = bigram_prob(model, c_prev, c)
-    right = bigram_prob(model, c, c_next)
-    return [Probability.product((e, left, right)) for e in emission_factors]
+    left, right = _context_counts(model, c, c_prev, c_next, mode, c_prev2)
+    left, right = _ratio(model, *left), _ratio(model, *right)
+    return [
+        Probability.product((emission_prob(model, b, c), left, right))
+        for b in unit.candidates
+    ]
+
+
+def context_gate(
+    model: NgramModel,
+    c: str,
+    c_prev: str,
+    c_next: str,
+    *,
+    mode: str = MODE_BIGRAM,
+    c_prev2: str = BOUNDARY,
+) -> bool:
+    """Whether both context factors of source ``c`` are positive.
+
+    The factors are shared by every candidate, so when the gate is open
+    :func:`choose` over :func:`candidate_scores` picks what it picks
+    over the emission ratios alone, and when it is closed every score
+    is zero and the leading candidate is a Fallback.  Add-one smoothing
+    keeps it always open.
+    """
+    left, right = _context_counts(model, c, c_prev, c_next, mode, c_prev2)
+    return model.add_one_smoothing or min(*left, *right) > 0
 
 
 def choose(unit: MappedUnit, scores) -> str:

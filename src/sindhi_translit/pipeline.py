@@ -31,15 +31,24 @@ from .mapping import (
     load_mapping,
     map_phonemes,
 )
-from .ngram import MODE_BIGRAM, MODES, NgramModel, candidate_scores, choose
+from .ngram import (
+    MODE_BIGRAM,
+    MODES,
+    NgramModel,
+    candidate_scores,
+    choose,
+    context_gate,
+    emission_prob,
+)
 from .phonemes import ORPHAN_POLICIES, ORPHAN_REJECT, phonify
 from .script import CharClass, load_inventory, normalize
 from .training import load_model
 
 # distinct words an engine keeps converted; the memo empties when full.
-# An entry holds its unit fields and scores and shares the inventory's
-# interned graphemes, about 0.8 KiB for a random word (tracemalloc on
-# the benchmark's train-eval inputs), so a full memo holds about 0.8 MiB.
+# An entry holds its unit fields, and its scores once a trace has read
+# it, and shares the inventory's interned graphemes: at most about 0.8
+# KiB for a random word (tracemalloc on the benchmark's train-eval
+# inputs), so a full memo holds at most about 0.8 MiB.
 WORD_MEMO_SIZE = 1024
 
 _CONFIG_KEYS = (
@@ -143,9 +152,11 @@ class Transliterator:
     Every decision is local to a word, so a line is converted word by
     word, with the words split by ``ScriptInventory.words`` (the rule
     training counts by), and each distinct word only once: its unit
-    fields and deciding scores are kept in a bounded memo, from which
-    every later result gets fresh units and, when traced, its records.  The memo fills on
-    demand and never changes an output or a trace.
+    fields are kept in a bounded memo, from which every later result
+    gets fresh units.  A traced line also gets records, whose scores
+    are computed when a trace first reads the word's entry and kept
+    there.  The memo fills on demand and never changes an output or a
+    trace.
     """
 
     def __init__(self, config: EngineConfig | None = None):
@@ -171,7 +182,11 @@ class Transliterator:
         self.model: NgramModel | None = None
         if config.model is not None:
             self.model = load_model(config.model, add_one_smoothing=config.smoothing)
-        self._memo = {}  # NFC word -> its entry from _convert
+        self._memo = {}  # NFC word -> [unit fields, trace scores or None]
+        # (source text, candidates) -> (resolved, resolution) when the
+        # context gate is open; at most one entry per ambiguous table
+        # row, with and without a virama
+        self._verdicts = {}
 
     def transliterate_line(self, line: str, *, collect_trace: bool = False) -> LineResult:
         """Convert one line of Devanagari text; line breaks are not part
@@ -204,23 +219,31 @@ class Transliterator:
             for word in self.inventory.words(text):
                 entry = self._memo.get(word)
                 if entry is None:
-                    entry = self._convert(word)
+                    word_units = self._convert(word)
+                    entry = [
+                        [(u.source, u.candidates, u.resolved, u.resolution, u.unmapped)
+                         for u in word_units],
+                        None,
+                    ]
                     if len(self._memo) >= WORD_MEMO_SIZE:
                         self._memo.clear()
                     self._memo[word] = entry
-                fields, scores = entry
+                else:
+                    word_units = [MappedUnit(*f) for f in entry[0]]
                 if collect_trace:
+                    fields, scores = entry
+                    if scores is None:
+                        scores = entry[1] = self._scores(word_units)
                     trace += [
                         TraceRecord(i, source.text, candidates, unit_scores, resolved, kind)
                         for i, ((source, candidates, resolved, kind, _), unit_scores)
                         in enumerate(zip(fields, scores), len(units))
                         if source.char_class is not CharClass.OTHER
                     ]
-                units += [MappedUnit(*f) for f in fields]
+                units += word_units
         except PipelineError as err:
             # an error in a later word can take precedence (an orphan
-            # sign over an unmapped grapheme), so the whole line decides;
-            # any scores this re-run computes are thrown away
+            # sign over an unmapped grapheme), so the whole line decides
             self._convert(text)
             raise PipelineError(
                 f"internal error: {text!r} failed word by word ({err}) "
@@ -228,36 +251,63 @@ class Transliterator:
             ) from err
         return units, trace
 
+    def _context_keys(self, sources):
+        """The word's grapheme keys padded with two boundary symbols on
+        the left and one on the right: unit ``i`` has ``keys[i]`` and
+        ``keys[i + 1]`` before it and ``keys[i + 3]`` after it."""
+        edge = self.model.boundary
+        return [edge, edge, *(g.text for g in sources), edge]
+
     def _convert(self, word):
-        """Memo entry for ``word``: the fields of each unit, and the float
-        scores that chose each unit (None for a unit not scored).  An
-        ambiguous unit is scored in the context of the word's grapheme
-        keys, padded with two boundary symbols on the left and one on
-        the right."""
+        """The resolved units of ``word``.
+
+        An ambiguous unit whose context gate is open takes its row's
+        verdict: :func:`choose` over the emission ratios, computed once
+        per source text and candidates.  A closed gate gives the leading
+        candidate as a Fallback.
+        """
         phonemes = phonify(self.inventory, word, orphan_policy=self.config.orphan_matra)
         units = map_phonemes(self.table, phonemes, unmapped_policy=self.config.unmapped)
-        if self.model is not None:
-            edge = self.model.boundary
-            keys = [edge, edge, *(u.source.text for u in units), edge]
-        fields, scores = [], []
+        model, keys = self.model, None
         for i, unit in enumerate(units):
-            unit_scores = None
             if unit.resolved is None:
-                if self.model is None:
+                if model is None:
                     offset = sum(len(u.source.text) for u in units[:i])
                     raise MissingModelError(unit.source.text, offset)
-                unit_scores = candidate_scores(
-                    self.model,
-                    unit,
-                    keys[i + 1],
-                    keys[i + 3],
-                    mode=self.config.mode,
-                    c_prev2=keys[i],
+                if keys is None:
+                    keys = self._context_keys(u.source for u in units)
+                c = unit.source.text
+                if context_gate(
+                    model, c, keys[i + 1], keys[i + 3], mode=self.config.mode, c_prev2=keys[i]
+                ):
+                    verdict = self._verdicts.get((c, unit.candidates))
+                    if verdict is None:
+                        choose(unit, [emission_prob(model, b, c) for b in unit.candidates])
+                        verdict = self._verdicts[c, unit.candidates] = (
+                            unit.resolved, unit.resolution
+                        )
+                    unit.resolved, unit.resolution = verdict
+                else:
+                    unit.resolved, unit.resolution = unit.candidates[0], Resolution.FALLBACK
+        return units
+
+    def _scores(self, units):
+        """The float scores of each of a word's units, None for a unit
+        the table resolved."""
+        scores = [None] * len(units)
+        ambiguous = [i for i, u in enumerate(units) if len(u.candidates) > 1]
+        if ambiguous:
+            keys = self._context_keys(u.source for u in units)
+            for i in ambiguous:
+                scores[i] = tuple(
+                    s.value
+                    for s in candidate_scores(
+                        self.model,
+                        units[i],
+                        keys[i + 1],
+                        keys[i + 3],
+                        mode=self.config.mode,
+                        c_prev2=keys[i],
+                    )
                 )
-                choose(unit, unit_scores)
-                unit_scores = tuple(s.value for s in unit_scores)
-            fields.append(
-                (unit.source, unit.candidates, unit.resolved, unit.resolution, unit.unmapped)
-            )
-            scores.append(unit_scores)
-        return fields, scores
+        return scores

@@ -474,6 +474,33 @@ def test_evaluate_end_to_end_skips_rejected_rows(tmp_path, capsys, demo_model_pa
     assert "overall_accuracy=100.00" in out
 
 
+def test_evaluate_empty_gold_file_exits_data(tmp_path, capsys):
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("# no rows\n", encoding="utf-8")
+    code, out, err = run(["evaluate", "--gold", str(gold), "--end-to-end"], capsys)
+    assert code == EXIT_DATA
+    assert out == "Skipped rows: 0\n"
+    assert err == f"translit: data error: {gold}: nothing to score (0 of 0 rows skipped)\n"
+
+
+def test_evaluate_with_every_row_skipped_exits_data(tmp_path, capsys, demo_model_path):
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("ा क\tA K\n", encoding="utf-8")
+    report = tmp_path / "report.txt"
+    code, out, err = run(
+        ["evaluate", "--gold", str(gold), "--end-to-end", "--model", str(demo_model_path),
+         "--report", str(report)],
+        capsys,
+    )
+    assert code == EXIT_DATA
+    assert out == (
+        "Skipped rows: 1\n"
+        f"  row 1: {gold}: vowel symbol 'ा' at offset 0 has no preceding consonant\n"
+    )
+    assert err == f"translit: data error: {gold}: nothing to score (1 of 1 rows skipped)\n"
+    assert not report.exists()
+
+
 def test_evaluate_end_to_end_missing_model_names_gold_row(tmp_path, capsys):
     gold = tmp_path / "gold.tsv"
     gold.write_text("# comment\nक म ल\tڪ م ل\nआ त\tآ ت\n", encoding="utf-8")

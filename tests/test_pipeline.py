@@ -17,6 +17,7 @@ from sindhi_translit.ngram import (
     MODE_TRIGRAM,
     MODES,
     candidate_scores,
+    context_gate,
     disambiguate,
 )
 from sindhi_translit.phonemes import ORPHAN_PASS
@@ -100,15 +101,15 @@ def test_context_is_word_local(inventory, demo_model_path, monkeypatch):
     graphemes = cluster_graphemes(inventory, "कम ल")
     assert word_context(graphemes, 3) == (BOUNDARY, BOUNDARY, BOUNDARY)
     assert word_context(graphemes, 1) == (BOUNDARY, "क", BOUNDARY)
-    # the engine scores each ambiguous unit in exactly that context
+    # the engine gates each ambiguous unit on exactly that context
     engine = Transliterator(EngineConfig(model=str(demo_model_path)))
     contexts = []
 
-    def recording(model, unit, c_prev, c_next, *, mode, c_prev2):
+    def recording(model, c, c_prev, c_next, *, mode, c_prev2):
         contexts.append((c_prev2, c_prev, c_next))
-        return candidate_scores(model, unit, c_prev, c_next, mode=mode, c_prev2=c_prev2)
+        return context_gate(model, c, c_prev, c_next, mode=mode, c_prev2=c_prev2)
 
-    monkeypatch.setattr(pipeline, "candidate_scores", recording)
+    monkeypatch.setattr(pipeline, "context_gate", recording)
     result = engine.transliterate_line("त, सत हसी सतसत सच")
     graphemes = [u.source for u in result.units]
     expected = [word_context(graphemes, i) for i, u in enumerate(result.units) if u.is_ambiguous]
@@ -173,10 +174,8 @@ def words_of(units):
     return words
 
 
-@pytest.mark.parametrize("collect_trace", [False, True])
-def test_each_ambiguous_unit_scored_once(demo_model_path, monkeypatch, collect_trace):
-    # a fresh engine, so no word has been converted yet
-    engine = Transliterator(EngineConfig(model=str(demo_model_path)))
+def counting_scores(monkeypatch):
+    """The (source, candidates) of every `candidate_scores` call."""
     scored = []
 
     def counting(model, unit, *args, **kwargs):
@@ -186,6 +185,14 @@ def test_each_ambiguous_unit_scored_once(demo_model_path, monkeypatch, collect_t
     # both names, so a call routed through ngram.disambiguate counts too
     for module in (pipeline, ngram):
         monkeypatch.setattr(module, "candidate_scores", counting)
+    return scored
+
+
+@pytest.mark.parametrize("collect_trace", [False, True])
+def test_each_ambiguous_unit_scored_once(demo_model_path, monkeypatch, collect_trace):
+    # a fresh engine, so no word has been converted yet
+    engine = Transliterator(EngineConfig(model=str(demo_model_path)))
+    scored = counting_scores(monkeypatch)
     seen = set()
     first_pass = repeat_pass = 0
     for repeat in (False, True):
@@ -194,8 +201,9 @@ def test_each_ambiguous_unit_scored_once(demo_model_path, monkeypatch, collect_t
             result = engine.transliterate_line(line, collect_trace=collect_trace)
             expected = []
             for word, units in words_of(result.units):
-                # traced or not, only a word's first occurrence is scored
-                if word not in seen:
+                # scores are only for traces, and only a word's first
+                # occurrence is scored
+                if collect_trace and word not in seen:
                     expected += [(u.source.text, u.candidates) for u in units if u.is_ambiguous]
                 seen.add(word)
             assert scored == expected
@@ -203,8 +211,20 @@ def test_each_ambiguous_unit_scored_once(demo_model_path, monkeypatch, collect_t
                 repeat_pass += len(scored)
             else:
                 first_pass += len(scored)
-    assert first_pass > 0
+    assert (first_pass > 0) == collect_trace
     assert repeat_pass == 0
+
+
+def test_word_converted_untraced_is_scored_on_first_traced_use(demo_model_path, monkeypatch):
+    engine = Transliterator(EngineConfig(model=str(demo_model_path)))
+    scored = counting_scores(monkeypatch)
+    engine.transliterate_line("सतसत")
+    assert scored == []
+    engine.transliterate_line("सतसत", collect_trace=True)
+    assert [source for source, _ in scored] == ["स", "त", "स", "त"]
+    scored.clear()
+    engine.transliterate_line("सतसत", collect_trace=True)
+    assert scored == []
 
 
 @pytest.mark.parametrize("smoothing", [False, True])

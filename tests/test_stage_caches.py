@@ -2,7 +2,8 @@
 interned graphemes of `cluster_graphemes`, the lookup memo of
 `MappingTable` and the integer comparison in `choose`, each against an
 uncached test-local rule, also with bounds so small that the caches
-empty mid-line."""
+empty mid-line.  The engine's per-row verdicts, gated by context
+counts, decide as `choose` over `candidate_scores` does."""
 
 from fractions import Fraction
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import INVENTORY_KEYS
+from helpers import INVENTORY_KEYS, word_context
 from sindhi_translit import data as shipped
 from sindhi_translit import mapping, script
 from sindhi_translit.mapping import (
@@ -23,7 +24,15 @@ from sindhi_translit.mapping import (
     Role,
     load_mapping,
 )
-from sindhi_translit.ngram import Probability, choose
+from sindhi_translit.ngram import (
+    BOUNDARY,
+    MODES,
+    NgramModel,
+    Probability,
+    candidate_scores,
+    choose,
+)
+from sindhi_translit.pipeline import EngineConfig, Transliterator
 from sindhi_translit.script import (
     NUKTA,
     VIRAMA,
@@ -194,3 +203,79 @@ def test_choose_equals_fraction_rule(scores):
     index, resolution = fraction_choice(scores)
     assert choose(unit, scores) == candidates[index]
     assert (unit.resolved, unit.resolution) == (candidates[index], resolution)
+
+
+# ---------------------------------------------------------------------
+# per-row verdicts behind the context gate
+
+# consonants with ambiguous rows (ज़ with four candidates) and two rule
+# consonants; a syllable may end in a virama (the row is then found by
+# stripping it), a vowel sign, or the nasal sign, whose M row is
+# ambiguous.  TARGETS holds each key's shipped candidates.
+CONSONANTS = ["त", "स", "ह", normalize("ज\u093c"), "क", "म"]
+SIGNS = ["", VIRAMA, "ा", "ं"]
+TARGETS = {
+    "त": "تط", "स": "سصث", "ह": "هح", normalize("ज\u093c"): "زذضظ",
+    "क": "ڪ", "म": "م", "ा": "ا", "ं": "نم",
+}
+
+
+@st.composite
+def gated_cases(draw):
+    """A line of words and a model with a random count, zero included,
+    for every unigram, bigram, trigram and emission the line's words
+    can ask for: contexts seen and unseen, bigram counts whose context
+    count is zero, emission ties, boundary contexts, and in trigram mode
+    seen and unseen two-key contexts all come up."""
+    words = draw(st.lists(
+        st.lists(st.tuples(st.sampled_from(CONSONANTS), st.sampled_from(SIGNS)),
+                 min_size=1, max_size=4),
+        min_size=1,
+        max_size=4,
+    ))
+    padded = []
+    for word in words:
+        keys = []
+        for consonant, sign in word:
+            keys += [consonant + sign] if sign in ("", VIRAMA) else [consonant, sign]
+        padded.append([BOUNDARY, BOUNDARY, *keys, BOUNDARY])
+    unigrams = {k for keys in padded for k in keys[2:-1]}
+    bigrams = {pair for keys in padded for pair in zip(keys[1:], keys[2:])}
+    trigrams = {t for keys in padded for t in zip(keys, keys[1:], keys[2:])}
+    emissions = {(t, k) for k in unigrams for t in TARGETS[k.replace(VIRAMA, "")]}
+    count = st.integers(0, 2)
+
+    def counts(keys):
+        return draw(st.fixed_dictionaries({k: count for k in sorted(keys)}))
+
+    model = NgramModel(
+        unigram=counts(unigrams),
+        bigram=counts(bigrams | {(BOUNDARY, BOUNDARY)}),
+        trigram=counts(trigrams),
+        emission=counts(emissions),
+        add_one_smoothing=draw(st.booleans()),
+    )
+    line = " ".join("".join(c + sign for c, sign in word) for word in words)
+    return line, model, draw(st.sampled_from(MODES))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=gated_cases())
+def test_verdicts_equal_choose_over_candidate_scores(case):
+    line, model, mode = case
+    engine = Transliterator(EngineConfig(mode=mode))
+    engine.model = model
+    for collect_trace in (False, True):
+        units = engine.transliterate_line(line, collect_trace=collect_trace).units
+        graphemes = [u.source for u in units]
+        for i, unit in enumerate(units):
+            if unit.is_ambiguous:
+                c_prev2, c_prev, c_next = word_context(graphemes, i, model.boundary)
+                fresh = MappedUnit(unit.source, unit.candidates)
+                choose(fresh, candidate_scores(
+                    model, fresh, c_prev, c_next, mode=mode, c_prev2=c_prev2
+                ))
+                assert (unit.resolved, unit.resolution) == (fresh.resolved, fresh.resolution)
+    # one verdict per ambiguous table row, read with or without a virama
+    rows = {(key, cands) for (key, _, _), cands in engine.table._entries.items()}
+    assert {(c.replace(VIRAMA, ""), cands) for c, cands in engine._verdicts} <= rows

@@ -177,6 +177,48 @@ def test_word_memo_is_bounded(demo_model_path, monkeypatch):
         assert len(engine._memo) <= 2
 
 
+def test_trace_after_untraced_use_equals_fresh_trace(demo_model_path):
+    sample = Path(shipped.demo_sample_path()).read_text(encoding="utf-8").splitlines()
+    config = EngineConfig(model=str(demo_model_path), mode=MODE_TRIGRAM)
+    warmed = Transliterator(config)
+    for line in sample:
+        warmed.transliterate_line(line)
+    fresh = Transliterator(config)
+    scored = 0
+    for line in sample:
+        traced = fresh.transliterate_line(line, collect_trace=True)
+        assert warmed.transliterate_line(line, collect_trace=True) == traced
+        scored += sum(record.scores is not None for record in traced.trace)
+    assert scored > 0
+
+
+@pytest.mark.parametrize("collect_trace", [False, True])
+def test_units_of_a_memo_miss_can_be_changed(demo_model_path, collect_trace):
+    engine = Transliterator(EngineConfig(model=str(demo_model_path)))
+    missed = engine.transliterate_line("तारो", collect_trace=collect_trace)
+    expected = engine.transliterate_line("तारो", collect_trace=collect_trace)
+    for unit in missed.units:
+        unit.candidates, unit.resolved, unit.resolution = ("x",), "x", Resolution.RULE
+    assert engine.transliterate_line("तारो", collect_trace=collect_trace) == expected
+    assert expected.output == "تآرا"
+
+
+def test_word_memo_bounds_traced_lines(demo_model_path, monkeypatch):
+    sample = Path(shipped.demo_sample_path()).read_text(encoding="utf-8").splitlines()
+    config = EngineConfig(model=str(demo_model_path))
+    expected = [
+        Transliterator(config).transliterate_line(line, collect_trace=True) for line in sample
+    ]
+    monkeypatch.setattr(pipeline, "WORD_MEMO_SIZE", 2)
+    engine = Transliterator(config)
+    for collect_trace in (False, True, True):
+        results = [engine.transliterate_line(l, collect_trace=collect_trace) for l in sample]
+        assert [r.output for r in results] == [r.output for r in expected]
+        if collect_trace:
+            assert results == expected
+        assert len(engine._memo) <= 2
+
+
 def test_word_split_the_whole_line_accepts_is_an_internal_error(demo_model_path, monkeypatch):
     engine = Transliterator(EngineConfig(model=str(demo_model_path)))
     assert engine.transliterate_line("कि").output
