@@ -195,7 +195,12 @@ def cmd_train(args) -> int:
         corpus_lines = [line.rstrip("\r\n") for line in fh]
     pairs = load_aligned(args.aligned)
     _check_source_units(inventory, pairs, args.aligned)
-    model = train_model(inventory, corpus_lines, pairs)
+    try:
+        model = train_model(inventory, corpus_lines, pairs)
+    except DataFormatError as err:
+        if err.line is None:  # only the corpus count names a line
+            raise
+        raise DataFormatError(str(err), path=args.corpus, line=err.line) from None
     with _replacing(args.out) as target:
         save_model(model, target)
     print(f"corpus lines      {len(corpus_lines)}")

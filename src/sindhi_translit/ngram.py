@@ -7,6 +7,10 @@ aborts mid-line.  Scores carry exact numerator/denominator integers
 alongside float and log values: comparisons use the exact ratio, which
 makes tie handling deterministic and keeps log-space and linear-space
 rankings in agreement at any scale.
+
+:func:`disambiguate` is the one place an ambiguous unit is decided:
+the engine calls it for every unit the rules leave open, and scores
+are only built for traces, through :func:`candidate_scores`.
 """
 
 from __future__ import annotations
@@ -71,7 +75,9 @@ class NgramModel:
     never a counted token); ``bigram``/``trigram`` count padded
     adjacency; ``emission`` counts (target, source) pairs from aligned
     data.  ``target_unigram`` is always the marginal of ``emission``
-    and is recomputed, never stored.  Treat instances as immutable.
+    and is recomputed, never stored, and the verdicts of
+    :func:`disambiguate` are filled in as it is called.  Treat
+    instances as immutable.
     """
 
     def __init__(
@@ -111,6 +117,9 @@ class NgramModel:
         sources = set(self.unigram)
         sources.update(source for (_t, source) in self.emission)
         self._vocab = len(sources) + 1
+        # (source text, candidates) -> (resolved, resolution): the
+        # verdicts :func:`disambiguate` has taken over emission ratios
+        self._verdicts = {}
 
     def context_count(self, key: str) -> int:
         """Occurrences of ``key`` as a bigram conditioning context."""
@@ -209,27 +218,6 @@ def candidate_scores(
     ]
 
 
-def context_gate(
-    model: NgramModel,
-    c: str,
-    c_prev: str,
-    c_next: str,
-    *,
-    mode: str = MODE_BIGRAM,
-    c_prev2: str = BOUNDARY,
-) -> bool:
-    """Whether both context factors of source ``c`` are positive.
-
-    The factors are shared by every candidate, so when the gate is open
-    :func:`choose` over :func:`candidate_scores` picks what it picks
-    over the emission ratios alone, and when it is closed every score
-    is zero and the leading candidate is a Fallback.  Add-one smoothing
-    keeps it always open.
-    """
-    left, right = _context_counts(model, c, c_prev, c_next, mode, c_prev2)
-    return model.add_one_smoothing or min(*left, *right) > 0
-
-
 def choose(unit: MappedUnit, scores) -> str:
     """Pick a candidate from its scores and record it on the unit.
 
@@ -269,10 +257,26 @@ def disambiguate(
     mode: str = MODE_BIGRAM,
     c_prev2: str = BOUNDARY,
 ) -> str:
-    """Score an ambiguous unit in its context and :func:`choose` a
-    candidate, recording it on the unit."""
+    """Decide an ambiguous unit in its context as :func:`choose` over
+    :func:`candidate_scores` would, recording it on the unit, without
+    building a score.
+
+    The context factors are shared by every candidate.  When both are
+    positive (always, under add-one smoothing) the choice is the row's
+    verdict, :func:`choose` over the emission ratios alone, kept on the
+    model per source text and candidates.  Otherwise every score is
+    zero and the leading candidate is a Fallback.
+    """
     if len(unit.candidates) < 2:
         raise ValueError("disambiguate needs a unit with at least two candidates")
-    return choose(
-        unit, candidate_scores(model, unit, c_prev, c_next, mode=mode, c_prev2=c_prev2)
-    )
+    c = unit.source.text
+    left, right = _context_counts(model, c, c_prev, c_next, mode, c_prev2)
+    if model.add_one_smoothing or min(*left, *right) > 0:
+        verdict = model._verdicts.get((c, unit.candidates))
+        if verdict is None:
+            choose(unit, [emission_prob(model, b, c) for b in unit.candidates])
+            verdict = model._verdicts[c, unit.candidates] = (unit.resolved, unit.resolution)
+        unit.resolved, unit.resolution = verdict
+    else:
+        unit.resolved, unit.resolution = unit.candidates[0], Resolution.FALLBACK
+    return unit.resolved

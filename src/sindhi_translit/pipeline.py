@@ -2,10 +2,12 @@
 
 The engine is configured once (inventory, mapping table, optional model,
 policies) and then converts lines independently: same input, same
-output.  Context for the statistical layer is the neighbouring source
-graphemes within the word; word edges contribute the boundary symbol.
-Every decision is therefore local to a word, and the engine converts a
-line word by word, each distinct word once, traced or not.
+output.  A new word goes through the staged functions and nothing
+else: ``phonify``, ``map_phonemes``, then ``ngram.disambiguate`` for
+each unit the rules leave ambiguous.  Its context is the neighbouring
+source graphemes within the word; word edges contribute the boundary
+symbol.  Every decision is therefore local to a word, and the engine
+converts a line word by word, each distinct word once, traced or not.
 """
 
 from __future__ import annotations
@@ -31,15 +33,7 @@ from .mapping import (
     load_mapping,
     map_phonemes,
 )
-from .ngram import (
-    MODE_BIGRAM,
-    MODES,
-    NgramModel,
-    candidate_scores,
-    choose,
-    context_gate,
-    emission_prob,
-)
+from .ngram import MODE_BIGRAM, MODES, NgramModel, candidate_scores, disambiguate
 from .phonemes import ORPHAN_POLICIES, ORPHAN_REJECT, phonify
 from .script import CharClass, load_inventory, normalize
 from .training import load_model
@@ -183,10 +177,6 @@ class Transliterator:
         if config.model is not None:
             self.model = load_model(config.model, add_one_smoothing=config.smoothing)
         self._memo = {}  # NFC word -> [unit fields, trace scores or None]
-        # (source text, candidates) -> (resolved, resolution) when the
-        # context gate is open; at most one entry per ambiguous table
-        # row, with and without a virama
-        self._verdicts = {}
 
     def transliterate_line(self, line: str, *, collect_trace: bool = False) -> LineResult:
         """Convert one line of Devanagari text; line breaks are not part
@@ -259,13 +249,8 @@ class Transliterator:
         return [edge, edge, *(g.text for g in sources), edge]
 
     def _convert(self, word):
-        """The resolved units of ``word``.
-
-        An ambiguous unit whose context gate is open takes its row's
-        verdict: :func:`choose` over the emission ratios, computed once
-        per source text and candidates.  A closed gate gives the leading
-        candidate as a Fallback.
-        """
+        """The resolved units of ``word``, each ambiguous unit decided
+        by :func:`disambiguate` in its word-local context."""
         phonemes = phonify(self.inventory, word, orphan_policy=self.config.orphan_matra)
         units = map_phonemes(self.table, phonemes, unmapped_policy=self.config.unmapped)
         model, keys = self.model, None
@@ -276,19 +261,9 @@ class Transliterator:
                     raise MissingModelError(unit.source.text, offset)
                 if keys is None:
                     keys = self._context_keys(u.source for u in units)
-                c = unit.source.text
-                if context_gate(
-                    model, c, keys[i + 1], keys[i + 3], mode=self.config.mode, c_prev2=keys[i]
-                ):
-                    verdict = self._verdicts.get((c, unit.candidates))
-                    if verdict is None:
-                        choose(unit, [emission_prob(model, b, c) for b in unit.candidates])
-                        verdict = self._verdicts[c, unit.candidates] = (
-                            unit.resolved, unit.resolution
-                        )
-                    unit.resolved, unit.resolution = verdict
-                else:
-                    unit.resolved, unit.resolution = unit.candidates[0], Resolution.FALLBACK
+                disambiguate(
+                    model, unit, keys[i + 1], keys[i + 3], mode=self.config.mode, c_prev2=keys[i]
+                )
         return units
 
     def _scores(self, units):

@@ -9,7 +9,9 @@ sorted UTF-8 text and round-trips exactly.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .data import open_text
 from .errors import AlignmentError, DataFormatError
@@ -19,6 +21,10 @@ from .script import ScriptInventory, cluster_graphemes, is_word_separator, norma
 # reserved token marking a word gap inside an aligned row, so a row can
 # hold a whole sentence; real text never produces it as a grapheme
 WORD_GAP = "_"
+
+# whitespace as str.isspace has it; a key holding any could not be
+# written to a model file and read back
+_SPACE = re.compile(r"\s")
 
 _MAGIC = "TLMODEL"
 _VERSION = "v1"
@@ -61,9 +67,15 @@ def count_ngrams(inventory: ScriptInventory, lines) -> NgramModel:
     Each word is padded with one boundary symbol per edge before the
     bigram and trigram tallies; unigrams count only real characters.
     The result has no emission counts.
+
+    A key holding whitespace (a space or tab that a nukta follows joins
+    its word) could not be written to a model file and read back, so it
+    is rejected at the end of the line that first counts it, naming
+    that line (from 1).
     """
     unigram, bigram, trigram = {}, {}, {}
-    for line in lines:
+    for line_no, line in enumerate(lines, 1):
+        known = len(unigram)
         for word in corpus_words(inventory, line):
             for key in word:
                 unigram[key] = unigram.get(key, 0) + 1
@@ -72,6 +84,11 @@ def count_ngrams(inventory: ScriptInventory, lines) -> NgramModel:
                 bigram[(a, b)] = bigram.get((a, b), 0) + 1
             for a, b, c in zip(padded, padded[1:], padded[2:]):
                 trigram[(a, b, c)] = trigram.get((a, b, c), 0) + 1
+        # keys stay in the order first counted: the line's new ones last
+        new = len(unigram) - known
+        if new and _SPACE.search("".join(islice(reversed(unigram), new))):
+            key = next(k for k in islice(unigram, known, None) if _SPACE.search(k))
+            raise DataFormatError(f"corpus key {key!r} holds whitespace", line=line_no)
     return NgramModel(unigram, bigram, trigram, {})
 
 
@@ -99,23 +116,15 @@ def count_emissions(pairs) -> dict:
     return emission
 
 
-def train_model(
-    inventory: ScriptInventory,
-    corpus_lines,
-    aligned_pairs,
-    *,
-    add_one_smoothing: bool = False,
-) -> NgramModel:
-    """Count a text corpus and an aligned corpus into one model."""
+def train_model(inventory: ScriptInventory, corpus_lines, aligned_pairs) -> NgramModel:
+    """Count a text corpus and an aligned corpus into one model.
+
+    Smoothing is not part of a model's counts; it is chosen when the
+    model is loaded.
+    """
     counts = count_ngrams(inventory, corpus_lines)
     emission = count_emissions(aligned_pairs)
-    return NgramModel(
-        counts.unigram,
-        counts.bigram,
-        counts.trigram,
-        emission,
-        add_one_smoothing=add_one_smoothing,
-    )
+    return NgramModel(counts.unigram, counts.bigram, counts.trigram, emission)
 
 
 def parse_aligned_line(line: str, line_no: int | None = None):

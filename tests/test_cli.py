@@ -194,6 +194,33 @@ def test_train_rejects_source_unit_of_several_graphemes(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_train_rejects_corpus_key_with_whitespace(tmp_path, capsys):
+    # a space or tab before a nukta joins the word, and such a key could
+    # not be read back from the model file
+    for sep in (" ", "\t"):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(f"सत\nतारो{sep}\u093c सत\n", encoding="utf-8")
+        out_path = tmp_path / "model.tsv"
+        out_path.write_text("old model\n", encoding="utf-8")
+        code, out, err = run(
+            [
+                "train",
+                "--inventory", str(shipped.inventory_path()),
+                "--corpus", str(corpus),
+                "--aligned", str(shipped.demo_aligned_path()),
+                "-o", str(out_path),
+            ],
+            capsys,
+        )
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err == (
+            f"translit: data error: {corpus}:2: corpus key {sep + chr(0x93C)!r} "
+            "holds whitespace\n"
+        )
+        assert out_path.read_text(encoding="utf-8") == "old model\n"
+
+
 def test_train_is_reproducible(tmp_path, capsys):
     paths = [tmp_path / "a.tsv", tmp_path / "b.tsv"]
     for path in paths:

@@ -17,7 +17,6 @@ from sindhi_translit.ngram import (
     MODE_TRIGRAM,
     MODES,
     candidate_scores,
-    context_gate,
     disambiguate,
 )
 from sindhi_translit.phonemes import ORPHAN_PASS
@@ -101,15 +100,15 @@ def test_context_is_word_local(inventory, demo_model_path, monkeypatch):
     graphemes = cluster_graphemes(inventory, "कम ल")
     assert word_context(graphemes, 3) == (BOUNDARY, BOUNDARY, BOUNDARY)
     assert word_context(graphemes, 1) == (BOUNDARY, "क", BOUNDARY)
-    # the engine gates each ambiguous unit on exactly that context
+    # the engine decides each ambiguous unit in exactly that context
     engine = Transliterator(EngineConfig(model=str(demo_model_path)))
     contexts = []
 
-    def recording(model, c, c_prev, c_next, *, mode, c_prev2):
+    def recording(model, unit, c_prev, c_next, *, mode, c_prev2):
         contexts.append((c_prev2, c_prev, c_next))
-        return context_gate(model, c, c_prev, c_next, mode=mode, c_prev2=c_prev2)
+        return disambiguate(model, unit, c_prev, c_next, mode=mode, c_prev2=c_prev2)
 
-    monkeypatch.setattr(pipeline, "context_gate", recording)
+    monkeypatch.setattr(pipeline, "disambiguate", recording)
     result = engine.transliterate_line("त, सत हसी सतसत सच")
     graphemes = [u.source for u in result.units]
     expected = [word_context(graphemes, i) for i, u in enumerate(result.units) if u.is_ambiguous]

@@ -2,8 +2,10 @@
 interned graphemes of `cluster_graphemes`, the lookup memo of
 `MappingTable` and the integer comparison in `choose`, each against an
 uncached test-local rule, also with bounds so small that the caches
-empty mid-line.  The engine's per-row verdicts, gated by context
-counts, decide as `choose` over `candidate_scores` does."""
+empty mid-line.  `disambiguate`, which keeps per-row verdicts on the
+model and gates them by context counts, decides as `choose` over
+`candidate_scores` does, in the engine and when one model serves many
+calls."""
 
 from fractions import Fraction
 from pathlib import Path
@@ -31,6 +33,7 @@ from sindhi_translit.ngram import (
     Probability,
     candidate_scores,
     choose,
+    disambiguate,
 )
 from sindhi_translit.pipeline import EngineConfig, Transliterator
 from sindhi_translit.script import (
@@ -206,7 +209,7 @@ def test_choose_equals_fraction_rule(scores):
 
 
 # ---------------------------------------------------------------------
-# per-row verdicts behind the context gate
+# per-row verdicts behind the context counts, kept on the model
 
 # consonants with ambiguous rows (ज़ with four candidates) and two rule
 # consonants; a syllable may end in a virama (the row is then found by
@@ -278,4 +281,58 @@ def test_verdicts_equal_choose_over_candidate_scores(case):
                 assert (unit.resolved, unit.resolution) == (fresh.resolved, fresh.resolution)
     # one verdict per ambiguous table row, read with or without a virama
     rows = {(key, cands) for (key, _, _), cands in engine.table._entries.items()}
-    assert {(c.replace(VIRAMA, ""), cands) for c, cands in engine._verdicts} <= rows
+    assert {(c.replace(VIRAMA, ""), cands) for c, cands in model._verdicts} <= rows
+
+
+SHARED_SOURCES = ["स", "त"]
+SHARED_KEYS = SHARED_SOURCES + [BOUNDARY]
+
+
+@st.composite
+def shared_model_calls(draw):
+    """One model with a random count, zero included, for every n-gram
+    over two sources and the boundary and for every emission of three
+    targets, then calls that ask for the same source with different
+    candidate tuples and orders, in contexts seen and unseen."""
+    count = st.integers(0, 2)
+
+    def counts(keys):
+        return draw(st.fixed_dictionaries({k: count for k in keys}))
+
+    model = NgramModel(
+        unigram=counts(SHARED_SOURCES),
+        bigram=counts([(a, b) for a in SHARED_KEYS for b in SHARED_KEYS]),
+        trigram=counts([(a, b, c) for a in SHARED_KEYS for b in SHARED_KEYS
+                        for c in SHARED_KEYS]),
+        emission=counts([(t, c) for t in "abc" for c in SHARED_SOURCES]),
+        add_one_smoothing=draw(st.booleans()),
+    )
+    calls = draw(st.lists(
+        st.tuples(
+            st.sampled_from(SHARED_SOURCES),
+            st.lists(st.sampled_from("abc"), min_size=2, max_size=3, unique=True)
+            .map(tuple),
+            st.sampled_from(SHARED_KEYS),
+            st.sampled_from(SHARED_KEYS),
+            st.sampled_from(SHARED_KEYS),
+        ),
+        min_size=2,
+        max_size=12,
+    ))
+    return model, draw(st.sampled_from(MODES)), calls
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=shared_model_calls())
+def test_shared_model_disambiguates_each_call_as_choose(case):
+    model, mode, calls = case
+    for c, candidates, c_prev2, c_prev, c_next in calls:
+        source = Grapheme(c, CharClass.CONSONANT)
+        unit, fresh = MappedUnit(source, candidates), MappedUnit(source, candidates)
+        chosen = disambiguate(model, unit, c_prev, c_next, mode=mode, c_prev2=c_prev2)
+        choose(fresh, candidate_scores(
+            model, fresh, c_prev, c_next, mode=mode, c_prev2=c_prev2
+        ))
+        assert (chosen, unit.resolved, unit.resolution) == (
+            fresh.resolved, fresh.resolved, fresh.resolution
+        )

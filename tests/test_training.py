@@ -254,6 +254,26 @@ def test_save_load_roundtrip_property(model_dir, model):
     assert path.read_bytes() == saved
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(corpus=st.lists(lines, max_size=4))
+def test_trained_model_loads_back_or_counting_rejects_it(inventory, model_dir, corpus):
+    bad = [
+        line_no
+        for line_no, line in enumerate(corpus, 1)
+        for word in corpus_words(inventory, line)
+        if any(ch.isspace() for key in word for ch in key)
+    ]
+    if bad:
+        with pytest.raises(DataFormatError, match="holds whitespace") as info:
+            train_model(inventory, corpus, [])
+        assert info.value.line == bad[0]
+        return
+    model = train_model(inventory, corpus, [])
+    path = model_dir / "trained.tsv"
+    save_model(model, path)
+    assert load_model(path) == model
+
+
 def test_save_is_deterministic(demo_model, tmp_path):
     a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
     save_model(demo_model, a)
