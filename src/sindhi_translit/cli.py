@@ -17,7 +17,7 @@ import shutil
 import stat
 import sys
 
-from .data import open_text
+from .data import open_text, read_rows
 from .errors import (
     AlignmentError,
     ConfigError,
@@ -30,7 +30,7 @@ from .evaluation import evaluate, format_report, format_skipped
 from .mapping import MappedUnit, Resolution
 from .pipeline import EngineConfig, Transliterator
 from .script import CharClass, Grapheme, cluster_graphemes, load_inventory
-from .training import WORD_GAP, load_aligned, parse_aligned_line, save_model, train_model
+from .training import WORD_GAP, load_aligned, parse_aligned_row, save_model, train_model
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -198,9 +198,9 @@ def cmd_train(args) -> int:
     try:
         model = train_model(inventory, corpus_lines, pairs)
     except DataFormatError as err:
-        if err.line is None:  # only the corpus count names a line
-            raise
-        raise DataFormatError(str(err), path=args.corpus, line=err.line) from None
+        # counting names the line of the corpus, or of the aligned row
+        where = args.aligned if isinstance(err, AlignmentError) else args.corpus
+        raise type(err)(str(err), path=where, line=err.line) from None
     with _replacing(args.out) as target:
         save_model(model, target)
     print(f"corpus lines      {len(corpus_lines)}")
@@ -236,45 +236,26 @@ def _load_system_rows(path):
     reads rows, with an optional third column of per-unit resolution
     codes (R, S, F or P); absent codes default to Rule.  The unit class
     is irrelevant to scoring, so placeholder graphemes are used."""
-    rows = []
-    with open_text(path) as fh:
-        for line_no, raw in enumerate(fh, 1):
-            line = raw.rstrip("\r\n")
-            try:
-                pair = parse_aligned_line(line, line_no)
-            except DataFormatError as err:
-                raise DataFormatError(str(err), path=path, line=line_no) from None
-            if pair is None:
+
+    def parse_row(fields, line_no):
+        pair = parse_aligned_row(fields, line_no)
+        sources, targets = pair.source_units, pair.target_units
+        codes = fields[2].split() if len(fields) > 2 else []
+        if codes and len(codes) != len(sources):
+            raise DataFormatError("resolution column length differs from unit count")
+        units = []
+        for src, tgt, code in zip(sources, targets, codes or ["R"] * len(sources)):
+            if src == WORD_GAP:
+                gap = Grapheme(" ", CharClass.OTHER)
+                units.append(MappedUnit(gap, (), " ", Resolution.PASS_THROUGH))
                 continue
-            sources, targets = pair.source_units, pair.target_units
-            if len(sources) != len(targets):
-                raise AlignmentError(
-                    f"{len(sources)} source units vs {len(targets)} target units",
-                    path=path,
-                    line=line_no,
-                )
-            parts = line.split("\t")
-            codes = parts[2].split() if len(parts) > 2 else []
-            if codes and len(codes) != len(sources):
-                raise DataFormatError(
-                    "resolution column length differs from unit count",
-                    path=path,
-                    line=line_no,
-                )
-            units = []
-            for src, tgt, code in zip(sources, targets, codes or ["R"] * len(sources)):
-                if src == WORD_GAP:
-                    gap = Grapheme(" ", CharClass.OTHER)
-                    units.append(MappedUnit(gap, (), " ", Resolution.PASS_THROUGH))
-                    continue
-                kind = _KIND_CODES.get(code)
-                if kind is None:
-                    raise DataFormatError(
-                        f"unknown resolution code {code!r}", path=path, line=line_no
-                    )
-                units.append(MappedUnit(Grapheme(src, CharClass.CONSONANT), (tgt,), tgt, kind))
-            rows.append(units)
-    return rows
+            kind = _KIND_CODES.get(code)
+            if kind is None:
+                raise DataFormatError(f"unknown resolution code {code!r}")
+            units.append(MappedUnit(Grapheme(src, CharClass.CONSONANT), (tgt,), tgt, kind))
+        return units
+
+    return read_rows(path, parse_row)
 
 
 def cmd_evaluate(args) -> int:

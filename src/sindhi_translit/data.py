@@ -1,5 +1,5 @@
-"""Locations of the data files shipped inside the package, and the
-reader every data file goes through."""
+"""Locations of the data files shipped inside the package, the reader
+every data file goes through, and the reader of the row files."""
 
 from __future__ import annotations
 
@@ -27,6 +27,29 @@ def open_text(path) -> io.StringIO:
             line=raw.count(b"\n", 0, err.start) + 1,
         ) from None
     return io.StringIO(text, newline=None)
+
+
+def read_rows(path, parse_row) -> list:
+    """Parse each row of a row file: ``parse_row(fields, line)`` for
+    every line that is neither blank nor a ``#`` comment, with the
+    line's tab-separated fields and its number (from 1).
+
+    The inventory, mapping, aligned, gold and system files are row
+    files.  A DataFormatError that ``parse_row`` raises is raised again,
+    of the same class, naming ``path`` and the line.  Returns the
+    parsed rows in file order.
+    """
+    rows = []
+    with open_text(path) as fh:
+        for line_no, raw in enumerate(fh, 1):
+            line = raw.rstrip("\r\n")
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            try:
+                rows.append(parse_row(line.split("\t"), line_no))
+            except DataFormatError as err:
+                raise type(err)(str(err), path=path, line=line_no) from None
+    return rows
 
 
 def _data(*parts) -> str:

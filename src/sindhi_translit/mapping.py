@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .data import open_text
+from .data import read_rows
 from .errors import DataFormatError, UnmappedGraphemeError
 from .phonemes import PhonemePattern
 from .script import VIRAMA, Grapheme, is_word_separator, normalize
@@ -141,55 +141,43 @@ def load_mapping(path) -> MappingTable:
     """Read a mapping file: ``<grapheme>TAB<context>TAB<candidates...>``.
 
     Context is V, M or A with an optional ``^`` or ``$`` suffix for
-    word-initial / word-final rows.  ``#`` starts a comment.  Empty
-    candidates, duplicate candidates in a row, and duplicate rows for
-    the same (grapheme, context) are all rejected.
+    word-initial / word-final rows.  Empty candidates, duplicate
+    candidates in a row, and duplicate rows for the same (grapheme,
+    context) are all rejected.
     """
     entries = {}
     role_by_code = {r.value: r for r in Role}
-    with open_text(path) as fh:
-        for line_no, raw in enumerate(fh, 1):
-            line = raw.rstrip("\r\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) < 3:
-                raise DataFormatError(
-                    "expected <grapheme>TAB<context>TAB<candidate>...",
-                    path=path,
-                    line=line_no,
-                )
-            key = normalize(parts[0])
-            if not key:
-                raise DataFormatError("empty grapheme field", path=path, line=line_no)
-            ctx = parts[1].strip()
-            position = Position.ANY
-            if ctx.endswith("^"):
-                position = Position.WORD_INITIAL
-                ctx = ctx[:-1]
-            elif ctx.endswith("$"):
-                position = Position.WORD_FINAL
-                ctx = ctx[:-1]
-            role = role_by_code.get(ctx)
-            if role is None:
-                raise DataFormatError(
-                    f"unknown context code {parts[1]!r}", path=path, line=line_no
-                )
-            candidates = tuple(normalize(c) for c in parts[2:])
-            if any(not c for c in candidates):
-                raise DataFormatError("empty candidate", path=path, line=line_no)
-            if len(set(candidates)) != len(candidates):
-                raise DataFormatError(
-                    f"duplicate candidate for {key!r}", path=path, line=line_no
-                )
-            entry_key = (key, role, position)
-            if entry_key in entries:
-                raise DataFormatError(
-                    f"duplicate row for {key!r} in context {parts[1]!r}",
-                    path=path,
-                    line=line_no,
-                )
-            entries[entry_key] = candidates
+
+    def parse_row(fields, _line):
+        if len(fields) < 3:
+            raise DataFormatError("expected <grapheme>TAB<context>TAB<candidate>...")
+        key = normalize(fields[0])
+        if not key:
+            raise DataFormatError("empty grapheme field")
+        ctx = fields[1].strip()
+        position = Position.ANY
+        if ctx.endswith("^"):
+            position = Position.WORD_INITIAL
+            ctx = ctx[:-1]
+        elif ctx.endswith("$"):
+            position = Position.WORD_FINAL
+            ctx = ctx[:-1]
+        role = role_by_code.get(ctx)
+        if role is None:
+            raise DataFormatError(f"unknown context code {fields[1]!r}")
+        candidates = tuple(normalize(c) for c in fields[2:])
+        if any(not c for c in candidates):
+            raise DataFormatError("empty candidate")
+        if len(set(candidates)) != len(candidates):
+            raise DataFormatError(f"duplicate candidate for {key!r}")
+        entry_key = (key, role, position)
+        if entry_key in entries:
+            raise DataFormatError(
+                f"duplicate row for {key!r} in context {fields[1]!r}"
+            )
+        entries[entry_key] = candidates
+
+    read_rows(path, parse_row)
     return MappingTable(entries)
 
 

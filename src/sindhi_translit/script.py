@@ -14,7 +14,7 @@ import enum
 import unicodedata
 from dataclasses import dataclass
 
-from .data import open_text
+from .data import read_rows
 from .errors import DataFormatError
 
 NUKTA = "़"
@@ -234,48 +234,34 @@ def is_word_separator(grapheme: Grapheme) -> bool:
 
 
 def load_inventory(path) -> ScriptInventory:
-    """Read an inventory file: ``<class>TAB<grapheme>`` per line.
+    """Read an inventory file: ``<class>TAB<grapheme>`` per row.
 
-    Class is C, V or M; ``#`` starts a comment; blank lines are skipped.
-    A grapheme holds letters and marks only, so a character of any other
-    kind in text is always a separator grapheme of its own (unless a
-    nukta follows it), as ``ScriptInventory.words`` assumes; a grapheme
-    listed under two different classes is an error.
+    Class is C, V or M.  A grapheme holds letters and marks only, so a
+    character of any other kind in text is always a separator grapheme
+    of its own (unless a nukta follows it), as ``ScriptInventory.words``
+    assumes; a grapheme listed under two different classes is an error.
     """
-    sets = {"C": set(), "V": set(), "M": set()}
-    seen = {}
-    with open_text(path) as fh:
-        for line_no, raw in enumerate(fh, 1):
-            line = raw.rstrip("\r\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataFormatError(
-                    "expected <class>TAB<grapheme>", path=path, line=line_no
-                )
-            code, key = parts[0].strip(), normalize(parts[1])
-            if code not in sets:
-                raise DataFormatError(
-                    f"unknown class code {code!r} (expected C, V or M)",
-                    path=path,
-                    line=line_no,
-                )
-            if not key:
-                raise DataFormatError("empty grapheme field", path=path, line=line_no)
-            if not all(map(_letter_or_mark, key)):
-                raise DataFormatError(
-                    f"grapheme {key!r} holds a character that is neither a letter "
-                    "nor a mark",
-                    path=path,
-                    line=line_no,
-                )
-            if key in seen and seen[key] != code:
-                raise DataFormatError(
-                    f"grapheme {key!r} already listed under class {seen[key]!r}",
-                    path=path,
-                    line=line_no,
-                )
-            seen[key] = code
-            sets[code].add(key)
-    return ScriptInventory(sets["C"], sets["V"], sets["M"])
+    class_of = {}  # grapheme -> class code
+
+    def parse_row(fields, _line):
+        if len(fields) != 2:
+            raise DataFormatError("expected <class>TAB<grapheme>")
+        code, key = fields[0].strip(), normalize(fields[1])
+        if code not in _CLASS_BY_CODE:
+            raise DataFormatError(f"unknown class code {code!r} (expected C, V or M)")
+        if not key:
+            raise DataFormatError("empty grapheme field")
+        if not all(map(_letter_or_mark, key)):
+            raise DataFormatError(
+                f"grapheme {key!r} holds a character that is neither a letter "
+                "nor a mark"
+            )
+        if class_of.setdefault(key, code) != code:
+            raise DataFormatError(
+                f"grapheme {key!r} already listed under class {class_of[key]!r}"
+            )
+
+    read_rows(path, parse_row)
+    return ScriptInventory(
+        *({k for k, c in class_of.items() if c == code} for code in "CVM")
+    )

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .data import open_text
+from .data import open_text, read_rows
 from .errors import AlignmentError, DataFormatError
 from .ngram import BOUNDARY, NgramModel
 from .script import ScriptInventory, cluster_graphemes, is_word_separator, normalize
@@ -96,20 +96,23 @@ def count_emissions(pairs) -> dict:
     """(target, source) pair counts over aligned rows.
 
     Word-gap tokens are skipped; a length mismatch or a one-sided gap
-    is rejected with the offending pair's index.
+    is rejected with the offending pair's index, and with its line (the
+    error's ``line``) when the pair was read from a file.
     """
     emission = {}
     for index, pair in enumerate(pairs):
         src, tgt = pair.source_units, pair.target_units
         if len(src) != len(tgt):
             raise AlignmentError(
-                f"pair {index}: {len(src)} source units vs {len(tgt)} target units"
+                f"pair {index}: {len(src)} source units vs {len(tgt)} target units",
+                line=pair.line,
             )
         for pos, (c, b) in enumerate(zip(src, tgt)):
             if c == WORD_GAP or b == WORD_GAP:
                 if c != b:
                     raise AlignmentError(
-                        f"pair {index}: one-sided word gap at position {pos}"
+                        f"pair {index}: one-sided word gap at position {pos}",
+                        line=pair.line,
                     )
                 continue
             emission[(b, c)] = emission.get((b, c), 0) + 1
@@ -127,42 +130,29 @@ def train_model(inventory: ScriptInventory, corpus_lines, aligned_pairs) -> Ngra
     return NgramModel(counts.unigram, counts.bigram, counts.trigram, emission)
 
 
-def parse_aligned_line(line: str, line_no: int | None = None):
-    """One aligned row: source graphemes TAB target units, space-separated,
-    read from line ``line_no`` of its file.
-
-    Returns None for blank and comment lines.
-    """
-    if not line.strip() or line.lstrip().startswith("#"):
-        return None
-    parts = line.split("\t")
-    if len(parts) < 2:
+def parse_aligned_row(fields, line_no: int | None) -> AlignedPair:
+    """One aligned row from its tab-separated fields: source graphemes,
+    then as many target units (else AlignmentError), each
+    space-separated, read from line ``line_no`` of its file."""
+    if len(fields) < 2:
         raise DataFormatError("expected <source units>TAB<target units>")
-    source = tuple(normalize(tok) for tok in parts[0].split() if tok)
-    target = tuple(normalize(tok) for tok in parts[1].split() if tok)
+    source = tuple(normalize(tok) for tok in fields[0].split())
+    target = tuple(normalize(tok) for tok in fields[1].split())
+    if len(source) != len(target):
+        raise AlignmentError(
+            f"{len(source)} source units vs {len(target)} target units"
+        )
     return AlignedPair(source, target, line_no)
+
+
+def parse_aligned_line(line: str, line_no: int | None = None) -> AlignedPair:
+    """``parse_aligned_row`` over one line of text."""
+    return parse_aligned_row(line.split("\t"), line_no)
 
 
 def load_aligned(path) -> list[AlignedPair]:
     """Read an aligned corpus file, validating per-row alignment."""
-    pairs = []
-    with open_text(path) as fh:
-        for line_no, raw in enumerate(fh, 1):
-            try:
-                pair = parse_aligned_line(raw.rstrip("\r\n"), line_no)
-            except DataFormatError as err:
-                raise DataFormatError(str(err), path=path, line=line_no) from None
-            if pair is None:
-                continue
-            if len(pair.source_units) != len(pair.target_units):
-                raise AlignmentError(
-                    f"{len(pair.source_units)} source units vs "
-                    f"{len(pair.target_units)} target units",
-                    path=path,
-                    line=line_no,
-                )
-            pairs.append(pair)
-    return pairs
+    return read_rows(path, parse_aligned_row)
 
 
 def save_model(model: NgramModel, path) -> None:

@@ -221,6 +221,29 @@ def test_train_rejects_corpus_key_with_whitespace(tmp_path, capsys):
         assert out_path.read_text(encoding="utf-8") == "old model\n"
 
 
+def test_train_names_aligned_line_of_one_sided_word_gap(tmp_path, capsys):
+    aligned = tmp_path / "aligned.tsv"
+    aligned.write_text("# head\nक\tK\nक _ ख\tK X _\n", encoding="utf-8")
+    out_path = tmp_path / "model.tsv"
+    code, out, err = run(
+        [
+            "train",
+            "--inventory", str(shipped.inventory_path()),
+            "--corpus", str(shipped.demo_corpus_path()),
+            "--aligned", str(aligned),
+            "-o", str(out_path),
+        ],
+        capsys,
+    )
+    assert code == EXIT_DATA
+    assert out == ""
+    assert err == (
+        f"translit: data error: {aligned}:3: pair 1: one-sided word gap at "
+        "position 1\n"
+    )
+    assert not out_path.exists()
+
+
 def test_train_is_reproducible(tmp_path, capsys):
     paths = [tmp_path / "a.tsv", tmp_path / "b.tsv"]
     for path in paths:

@@ -175,8 +175,6 @@ def test_count_emissions_agrees_with_reference():
 
 
 def test_parse_aligned_line():
-    assert parse_aligned_line("# comment") is None
-    assert parse_aligned_line("") is None
     pair = parse_aligned_line("क ा\tK AA")
     assert pair == AlignedPair(("क", "ा"), ("K", "AA"))
 
@@ -187,6 +185,23 @@ def test_load_aligned(tmp_path):
     pairs = load_aligned(path)
     assert len(pairs) == 2
     assert pairs[1].source_units == ("क", "ख", "_", "ग")
+
+
+def test_load_aligned_skips_blank_and_comment_lines(tmp_path):
+    path = tmp_path / "aligned.tsv"
+    path.write_text("# head\n\n \t \n  # indented\nक ा\tK AA\n#\tx\n", encoding="utf-8")
+    pairs = load_aligned(path)
+    assert pairs == [AlignedPair(("क", "ा"), ("K", "AA"))]
+    assert pairs[0].line == 5
+
+
+def test_load_aligned_names_file_and_line_of_unaligned_row(tmp_path):
+    path = tmp_path / "aligned.tsv"
+    path.write_text("# head\nक\tK\nक ख\tK\n", encoding="utf-8")
+    with pytest.raises(AlignmentError) as excinfo:
+        load_aligned(path)
+    assert (excinfo.value.path, excinfo.value.line) == (path, 3)
+    assert str(excinfo.value) == f"{path}:3: 2 source units vs 1 target units"
 
 
 def test_load_aligned_rejects_mismatch(tmp_path):
@@ -212,6 +227,17 @@ def test_save_load_roundtrip(demo_model, tmp_path):
     path = tmp_path / "model.tsv"
     save_model(demo_model, path)
     assert load_model(path) == demo_model
+
+
+def test_save_load_key_beginning_with_hash(inventory, tmp_path):
+    # model files have no comment lines: a counted key may begin with
+    # "#", as a "#" that a nukta follows joins its word
+    model = count_ngrams(inventory, ["#\u093cक क"])
+    assert model.unigram["#\u093c"] == 1
+    path = tmp_path / "model.tsv"
+    save_model(model, path)
+    assert any(line.startswith("#") for line in path.read_text("utf-8").splitlines())
+    assert load_model(path) == model
 
 
 # key parts as counting produces them: non-empty text with no whitespace
