@@ -172,6 +172,8 @@ def cmd_transliterate(args) -> int:
             fout = stack.enter_context(open(target, "w", encoding="utf-8", newline="\n"))
         for line_no, raw in enumerate(fin, 1):
             line = raw.rstrip("\r\n")
+            if line_no == 1:
+                line = line.removeprefix("\ufeff")  # a byte-order mark
             try:
                 bad = _BAD_BYTE.search(line)
                 if bad:

@@ -3,6 +3,7 @@ every data file goes through, and the reader of the row files."""
 
 from __future__ import annotations
 
+import codecs
 import io
 from importlib import resources
 
@@ -13,11 +14,12 @@ def open_text(path) -> io.StringIO:
     """Read a UTF-8 data file into a line-iterable text stream with
     universal newlines, as ``open(path, encoding="utf-8")`` would.
 
-    Bytes that are not UTF-8 raise DataFormatError naming the path and
-    line instead of a bare UnicodeDecodeError.
+    One leading UTF-8 byte-order mark is dropped.  Bytes that are not
+    UTF-8 raise DataFormatError naming the path, line and byte instead
+    of a bare UnicodeDecodeError.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
+        raw = fh.read().removeprefix(codecs.BOM_UTF8)
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as err:

@@ -181,12 +181,14 @@ def load_mapping(path) -> MappingTable:
     return MappingTable(entries)
 
 
-def _role_of(grapheme: Grapheme, pattern: PhonemePattern, index: int) -> Role:
-    if pattern is PhonemePattern.VOWEL:
-        return Role.VOWEL
-    if pattern is PhonemePattern.CONSONANT_VOWEL and index == 1:
-        return Role.MATRA
-    return Role.ANY
+# the role each grapheme of a phoneme is looked up in, by the phoneme's
+# pattern: segmentation has decided it.  None passes the grapheme through
+_ROLES = {
+    PhonemePattern.CONSONANT: (Role.ANY,),
+    PhonemePattern.VOWEL: (Role.VOWEL,),
+    PhonemePattern.CONSONANT_VOWEL: (Role.ANY, Role.MATRA),
+    PhonemePattern.OTHER: (None,),
+}
 
 
 def map_phonemes(
@@ -197,20 +199,20 @@ def map_phonemes(
 ) -> list[MappedUnit]:
     """Map each grapheme of each phoneme to its candidate targets.
 
-    Output is one unit per grapheme, in order.  Single-candidate rows
-    resolve immediately (Rule); multi-candidate rows stay unresolved for
-    the statistical layer; Other units pass straight through.
+    Output is one unit per grapheme, in order, each looked up in the
+    role its phoneme's pattern gives it.  Single-candidate rows resolve
+    immediately (Rule); multi-candidate rows stay unresolved for the
+    statistical layer; Other units pass straight through.
     """
     if unmapped_policy not in UNMAPPED_POLICIES:
         raise ValueError(f"unknown unmapped policy {unmapped_policy!r}")
-    flat = []  # (grapheme, role); OTHER units have no role
-    for ph in phonemes:
-        if ph.pattern is PhonemePattern.OTHER:
-            flat.extend((g, None) for g in ph.graphemes)
-        else:
-            flat.extend(
-                (g, _role_of(g, ph.pattern, idx)) for idx, g in enumerate(ph.graphemes)
-            )
+    # (grapheme, role); a phoneme whose length does not fit its
+    # pattern raises ValueError
+    flat = [
+        pair
+        for ph in phonemes
+        for pair in zip(ph.graphemes, _ROLES[ph.pattern], strict=True)
+    ]
 
     units = []
     last = len(flat) - 1

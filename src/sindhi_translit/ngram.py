@@ -224,9 +224,9 @@ def choose(unit: MappedUnit, scores) -> str:
     ``scores`` holds one score per candidate in table order, as
     :func:`candidate_scores` returns them.  The choice is the first
     candidate attaining the maximum exact score.  Resolution is
-    Statistical only when that maximum is positive and unique; ties and
-    all-zero scores fall back to the leading candidate and are marked
-    Fallback.
+    Statistical only when that maximum is positive and unique; a tie
+    falls back to the first tied candidate, all-zero scores to the
+    leading candidate, and both are marked Fallback.
     """
     # exact ratios compared by cross-multiplying: denominators are >= 1
     index, tied = 0, False

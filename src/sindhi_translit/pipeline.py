@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import bisect
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from . import data as shipped
 from .errors import (
@@ -45,15 +45,6 @@ from .training import load_model
 # inputs), so a full memo holds at most about 0.8 MiB.
 WORD_MEMO_SIZE = 1024
 
-_CONFIG_KEYS = (
-    "inventory",
-    "mapping",
-    "model",
-    "mode",
-    "orphan_matra",
-    "unmapped",
-    "smoothing",
-)
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False,
                 "yes": True, "no": False}
 
@@ -79,6 +70,7 @@ class EngineConfig:
         """Parse a key=value config file; relative paths are taken
         relative to the file itself."""
         values = {}
+        known = {f.name for f in fields(cls)}
         try:
             fh = shipped.open_text(path)
         except (OSError, DataFormatError) as err:
@@ -93,7 +85,7 @@ class EngineConfig:
                 key, value = key.strip(), value.strip()
                 if not sep or not key:
                     raise ConfigError(f"{path}:{line_no}: expected key=value")
-                if key not in _CONFIG_KEYS:
+                if key not in known:
                     raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
                 if key in values:
                     raise ConfigError(f"{path}:{line_no}: duplicate key {key!r}")

@@ -145,11 +145,6 @@ def parse_aligned_row(fields, line_no: int | None) -> AlignedPair:
     return AlignedPair(source, target, line_no)
 
 
-def parse_aligned_line(line: str, line_no: int | None = None) -> AlignedPair:
-    """``parse_aligned_row`` over one line of text."""
-    return parse_aligned_row(line.split("\t"), line_no)
-
-
 def load_aligned(path) -> list[AlignedPair]:
     """Read an aligned corpus file, validating per-row alignment."""
     return read_rows(path, parse_aligned_row)

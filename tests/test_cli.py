@@ -1,3 +1,4 @@
+import codecs
 import io
 import os
 import stat
@@ -17,6 +18,7 @@ from sindhi_translit.cli import (
     EXIT_PIPELINE,
     main,
 )
+from sindhi_translit.errors import DataFormatError
 from sindhi_translit.training import load_aligned, load_model
 
 
@@ -637,3 +639,86 @@ def test_invalid_utf8_in_config_exits_config(tmp_path, capsys):
     code, _, err = run(["transliterate", "--config", str(cfg)], capsys)
     assert code == EXIT_CONFIG
     assert f"{cfg}:2: invalid UTF-8 byte 0xff" in err
+
+
+@pytest.mark.parametrize("source", ["stdin", "file"])
+def test_byte_order_mark_at_start_of_input_is_dropped(
+    source, tmp_path, capsys, monkeypatch, demo_model_path
+):
+    # only the first line's mark goes; a later U+FEFF is text
+    raw = codecs.BOM_UTF8 + "कम\n\ufeffकम\n".encode()
+    argv = ["transliterate", "--model", str(demo_model_path)]
+    if source == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    else:
+        src = tmp_path / "in.txt"
+        src.write_bytes(raw)
+        argv += ["-i", str(src)]
+    assert run(argv, capsys) == (EXIT_OK, "ڪم\n\ufeffڪم\n", "")
+
+
+def test_invalid_utf8_after_byte_order_mark_on_stdin(capsys, monkeypatch, demo_model_path):
+    raw = codecs.BOM_UTF8 + b"\xe0\xa4\x95\xff\n"
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    code, _, err = run(["transliterate", "--model", str(demo_model_path)], capsys)
+    assert code == EXIT_PIPELINE
+    assert err == "translit: line 1: invalid UTF-8 byte 0xff at offset 1\n"
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["inventory", "mapping", "model", "config", "corpus", "aligned", "gold", "system"],
+)
+def test_byte_order_mark_at_start_of_data_file_is_dropped(
+    kind, tmp_path, capsys, monkeypatch, demo_model_path
+):
+    config = tmp_path / "engine.cfg"
+    config.write_text("mode=trigram\n", encoding="utf-8")
+    files = {
+        "inventory": shipped.inventory_path(),
+        "mapping": shipped.mapping_path(),
+        "model": str(demo_model_path),
+        "config": str(config),
+        "corpus": shipped.demo_corpus_path(),
+        "aligned": shipped.demo_aligned_path(),
+        "gold": shipped.demo_gold_path(),
+        "system": shipped.demo_gold_path(),
+    }
+    model = tmp_path / "model.tsv"
+
+    def outcome(files):
+        if kind in ("corpus", "aligned"):
+            argv = [
+                "train",
+                "--inventory", files["inventory"],
+                "--corpus", files["corpus"],
+                "--aligned", files["aligned"],
+                "-o", str(model),
+            ]
+        elif kind in ("gold", "system"):
+            argv = ["evaluate", "--gold", files["gold"], "--system", files["system"]]
+        else:
+            monkeypatch.setattr(sys, "stdin", io.StringIO("तारो खंड\n"))
+            argv = [
+                "transliterate",
+                "--config", files["config"],
+                "--inventory", files["inventory"],
+                "--mapping", files["mapping"],
+                "--model", files["model"],
+            ]
+        code, out, err = run(argv, capsys)
+        return code, out, err, model.read_bytes() if model.exists() else None
+
+    want = outcome(files)
+    assert want[0] == EXIT_OK
+    marked = tmp_path / f"marked-{kind}"
+    marked.write_bytes(codecs.BOM_UTF8 + Path(files[kind]).read_bytes())
+    assert outcome({**files, kind: str(marked)}) == want
+
+
+def test_invalid_utf8_after_byte_order_mark_names_its_line(tmp_path):
+    path = tmp_path / "rows.tsv"
+    path.write_bytes(codecs.BOM_UTF8 + b"ab\n\xff\n")
+    with pytest.raises(DataFormatError) as info:
+        shipped.open_text(path)
+    assert (info.value.line, str(info.value)) == (2, f"{path}:2: invalid UTF-8 byte 0xff")

@@ -1,15 +1,22 @@
-import pytest
+from pathlib import Path
 
+import pytest
+from helpers import lines
+from hypothesis import given, settings
+
+from sindhi_translit import data as shipped
 from sindhi_translit.errors import DataFormatError, UnmappedGraphemeError
 from sindhi_translit.mapping import (
     UNMAPPED_PASS,
     MappingTable,
+    Position,
     Resolution,
     Role,
     load_mapping,
     map_phonemes,
 )
-from sindhi_translit.phonemes import phonify
+from sindhi_translit.phonemes import ORPHAN_PASS, Phoneme, PhonemePattern, phonify
+from sindhi_translit.script import CharClass, cluster_graphemes, is_word_separator, normalize
 
 
 def test_shipped_vowel_rows(table):
@@ -174,3 +181,72 @@ def test_table_len_and_entries(tmp_path):
     t = load_mapping(path)
     assert len(t) == 2
     assert isinstance(t, MappingTable)
+
+
+def _tagged_table():
+    """Every key of the shipped table in every role and position, each
+    candidate tagged with the row's context code, so that a lookup under
+    the wrong role or word edge gives a different answer."""
+    entries = {}
+    for row in Path(shipped.mapping_path()).read_text(encoding="utf-8").splitlines():
+        if row and not row.startswith("#"):
+            key, _ctx, *candidates = row.split("\t")
+            for role in Role:
+                for pos in Position:
+                    tag = role.value + pos.value
+                    entries[(normalize(key), role, pos)] = tuple(
+                        f"{c}/{tag}" for c in candidates
+                    )
+    return MappingTable(entries)
+
+
+TAGGED = _tagged_table()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=lines)
+def test_letter_units_take_their_role_from_the_grapheme_classes(inventory, text):
+    # the role rule stated on classes alone: an independent vowel is a
+    # vowel, a vowel sign right after a consonant is a matra, any other
+    # letter is any role; an orphan vowel sign passes through.  A word
+    # edge is the end of the line or a separator next to the unit
+    graphemes = cluster_graphemes(inventory, text)
+    units = map_phonemes(
+        TAGGED,
+        phonify(inventory, text, orphan_policy=ORPHAN_PASS),
+        unmapped_policy=UNMAPPED_PASS,
+    )
+    assert [u.source for u in units] == graphemes
+    last = len(graphemes) - 1
+    for i, (g, unit) in enumerate(zip(graphemes, units)):
+        after_consonant = i > 0 and graphemes[i - 1].char_class is CharClass.CONSONANT
+        if g.char_class is CharClass.OTHER:
+            continue
+        if g.char_class is CharClass.VOWEL_SYMBOL and not after_consonant:
+            assert unit.candidates == ()
+            assert unit.resolution is Resolution.PASS_THROUGH
+            continue
+        if g.char_class is CharClass.INDEPENDENT_VOWEL:
+            role = Role.VOWEL
+        elif g.char_class is CharClass.VOWEL_SYMBOL:
+            role = Role.MATRA
+        else:
+            role = Role.ANY
+        want = TAGGED.lookup(
+            g.text,
+            role,
+            word_initial=i == 0 or is_word_separator(graphemes[i - 1]),
+            word_final=i == last or is_word_separator(graphemes[i + 1]),
+        )
+        assert unit.candidates == (want or ()), (text, i)
+
+
+def test_phoneme_whose_length_does_not_fit_its_pattern_is_rejected(inventory, table):
+    consonant, sign = cluster_graphemes(inventory, "का")
+    for phoneme in (
+        Phoneme((consonant,), PhonemePattern.CONSONANT_VOWEL),
+        Phoneme((consonant, sign), PhonemePattern.CONSONANT),
+        Phoneme((consonant, sign), PhonemePattern.OTHER),
+    ):
+        with pytest.raises(ValueError):
+            map_phonemes(table, [phoneme])

@@ -1,13 +1,26 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from helpers import lines, word_context
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
-from sindhi_translit.mapping import MappedUnit, Resolution
+from sindhi_translit import data as shipped
+from sindhi_translit.mapping import (
+    UNMAPPED_PASS,
+    MappedUnit,
+    Resolution,
+    Role,
+    load_mapping,
+    map_phonemes,
+)
 from sindhi_translit.ngram import (
     BOUNDARY,
+    MODE_BIGRAM,
     MODE_TRIGRAM,
     NgramModel,
     Probability,
@@ -17,8 +30,9 @@ from sindhi_translit.ngram import (
     emission_prob,
     trigram_prob,
 )
+from sindhi_translit.phonemes import ORPHAN_PASS, phonify
 from sindhi_translit.script import CharClass, Grapheme
-from sindhi_translit.training import AlignedPair, count_ngrams, train_model
+from sindhi_translit.training import AlignedPair, corpus_words, count_ngrams, train_model
 
 
 def unit_for(source, candidates):
@@ -273,6 +287,83 @@ def test_scaling_emission_counts_preserves_argmax(toy_inventory):
         )
         scaled_unit = unit_for("ब", ["ب", "ا"])
         assert disambiguate(scaled, scaled_unit, "अ", "च") == baseline
+
+
+# ---------------------------------------------------------------------
+# trigram mode against bigram mode on trained models
+
+_SHIPPED = load_mapping(shipped.mapping_path())
+# (source, target) of every candidate of the shipped ambiguous rows
+EMITTED = sorted(
+    (key, target)
+    for key in _SHIPPED.ambiguous_keys()
+    for target in _SHIPPED.lookup(key, Role.MATRA)
+)
+DEMO_CORPUS = Path(shipped.demo_corpus_path()).read_text(encoding="utf-8").splitlines()
+aligned_rows = st.lists(
+    st.lists(st.sampled_from(EMITTED), min_size=1, max_size=4).map(
+        lambda units: AlignedPair(*zip(*units))
+    ),
+    max_size=8,
+)
+
+
+def _seen_walk(draw, model):
+    """A word whose adjacent graphemes are bigrams the model counted,
+    so that in trigram mode a seen two-key context can meet an unseen
+    trigram."""
+    successors = {}
+    for a, b in sorted(model.bigram):
+        successors.setdefault(a, []).append(b)
+    word, prev = [], model.boundary
+    while len(word) < 8 and successors.get(prev):
+        prev = draw(st.sampled_from(successors[prev]))
+        if prev == model.boundary:
+            break
+        word.append(prev)
+    return "".join(word)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(corpus=st.lists(lines, min_size=1, max_size=4), pairs=aligned_rows, data=st.data())
+def test_trigram_mode_only_turns_choices_into_fallbacks(
+    inventory, table, corpus, pairs, data
+):
+    # a trigram count is positive only where the bigram inside it is,
+    # and the right factor is the same in both modes, so a trigram-mode
+    # outcome is the bigram-mode one or a Fallback; under add-one
+    # smoothing every context is positive and the mode does not matter
+    corpus = DEMO_CORPUS + [  # counting rejects a key holding whitespace
+        line
+        for line in corpus
+        if not any(ch.isspace() for word in corpus_words(inventory, line)
+                   for key in word for ch in key)
+    ]
+    model = train_model(inventory, corpus, pairs)
+    smoothed = NgramModel(
+        model.unigram, model.bigram, model.trigram, model.emission,
+        add_one_smoothing=True,
+    )
+    walks = " ".join(_seen_walk(data.draw, model) for _ in range(3))
+    for line in [*corpus, walks]:
+        phonemes = phonify(inventory, line, orphan_policy=ORPHAN_PASS)
+        units = map_phonemes(table, phonemes, unmapped_policy=UNMAPPED_PASS)
+        graphemes = [u.source for u in units]
+        for i, unit in enumerate(units):
+            if not unit.is_ambiguous:
+                continue
+            c_prev2, c_prev, c_next = word_context(graphemes, i)
+
+            def outcome(m, mode):
+                fresh = MappedUnit(unit.source, unit.candidates)
+                disambiguate(m, fresh, c_prev, c_next, mode=mode, c_prev2=c_prev2)
+                return fresh.resolved, fresh.resolution
+
+            assert outcome(model, MODE_TRIGRAM) in (
+                outcome(model, MODE_BIGRAM),
+                (unit.candidates[0], Resolution.FALLBACK),
+            )
+            assert outcome(smoothed, MODE_TRIGRAM) == outcome(smoothed, MODE_BIGRAM)
 
 
 # ---------------------------------------------------------------------

@@ -16,7 +16,7 @@ from sindhi_translit.training import (
     count_ngrams,
     load_aligned,
     load_model,
-    parse_aligned_line,
+    parse_aligned_row,
     save_model,
     train_model,
 )
@@ -174,8 +174,8 @@ def test_count_emissions_agrees_with_reference():
             assert got.get((t, s), 0) == reference.emission_count(raw, t, s)
 
 
-def test_parse_aligned_line():
-    pair = parse_aligned_line("क ा\tK AA")
+def test_parse_aligned_row():
+    pair = parse_aligned_row(["क ा", "K AA"], None)
     assert pair == AlignedPair(("क", "ा"), ("K", "AA"))
 
 
