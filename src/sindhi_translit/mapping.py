@@ -181,13 +181,14 @@ def load_mapping(path) -> MappingTable:
     return MappingTable(entries)
 
 
-# the role each grapheme of a phoneme is looked up in, by the phoneme's
-# pattern: segmentation has decided it.  None passes the grapheme through
+# the role each grapheme of a phoneme is looked up in, by the value of
+# the phoneme's pattern (hashing an enum member runs Python code):
+# segmentation has decided it.  None passes the grapheme through
 _ROLES = {
-    PhonemePattern.CONSONANT: (Role.ANY,),
-    PhonemePattern.VOWEL: (Role.VOWEL,),
-    PhonemePattern.CONSONANT_VOWEL: (Role.ANY, Role.MATRA),
-    PhonemePattern.OTHER: (None,),
+    PhonemePattern.CONSONANT.value: (Role.ANY,),
+    PhonemePattern.VOWEL.value: (Role.VOWEL,),
+    PhonemePattern.CONSONANT_VOWEL.value: (Role.ANY, Role.MATRA),
+    PhonemePattern.OTHER.value: (None,),
 }
 
 
@@ -211,7 +212,7 @@ def map_phonemes(
     flat = [
         pair
         for ph in phonemes
-        for pair in zip(ph.graphemes, _ROLES[ph.pattern], strict=True)
+        for pair in zip(ph.graphemes, _ROLES[ph.pattern._value_], strict=True)
     ]
 
     units = []

@@ -6,11 +6,17 @@ matched whole against a multi-code-point inventory entry such as the
 nasalised vowel.  Class membership lives in a tab-separated data file,
 not in code, so the shipped character set can be corrected or extended
 without touching the engine.
+
+Each inventory compiles its two per-character rules into regular
+expressions when it is built: one finds the characters that may split
+words, the other matches one grapheme, so splitting and clustering scan
+text in ``re`` rather than character by character in Python.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 import unicodedata
 from dataclasses import dataclass
 
@@ -23,6 +29,11 @@ VIRAMA = "्"
 # distinct pieces of text an inventory keeps classified; the cache
 # empties when full
 GRAPHEME_CACHE_SIZE = 1024
+
+# what follows a grapheme's base: any nuktas, then, after a consonant
+# only, one virama
+_TAIL = NUKTA + "*"
+_CONSONANT_TAIL = _TAIL + VIRAMA + "?"
 
 
 class CharClass(enum.Enum):
@@ -82,7 +93,8 @@ class ScriptInventory:
     consonants, the nasalised vowel) are allowed; clustering matches
     them longest-first.  Graphemes are interned per piece of text, so
     each distinct piece is classified once.  ``words`` holds the word
-    rule that the engine and training share.
+    rule that the engine and training share.  Both rules are compiled
+    here, once per inventory.
     """
 
     def __init__(self, consonants, independent_vowels, vowel_symbols):
@@ -106,15 +118,15 @@ class ScriptInventory:
             self._class_by_key[key] = CharClass.INDEPENDENT_VOWEL
         for key in self.vowel_symbols:
             self._class_by_key[key] = CharClass.VOWEL_SYMBOL
-        # multi-code-point keys indexed by first character, longest first
-        self._long_keys = {}
-        for key in self._class_by_key:
-            if len(key) > 1:
-                self._long_keys.setdefault(key[0], []).append(key)
-        for keys in self._long_keys.values():
-            keys.sort(key=len, reverse=True)
-        # keys hold letters and marks only: a quick test before the rule
-        self._key_chars = frozenset("".join(self._class_by_key))
+        # characters that may split words: any not in a key, and not
+        # followed by a nukta
+        key_chars = "".join(self._class_by_key)
+        self._word_break = re.compile(
+            ("[^" + re.escape(key_chars) + "]" if key_chars else ".")
+            + f"(?!{NUKTA})",
+            re.DOTALL,
+        )
+        self._grapheme_pattern = re.compile(_grapheme_regex(self), re.DOTALL)
         self._graphemes = {}  # piece of text -> its Grapheme
 
     def grapheme(self, piece: str) -> Grapheme:
@@ -130,21 +142,20 @@ class ScriptInventory:
     def words(self, text: str) -> list[str]:
         """Split NFC ``text`` into words and single separator characters.
 
-        A character splits when it is neither a letter nor a mark and no
-        nukta follows it.  Keys hold letters and marks only, so
-        clustering makes exactly these characters separator graphemes of
-        their own, which no grapheme, word position or context reaches
-        across.
+        A character splits when it is neither a letter nor a mark, no
+        nukta follows it and no key holds it.  Keys read from a file
+        hold letters and marks only, so clustering makes exactly these
+        characters separator graphemes of their own, which no grapheme,
+        word position or context reaches across.  The compiled pattern
+        yields the characters outside every key that no nukta follows;
+        only those take the letter-or-mark test.
         """
         pieces = []
         start = 0
-        key_chars = self._key_chars
-        for i, ch in enumerate(text):
-            if (
-                ch not in key_chars
-                and not _letter_or_mark(ch)
-                and text[i + 1 : i + 2] != NUKTA
-            ):
+        for match in self._word_break.finditer(text):
+            ch = match.group()
+            if not _letter_or_mark(ch):
+                i = match.start()
                 if start < i:
                     pieces.append(text[start:i])
                 pieces.append(ch)
@@ -156,13 +167,6 @@ class ScriptInventory:
     def class_of_key(self, key: str) -> CharClass | None:
         """Exact-key lookup; None when the key is not listed."""
         return self._class_by_key.get(key)
-
-    def longest_key_match(self, text: str, start: int) -> str | None:
-        """Longest multi-code-point inventory key starting at ``start``."""
-        for key in self._long_keys.get(text[start], ()):
-            if text.startswith(key, start):
-                return key
-        return None
 
     def __eq__(self, other):
         if not isinstance(other, ScriptInventory):
@@ -178,6 +182,31 @@ class ScriptInventory:
             f"ScriptInventory(C={len(self.consonants)}, "
             f"V={len(self.independent_vowels)}, M={len(self.vowel_symbols)})"
         )
+
+
+def _grapheme_regex(inventory: ScriptInventory) -> str:
+    """The clustering rule as one regular expression.
+
+    A grapheme is the longest multi-code-point key at its start, else
+    one character, then any nuktas, then one virama when that key or
+    character is a consonant.  The multi-code-point keys are grouped
+    under their first character, longest first, so a scan tries only
+    the group of the character it stands on.
+    """
+    classes = inventory._class_by_key
+    groups = {}  # first character -> its keys' rests, each with its tail
+    for key in sorted((k for k in classes if len(k) > 1), key=len, reverse=True):
+        tail = _CONSONANT_TAIL if classes[key] is CharClass.CONSONANT else _TAIL
+        groups.setdefault(key[0], []).append(re.escape(key[1:]) + tail)
+    alternatives = [
+        re.escape(first) + "(?:" + "|".join(rests) + ")"
+        for first, rests in groups.items()
+    ]
+    single = "".join(k for k in inventory.consonants if len(k) == 1)
+    if single:
+        alternatives.append("[" + re.escape(single) + "]" + _CONSONANT_TAIL)
+    alternatives.append("." + _TAIL)
+    return "|".join(alternatives)
 
 
 def classify(inventory: ScriptInventory, text: str) -> CharClass:
@@ -203,24 +232,9 @@ def cluster_graphemes(inventory: ScriptInventory, text: str) -> list[Grapheme]:
     before it, and a virama fuses with a preceding consonant so conjunct
     spellings survive as single units.
     """
-    t = normalize(text)
-    out = []
-    i = 0
-    n = len(t)
-    while i < n:
-        key = inventory.longest_key_match(t, i)
-        j = i + (len(key) if key else 1)
-        while j < n and t[j] == NUKTA:
-            j += 1
-        if (
-            j < n
-            and t[j] == VIRAMA
-            and inventory.grapheme(t[i:j]).char_class is CharClass.CONSONANT
-        ):
-            j += 1
-        out.append(inventory.grapheme(t[i:j]))
-        i = j
-    return out
+    return list(
+        map(inventory.grapheme, inventory._grapheme_pattern.findall(normalize(text)))
+    )
 
 
 def is_word_separator(grapheme: Grapheme) -> bool:

@@ -10,8 +10,9 @@ sorted UTF-8 text and round-trips exactly.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 
 from .data import open_text, read_rows
 from .errors import AlignmentError, DataFormatError
@@ -73,23 +74,25 @@ def count_ngrams(inventory: ScriptInventory, lines) -> NgramModel:
     is rejected at the end of the line that first counts it, naming
     that line (from 1).
     """
-    unigram, bigram, trigram = {}, {}, {}
+    return NgramModel(*_tally_ngrams(inventory, lines), {})
+
+
+def _tally_ngrams(inventory: ScriptInventory, lines):
+    """The unigram, bigram and trigram tallies of ``count_ngrams``."""
+    unigram, bigram, trigram = Counter(), Counter(), Counter()
     for line_no, line in enumerate(lines, 1):
         known = len(unigram)
-        for word in corpus_words(inventory, line):
-            for key in word:
-                unigram[key] = unigram.get(key, 0) + 1
-            padded = [BOUNDARY, *word, BOUNDARY]
-            for a, b in zip(padded, padded[1:]):
-                bigram[(a, b)] = bigram.get((a, b), 0) + 1
-            for a, b, c in zip(padded, padded[1:], padded[2:]):
-                trigram[(a, b, c)] = trigram.get((a, b, c), 0) + 1
+        words = corpus_words(inventory, line)
+        padded = [[BOUNDARY, *word, BOUNDARY] for word in words]
+        unigram.update(chain.from_iterable(words))
+        bigram.update(chain.from_iterable(zip(p, p[1:]) for p in padded))
+        trigram.update(chain.from_iterable(zip(p, p[1:], p[2:]) for p in padded))
         # keys stay in the order first counted: the line's new ones last
         new = len(unigram) - known
         if new and _SPACE.search("".join(islice(reversed(unigram), new))):
             key = next(k for k in islice(unigram, known, None) if _SPACE.search(k))
             raise DataFormatError(f"corpus key {key!r} holds whitespace", line=line_no)
-    return NgramModel(unigram, bigram, trigram, {})
+    return unigram, bigram, trigram
 
 
 def count_emissions(pairs) -> dict:
@@ -125,9 +128,8 @@ def train_model(inventory: ScriptInventory, corpus_lines, aligned_pairs) -> Ngra
     Smoothing is not part of a model's counts; it is chosen when the
     model is loaded.
     """
-    counts = count_ngrams(inventory, corpus_lines)
-    emission = count_emissions(aligned_pairs)
-    return NgramModel(counts.unigram, counts.bigram, counts.trigram, emission)
+    counts = _tally_ngrams(inventory, corpus_lines)
+    return NgramModel(*counts, count_emissions(aligned_pairs))
 
 
 def parse_aligned_row(fields, line_no: int | None) -> AlignedPair:

@@ -6,7 +6,14 @@ from hypothesis import strategies as st
 
 from sindhi_translit import data as shipped
 from sindhi_translit.ngram import BOUNDARY
-from sindhi_translit.script import NUKTA, cluster_graphemes, is_word_separator
+from sindhi_translit.script import (
+    NUKTA,
+    VIRAMA,
+    ScriptInventory,
+    cluster_graphemes,
+    is_word_separator,
+    load_inventory,
+)
 
 
 def word_context(graphemes, index, boundary=BOUNDARY):
@@ -63,4 +70,43 @@ lines = st.lists(
         st.tuples(st.characters(), st.sampled_from(["", NUKTA])).map("".join),
     ),
     max_size=14,
+).map("".join)
+
+
+# inventories for the compiled word and grapheme rules, by name: the
+# shipped one; one built with the public constructor that holds
+# multi-code-point keys of every class (some sharing a first character
+# across classes, one a prefix of a longer key of another class) and
+# keys made of regular-expression syntax; and the empty one
+CONSTRUCTED_KEYS = (
+    {"क", "ख", "क\u093c", "कष", "]", "\\", "-", "^", "]]", "\\-", "ख्ख"},
+    {"अ", "अं", "कषा", "(", ".*", "(ं", "[^"},
+    {"ा", "ाँ", "*", ".", "-^", "ाा", "*\\"},
+)
+
+
+def make_inventory(name):
+    if name == "shipped":
+        return load_inventory(shipped.inventory_path())
+    if name == "constructed":
+        return ScriptInventory(*CONSTRUCTED_KEYS)
+    assert name == "empty"
+    return ScriptInventory(set(), set(), set())
+
+
+INVENTORY_NAMES = ["shipped", "constructed", "empty"]
+
+# every key of those inventories, alone and before a virama, with
+# nuktas, viramas and the characters the word rule must tell apart:
+# ² and Ⅻ (\w matches them, but they are no letters), unlisted marks,
+# a nukta after a separator, line and paragraph breaks
+_ALL_KEYS = sorted(set(INVENTORY_KEYS).union(*CONSTRUCTED_KEYS))
+RULE_PIECES = _ALL_KEYS + [k + VIRAMA for k in _ALL_KEYS] + [
+    NUKTA, VIRAMA, NUKTA + VIRAMA, "\u0958", " ", "\n", "\t", ",", "।", "1", "७", "a",
+    "²", "Ⅻ", "_", "\u0300", "\u0951", "\u0903\u0300", " " + NUKTA, "," + NUKTA,
+    "\n" + NUKTA, "\u2029", "\u200d",
+]
+rule_texts = st.lists(
+    st.one_of(st.sampled_from(RULE_PIECES), st.characters()),
+    max_size=24,
 ).map("".join)

@@ -1,4 +1,8 @@
+import unicodedata
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sindhi_translit.errors import UndefinedAccuracyError
 from sindhi_translit.evaluation import (
@@ -63,6 +67,44 @@ def test_normalize_target_folds_presentation_forms():
 def test_normalize_target_leaves_plain_text_alone():
     assert normalize_target("سنڌي") == "سنڌي"
     assert normalize_target("abc") == "abc"
+
+
+def per_character_normalize_target(text):
+    """NFC, then NFKC of each code point in U+FB50-U+FDFF or
+    U+FE70-U+FEFF, then NFC again, a character at a time."""
+    out = unicodedata.normalize("NFC", text)
+    if any(0xFB50 <= ord(ch) <= 0xFDFF or 0xFE70 <= ord(ch) <= 0xFEFF for ch in out):
+        folded = "".join(
+            unicodedata.normalize("NFKC", ch)
+            if 0xFB50 <= ord(ch) <= 0xFDFF or 0xFE70 <= ord(ch) <= 0xFEFF
+            else ch
+            for ch in out
+        )
+        out = unicodedata.normalize("NFC", folded)
+    return out
+
+
+# plain Arabic (madda and hamza that compose), ASCII, shaped forms, and
+# the code points at both edges of both presentation-form ranges
+TARGET_PIECES = [
+    "ا", "آ", "ٓ", "ٔ", "ک", "سنڌي", "a", "1", " ", "\t",
+    "\ufb4f", "\ufb50", "\ufdff", "\ufe00", "\ufe6f", "\ufe70", "\ufeff", "\uff00",
+    "ﻛ", "ﷲ", "ﺁ", "ﺍ",
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    text=st.lists(
+        st.one_of(
+            st.sampled_from(TARGET_PIECES),
+            st.characters(min_codepoint=0xFB00, max_codepoint=0xFF00),
+        ),
+        max_size=12,
+    ).map("".join)
+)
+def test_normalize_target_equals_per_character_rule(text):
+    assert normalize_target(text) == per_character_normalize_target(text)
 
 
 def test_reference_report_cells():

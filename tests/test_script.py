@@ -1,9 +1,13 @@
+import unicodedata
+
 import pytest
 from hypothesis import example, given, settings
 
-from helpers import lines
+from helpers import INVENTORY_NAMES, lines, make_inventory, rule_texts
 from sindhi_translit.errors import DataFormatError
 from sindhi_translit.script import (
+    NUKTA,
+    VIRAMA,
     CharClass,
     Grapheme,
     ScriptInventory,
@@ -82,6 +86,70 @@ def test_virama_after_other_stays_alone(inventory):
 def test_join_equals_normalize(inventory, text):
     graphemes = cluster_graphemes(inventory, text)
     assert "".join(g.text for g in graphemes) == normalize(text)
+
+
+def per_character_words(inventory, text):
+    """The word rule a character at a time: a character splits when no
+    key holds it, it is neither a letter nor a mark, and no nukta
+    follows it."""
+    keys = inventory.consonants | inventory.independent_vowels | inventory.vowel_symbols
+    key_chars = set("".join(keys))
+    pieces, start = [], 0
+    for i, ch in enumerate(text):
+        if (
+            ch not in key_chars
+            and unicodedata.category(ch)[0] not in "LM"
+            and text[i + 1 : i + 2] != NUKTA
+        ):
+            if start < i:
+                pieces.append(text[start:i])
+            pieces.append(ch)
+            start = i + 1
+    if start < len(text):
+        pieces.append(text[start:])
+    return pieces
+
+
+@pytest.mark.parametrize("name", INVENTORY_NAMES)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=rule_texts)
+@example(text="क² Ⅻ\u0300 ,\u093c\nख")
+def test_words_equals_per_character_rule(name, text):
+    inventory = make_inventory(name)
+    text = normalize(text)
+    assert inventory.words(text) == per_character_words(inventory, text)
+
+
+def test_multi_code_point_keys_of_every_class_take_a_virama_after_consonants():
+    inventory = make_inventory("constructed")
+    graphemes = cluster_graphemes(inventory, "कष्" "कषा्" "अं्" "ाँ्" "]]्" "(ं्")
+    assert [(g.text, g.char_class) for g in graphemes] == [
+        ("कष्", CharClass.CONSONANT),
+        ("कषा", CharClass.INDEPENDENT_VOWEL),
+        (VIRAMA, CharClass.OTHER),
+        ("अं", CharClass.INDEPENDENT_VOWEL),
+        (VIRAMA, CharClass.OTHER),
+        ("ाँ", CharClass.VOWEL_SYMBOL),
+        (VIRAMA, CharClass.OTHER),
+        ("]]्", CharClass.CONSONANT),
+        ("(ं", CharClass.INDEPENDENT_VOWEL),
+        (VIRAMA, CharClass.OTHER),
+    ]
+
+
+def test_keys_made_of_pattern_syntax_match_literally():
+    inventory = make_inventory("constructed")
+    graphemes = cluster_graphemes(inventory, "\\-.*[^*\\-^.x(")
+    assert [(g.text, g.char_class) for g in graphemes] == [
+        ("\\-", CharClass.CONSONANT),
+        (".*", CharClass.INDEPENDENT_VOWEL),
+        ("[^", CharClass.INDEPENDENT_VOWEL),
+        ("*\\", CharClass.VOWEL_SYMBOL),
+        ("-^", CharClass.VOWEL_SYMBOL),
+        (".", CharClass.VOWEL_SYMBOL),
+        ("x", CharClass.OTHER),
+        ("(", CharClass.INDEPENDENT_VOWEL),
+    ]
 
 
 def test_word_separator_predicate(inventory):

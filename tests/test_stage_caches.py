@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import INVENTORY_KEYS, word_context
+from helpers import INVENTORY_NAMES, make_inventory, rule_texts, word_context
 from sindhi_translit import data as shipped
 from sindhi_translit import mapping, script
 from sindhi_translit.mapping import (
@@ -43,7 +43,6 @@ from sindhi_translit.script import (
     Grapheme,
     classify,
     cluster_graphemes,
-    load_inventory,
     normalize,
 )
 
@@ -66,12 +65,18 @@ def bounded(module, name, bound):
 # interned graphemes
 
 def uncached_cluster(inventory, text):
-    """The clustering rule with `classify` and a fresh Grapheme per piece."""
+    """The clustering rule with `classify` and a fresh Grapheme per piece;
+    the longest multi-code-point key at each position is found by trying
+    every key of the inventory."""
+    keys = [
+        k
+        for k in inventory.consonants | inventory.independent_vowels | inventory.vowel_symbols
+        if len(k) > 1
+    ]
     t = normalize(text)
     out, i, n = [], 0, len(t)
     while i < n:
-        key = inventory.longest_key_match(t, i)
-        j = i + (len(key) if key else 1)
+        j = i + max((len(k) for k in keys if t.startswith(k, i)), default=1)
         while j < n and t[j] == NUKTA:
             j += 1
         if j < n and t[j] == VIRAMA and classify(inventory, t[i:j]) is CharClass.CONSONANT:
@@ -81,27 +86,18 @@ def uncached_cluster(inventory, text):
     return out
 
 
-texts = st.lists(
-    st.one_of(
-        st.sampled_from(
-            INVENTORY_KEYS
-            + [NUKTA, VIRAMA, "क़", " ", ",", "।", "1", "७", "a"]
-        ),
-        st.characters(),
-    ),
-    max_size=24,
-).map("".join)
-
-
 @pytest.mark.parametrize("bound", BOUNDS)
 @SETTINGS
-@given(lines=st.lists(texts, min_size=1, max_size=4))
+@given(lines=st.lists(rule_texts, min_size=1, max_size=4))
 def test_cluster_graphemes_equals_uncached_rule(bound, lines):
-    inventory = load_inventory(shipped.inventory_path())
     with bounded(script, "GRAPHEME_CACHE_SIZE", bound):
-        for line in lines:  # the cache carries over from line to line
-            assert cluster_graphemes(inventory, line) == uncached_cluster(inventory, line)
-            assert len(inventory._graphemes) <= script.GRAPHEME_CACHE_SIZE
+        for name in INVENTORY_NAMES:  # shipped, constructed and empty
+            inventory = make_inventory(name)
+            for line in lines:  # the cache carries over from line to line
+                assert cluster_graphemes(inventory, line) == uncached_cluster(
+                    inventory, line
+                )
+                assert len(inventory._graphemes) <= script.GRAPHEME_CACHE_SIZE
 
 
 # ---------------------------------------------------------------------
