@@ -27,7 +27,9 @@ from .errors import (
     TransliterationError,
 )
 from .evaluation import evaluate, format_report, format_skipped
-from .mapping import MappedUnit, Resolution
+from .mapping import UNMAPPED_POLICIES, MappedUnit, Resolution
+from .ngram import MODES
+from .phonemes import ORPHAN_POLICIES
 from .pipeline import EngineConfig, Transliterator
 from .script import CharClass, Grapheme, cluster_graphemes, load_inventory
 from .training import WORD_GAP, load_aligned, parse_aligned_row, save_model, train_model
@@ -63,10 +65,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--inventory", help="inventory file (overrides config)")
     p_tr.add_argument("--mapping", help="mapping table (overrides config)")
     p_tr.add_argument("--model", help="trained model file (overrides config)")
-    p_tr.add_argument("--mode", choices=["bigram", "trigram"],
+    p_tr.add_argument("--mode", choices=MODES,
                       help="context model for disambiguation")
-    p_tr.add_argument("--orphan-matra", choices=["reject", "pass"], dest="orphan_matra")
-    p_tr.add_argument("--unmapped", choices=["error", "pass"])
+    p_tr.add_argument("--orphan-matra", choices=ORPHAN_POLICIES, dest="orphan_matra")
+    p_tr.add_argument("--unmapped", choices=UNMAPPED_POLICIES)
     p_tr.add_argument("--trace", action="store_true",
                       help="write one resolution record per grapheme to stderr")
     p_tr.add_argument("-i", "--input", help="input file (default stdin)")

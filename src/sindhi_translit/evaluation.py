@@ -11,13 +11,21 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import UndefinedAccuracyError
 from .mapping import Resolution
 from .training import WORD_GAP
 
-_ML_RESOLUTIONS = (Resolution.STATISTICAL, Resolution.FALLBACK)
+# the tally each resolution kind counts towards
+_BUCKET_OF = {
+    Resolution.RULE: "rule",
+    Resolution.STATISTICAL: "ml",
+    Resolution.FALLBACK: "ml",
+    Resolution.PASS_THROUGH: "passthrough",
+}
+# rule and ml are always scored; passthrough only when asked for
+_BUCKETS = ("rule", "ml", "passthrough")
 
 # Arabic Presentation Forms-A and -B
 _PRESENTATION_FORM = re.compile("[\ufb50-\ufdff\ufe70-\ufeff]")
@@ -55,6 +63,11 @@ def normalize_target(text: str) -> str:
 class EvaluationReport:
     """Tallies of one evaluation run.
 
+    Each bucket (rule, ml, passthrough) has a ``<bucket>_correct`` and
+    a ``<bucket>_total`` field, and each must hold
+    ``0 <= correct <= total``.  ``total_characters`` and
+    ``overall_correct`` are sums over the scored buckets: rule and ml,
+    plus passthrough when ``include_passthrough`` is set.
     ``rule_accuracy`` is the share of all scored characters the rule
     base got right on its own; ``ml_accuracy`` is measured within the
     ambiguous share only.  ``skipped`` lists (row index, reason) for
@@ -94,7 +107,7 @@ class EvaluationReport:
             raise ValueError(
                 f"error_count={self.error_count} is not total minus correct"
             )
-        for name in ("rule", "ml"):
+        for name in _BUCKETS:
             correct = getattr(self, f"{name}_correct")
             total = getattr(self, f"{name}_total")
             if not 0 <= correct <= total:
@@ -130,6 +143,26 @@ def _word_count(source_units) -> int:
     return words
 
 
+def _skip_reason(index, units, gold) -> str | None:
+    """Why a system row cannot be scored against its gold row, or None
+    when it lines up; an unresolved unit in a row that lines up so far
+    raises ValueError."""
+    if len(gold.source_units) != len(gold.target_units):
+        return "gold row is not positionally aligned"
+    if len(units) != len(gold.source_units):
+        return f"{len(units)} system units vs {len(gold.source_units)} gold units"
+    for pos, (unit, src) in enumerate(zip(units, gold.source_units)):
+        expected = " " if src == WORD_GAP else src
+        if unit.source.text != expected:
+            return (
+                f"source mismatch at position {pos}: "
+                f"{unit.source.text!r} vs {expected!r}"
+            )
+        if unit.resolved is None:
+            raise ValueError(f"row {index} position {pos}: unit is still unresolved")
+    return None
+
+
 def evaluate(
     system_sentences,
     gold_pairs,
@@ -139,85 +172,53 @@ def evaluate(
     """Score system output against gold, row by row, position by position.
 
     ``system_sentences`` holds one list of resolved units per gold row.
-    Rows whose unit count or source side disagrees with the gold row are
+    Each unit counts towards the bucket ``_BUCKET_OF`` gives its
+    resolution kind, one ``[correct, total]`` pair per bucket.  Rows
+    whose unit count or source side disagrees with the gold row are
     skipped and reported, never silently dropped.
     """
     if len(system_sentences) != len(gold_pairs):
         raise ValueError(
             f"{len(system_sentences)} system rows vs {len(gold_pairs)} gold rows"
         )
-    rule_correct = rule_total = 0
-    ml_correct = ml_total = 0
-    pass_correct = pass_total = 0
+    tally = {name: [0, 0] for name in _BUCKETS}
     sentences = words = 0
     skipped = []
     for index, (units, gold) in enumerate(zip(system_sentences, gold_pairs)):
-        if len(gold.source_units) != len(gold.target_units):
-            skipped.append((index, "gold row is not positionally aligned"))
-            continue
-        if len(units) != len(gold.source_units):
-            skipped.append(
-                (
-                    index,
-                    f"{len(units)} system units vs {len(gold.source_units)} gold units",
-                )
-            )
-            continue
-        checks = []
-        ok = True
-        for pos, (unit, src, tgt) in enumerate(
-            zip(units, gold.source_units, gold.target_units)
-        ):
-            expected_source = " " if src == WORD_GAP else src
-            if unit.source.text != expected_source:
-                skipped.append(
-                    (index, f"source mismatch at position {pos}: "
-                            f"{unit.source.text!r} vs {expected_source!r}")
-                )
-                ok = False
-                break
-            if unit.resolved is None:
-                raise ValueError(
-                    f"row {index} position {pos}: unit is still unresolved"
-                )
-            checks.append((unit, src, tgt))
-        if not ok:
+        reason = _skip_reason(index, units, gold)
+        if reason is not None:
+            skipped.append((index, reason))
             continue
         sentences += 1
         words += _word_count(gold.source_units)
-        for unit, src, tgt in checks:
-            expected_target = " " if tgt == WORD_GAP else tgt
-            hit = normalize_target(unit.resolved) == normalize_target(expected_target)
-            if unit.resolution is Resolution.PASS_THROUGH:
-                pass_total += 1
-                pass_correct += int(hit)
-            elif unit.resolution is Resolution.RULE:
-                rule_total += 1
-                rule_correct += int(hit)
-            elif unit.resolution in _ML_RESOLUTIONS:
-                ml_total += 1
-                ml_correct += int(hit)
-            else:
+        for unit, tgt in zip(units, gold.target_units):
+            bucket = _BUCKET_OF.get(unit.resolution)
+            if bucket is None:
                 raise ValueError(f"row {index}: unit has no resolution kind")
-    total = rule_total + ml_total
-    overall = rule_correct + ml_correct
-    if include_passthrough:
-        total += pass_total
-        overall += pass_correct
+            counts = tally[bucket]
+            counts[1] += 1
+            expected = " " if tgt == WORD_GAP else tgt
+            # normalisation is a function: equal strings need none
+            if unit.resolved == expected or (
+                normalize_target(unit.resolved) == normalize_target(expected)
+            ):
+                counts[0] += 1
+    scored = _BUCKETS if include_passthrough else _BUCKETS[:2]
+    total = sum(tally[name][1] for name in scored)
+    overall = sum(tally[name][0] for name in scored)
     return EvaluationReport(
         total_sentences=sentences,
         total_words=words,
         total_characters=total,
-        rule_correct=rule_correct,
-        rule_total=rule_total,
-        ml_correct=ml_correct,
-        ml_total=ml_total,
         overall_correct=overall,
         error_count=total - overall,
-        passthrough_total=pass_total,
-        passthrough_correct=pass_correct,
         include_passthrough=include_passthrough,
         skipped=tuple(skipped),
+        **{
+            f"{name}_{part}": count
+            for name, counts in tally.items()
+            for part, count in zip(("correct", "total"), counts)
+        },
     )
 
 
@@ -254,20 +255,10 @@ def format_report(report: EvaluationReport) -> str:
     if report.skipped:
         lines += ["", format_skipped(report)]
     lines.append("")
-    for key in (
-        "total_sentences",
-        "total_words",
-        "total_characters",
-        "rule_correct",
-        "rule_total",
-        "ml_correct",
-        "ml_total",
-        "overall_correct",
-        "error_count",
-        "passthrough_total",
-        "passthrough_correct",
-    ):
-        lines.append(f"{key}={getattr(report, key)}")
+    # the int fields, in declaration order (annotations are strings here)
+    lines += [
+        f"{f.name}={getattr(report, f.name)}" for f in fields(report) if f.type == "int"
+    ]
     lines.append(f"rule_accuracy={report.rule_accuracy:.2f}")
     ml_acc = report.ml_accuracy
     lines.append(f"ml_accuracy={'n/a' if ml_acc is None else format(ml_acc, '.2f')}")

@@ -157,6 +157,41 @@ def test_report_rejects_wrong_error_count():
         )
 
 
+def test_report_rejects_passthrough_correct_above_total():
+    # the sums agree, but only because passthrough claims 2 of 1 right
+    with pytest.raises(ValueError, match="passthrough_correct=2 outside"):
+        EvaluationReport(
+            total_sentences=1,
+            total_words=1,
+            total_characters=6,
+            rule_correct=4,
+            rule_total=5,
+            ml_correct=0,
+            ml_total=0,
+            overall_correct=6,
+            error_count=0,
+            passthrough_total=1,
+            passthrough_correct=2,
+            include_passthrough=True,
+        )
+
+
+def test_report_rejects_negative_passthrough_total():
+    with pytest.raises(ValueError, match="passthrough_correct=0 outside"):
+        EvaluationReport(
+            total_sentences=1,
+            total_words=1,
+            total_characters=1,
+            rule_correct=1,
+            rule_total=1,
+            ml_correct=0,
+            ml_total=0,
+            overall_correct=1,
+            error_count=0,
+            passthrough_total=-3,
+        )
+
+
 def test_ml_accuracy_none_when_no_ambiguity():
     report = EvaluationReport(
         total_sentences=1,
@@ -264,3 +299,101 @@ def test_format_report_layout():
     assert "Sentences   1" in text
     assert "Rule-Based" in text
     assert "overall_accuracy=100.00" in text
+
+
+def per_unit_report(system, gold, include_passthrough):
+    """The report by the per-unit rule: ``normalize_target`` on both
+    sides of every unit, and Rule, Statistical+Fallback and PassThrough
+    tallied apart."""
+    tallies = {kind: [0, 0] for kind in Resolution}
+    sentences = words = 0
+    skipped = []
+    for index, (units, pair) in enumerate(zip(system, gold)):
+        sources = [" " if src == "_" else src for src in pair.source_units]
+        if len(pair.source_units) != len(pair.target_units):
+            skipped.append((index, "gold row is not positionally aligned"))
+            continue
+        if len(units) != len(sources):
+            skipped.append((index, f"{len(units)} system units vs {len(sources)} gold units"))
+            continue
+        bad = [pos for pos, unit in enumerate(units) if unit.source.text != sources[pos]]
+        if bad:
+            pos = bad[0]
+            skipped.append(
+                (index, f"source mismatch at position {pos}: "
+                        f"{units[pos].source.text!r} vs {sources[pos]!r}")
+            )
+            continue
+        sentences += 1
+        words += sum(
+            1 for pos, src in enumerate(pair.source_units)
+            if src != "_" and (pos == 0 or pair.source_units[pos - 1] == "_")
+        )
+        for unit, tgt in zip(units, pair.target_units):
+            expected = " " if tgt == "_" else tgt
+            hit = normalize_target(unit.resolved) == normalize_target(expected)
+            tallies[unit.resolution][0] += hit
+            tallies[unit.resolution][1] += 1
+    rule = tallies[Resolution.RULE]
+    ml = [a + b for a, b in zip(tallies[Resolution.STATISTICAL], tallies[Resolution.FALLBACK])]
+    passthrough = tallies[Resolution.PASS_THROUGH]
+    scored = [rule, ml, passthrough] if include_passthrough else [rule, ml]
+    total = sum(total for _, total in scored)
+    overall = sum(correct for correct, _ in scored)
+    return EvaluationReport(
+        total_sentences=sentences,
+        total_words=words,
+        total_characters=total,
+        rule_correct=rule[0],
+        rule_total=rule[1],
+        ml_correct=ml[0],
+        ml_total=ml[1],
+        overall_correct=overall,
+        error_count=total - overall,
+        passthrough_total=passthrough[1],
+        passthrough_correct=passthrough[0],
+        include_passthrough=include_passthrough,
+        skipped=tuple(skipped),
+    )
+
+
+# plain spellings, the presentation forms that fold to them, and a
+# madda that composes
+TARGET_SPELLINGS = ["ك", "ﻛ", "ﻙ", "ا", "ﺍ", "آ", "ﺁ", "ا\u0653", "ب", "ﺑ", "x"]
+SKIP_REASONS = [None, "gold", "count", "source"]
+
+
+@st.composite
+def scored_row(draw):
+    """A gold row and its system units: word gaps, all four resolution
+    kinds, shaped and plain targets, and one of the three skip reasons
+    (or none)."""
+    sources, targets, units = [], [], []
+    for _ in range(draw(st.integers(1, 6))):
+        gap = draw(st.booleans()) and draw(st.booleans())
+        src = "_" if gap else draw(st.sampled_from("कखग"))
+        tgt = "_" if gap else draw(st.sampled_from(TARGET_SPELLINGS))
+        unit = MappedUnit(Grapheme(" " if gap else src, CharClass.CONSONANT), (tgt,))
+        unit.resolved = draw(st.sampled_from([" "] + TARGET_SPELLINGS))
+        unit.resolution = draw(st.sampled_from(list(Resolution)))
+        sources.append(src)
+        targets.append(tgt)
+        units.append(unit)
+    reason = draw(st.sampled_from(SKIP_REASONS))
+    if reason == "gold":
+        targets.append(draw(st.sampled_from(TARGET_SPELLINGS)))
+    elif reason == "count":
+        units.pop()
+    elif reason == "source":
+        pos = draw(st.integers(0, len(units) - 1))
+        units[pos].source = Grapheme("घ", CharClass.CONSONANT)
+    return units, AlignedPair(tuple(sources), tuple(targets))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(scored_row(), max_size=6), include_passthrough=st.booleans())
+def test_evaluate_equals_per_unit_rule(rows, include_passthrough):
+    system = [units for units, _ in rows]
+    gold = [pair for _, pair in rows]
+    report = evaluate(system, gold, include_passthrough=include_passthrough)
+    assert report == per_unit_report(system, gold, include_passthrough)
