@@ -75,8 +75,8 @@ class NgramModel:
     never a counted token); ``bigram``/``trigram`` count padded
     adjacency; ``emission`` counts (target, source) pairs from aligned
     data.  ``target_unigram`` is always the marginal of ``emission``
-    and is recomputed, never stored, and the verdicts of
-    :func:`disambiguate` are filled in as it is called.  Treat
+    and is recomputed, never stored, and each table row's emission
+    ratios and verdict are filled in as they are asked for.  Treat
     instances as immutable.
     """
 
@@ -117,8 +117,10 @@ class NgramModel:
         sources = set(self.unigram)
         sources.update(source for (_t, source) in self.emission)
         self._vocab = len(sources) + 1
-        # (source text, candidates) -> (resolved, resolution): the
-        # verdicts :func:`disambiguate` has taken over emission ratios
+        # (source text, candidates) -> (emission factors, resolved,
+        # resolution): each table row's emission ratios and the verdict
+        # taken over them, filled in by :func:`disambiguate` and
+        # :func:`candidate_scores`
         self._verdicts = {}
 
     def context_count(self, key: str) -> int:
@@ -208,14 +210,40 @@ def candidate_scores(
     c_prev2: str = BOUNDARY,
 ) -> list[Probability]:
     """One score per candidate, in table order: the candidate's
-    emission ratio times the left and right context factors."""
+    emission ratio, read from the row's cache, times the left and right
+    context factors."""
     c = unit.source.text
     left, right = _context_counts(model, c, c_prev, c_next, mode, c_prev2)
     left, right = _ratio(model, *left), _ratio(model, *right)
-    return [
-        Probability.product((emission_prob(model, b, c), left, right))
-        for b in unit.candidates
-    ]
+    row = model._verdicts.get((c, unit.candidates)) or _new_row(model, c, unit.candidates)
+    return [Probability.product((emission, left, right)) for emission in row[0]]
+
+
+def _argmax(scores):
+    """(index, resolution) of :func:`choose` over ``scores``."""
+    # exact ratios compared by cross-multiplying: denominators are >= 1
+    index, tied = 0, False
+    best = scores[0]
+    for i, s in enumerate(scores[1:], 1):
+        lhs, rhs = s.numerator * best.denominator, best.numerator * s.denominator
+        if lhs > rhs:
+            index, tied, best = i, False, s
+        elif lhs == rhs:
+            tied = True
+    # an all-zero row never moves the index off the leading candidate
+    if best.numerator > 0 and not tied:
+        return index, Resolution.STATISTICAL
+    return index, Resolution.FALLBACK
+
+
+def _new_row(model, c, candidates):
+    """Cache and return the (emission factors, resolved, resolution)
+    of the table row ``candidates`` for source ``c``: its verdict is
+    :func:`choose` over the emission ratios alone."""
+    factors = tuple(emission_prob(model, b, c) for b in candidates)
+    index, resolution = _argmax(factors)
+    row = model._verdicts[c, candidates] = (factors, candidates[index], resolution)
+    return row
 
 
 def choose(unit: MappedUnit, scores) -> str:
@@ -228,23 +256,8 @@ def choose(unit: MappedUnit, scores) -> str:
     falls back to the first tied candidate, all-zero scores to the
     leading candidate, and both are marked Fallback.
     """
-    # exact ratios compared by cross-multiplying: denominators are >= 1
-    index, tied = 0, False
-    best = scores[0]
-    for i, s in enumerate(scores[1:], 1):
-        lhs, rhs = s.numerator * best.denominator, best.numerator * s.denominator
-        if lhs > rhs:
-            index, tied, best = i, False, s
-        elif lhs == rhs:
-            tied = True
-    # an all-zero row never moves the index off the leading candidate
-    resolution = (
-        Resolution.STATISTICAL
-        if best.numerator > 0 and not tied
-        else Resolution.FALLBACK
-    )
+    index, unit.resolution = _argmax(scores)
     unit.resolved = unit.candidates[index]
-    unit.resolution = resolution
     return unit.resolved
 
 
@@ -272,11 +285,8 @@ def disambiguate(
     c = unit.source.text
     left, right = _context_counts(model, c, c_prev, c_next, mode, c_prev2)
     if model.add_one_smoothing or min(*left, *right) > 0:
-        verdict = model._verdicts.get((c, unit.candidates))
-        if verdict is None:
-            choose(unit, [emission_prob(model, b, c) for b in unit.candidates])
-            verdict = model._verdicts[c, unit.candidates] = (unit.resolved, unit.resolution)
-        unit.resolved, unit.resolution = verdict
+        row = model._verdicts.get((c, unit.candidates)) or _new_row(model, c, unit.candidates)
+        _, unit.resolved, unit.resolution = row
     else:
         unit.resolved, unit.resolution = unit.candidates[0], Resolution.FALLBACK
     return unit.resolved

@@ -39,10 +39,12 @@ from .script import CharClass, load_inventory, normalize
 from .training import load_model
 
 # distinct words an engine keeps converted; the memo empties when full.
-# An entry holds its unit fields, and its scores once a trace has read
-# it, and shares the inventory's interned graphemes: at most about 0.8
-# KiB for a random word (tracemalloc on the benchmark's train-eval
-# inputs), so a full memo holds at most about 0.8 MiB.
+# An entry holds its unit fields, and its trace rows once a trace has
+# read it, and shares the inventory's interned graphemes: for a random
+# word about 0.45 KiB untraced and 0.85 KiB traced on average, 99% of
+# traced entries under 2.2 KiB (tracemalloc, 1,000 words of the
+# benchmark's train-eval inputs), so a full traced memo holds about
+# 0.9 MiB.
 WORD_MEMO_SIZE = 1024
 
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False,
@@ -139,10 +141,10 @@ class Transliterator:
     word, with the words split by ``ScriptInventory.words`` (the rule
     training counts by), and each distinct word only once: its unit
     fields are kept in a bounded memo, from which every later result
-    gets fresh units.  A traced line also gets records, whose scores
-    are computed when a trace first reads the word's entry and kept
-    there.  The memo fills on demand and never changes an output or a
-    trace.
+    gets fresh units.  A traced line also gets fresh records, built
+    from the word's trace rows, which are computed, scores included,
+    when a trace first reads the word's entry and kept there.  The
+    memo fills on demand and never changes an output or a trace.
     """
 
     def __init__(self, config: EngineConfig | None = None):
@@ -168,7 +170,7 @@ class Transliterator:
         self.model: NgramModel | None = None
         if config.model is not None:
             self.model = load_model(config.model, add_one_smoothing=config.smoothing)
-        self._memo = {}  # NFC word -> [unit fields, trace scores or None]
+        self._memo = {}  # NFC word -> [unit fields, trace rows or None]
 
     def transliterate_line(self, line: str, *, collect_trace: bool = False) -> LineResult:
         """Convert one line of Devanagari text; line breaks are not part
@@ -195,7 +197,7 @@ class Transliterator:
     def _convert_by_word(self, text, collect_trace):
         """Units of NFC ``text``, each word taken from the memo or
         converted and memoised, and with ``collect_trace`` one record per
-        non-Other unit; every unit is a fresh object."""
+        non-Other unit; every unit and record is a fresh object."""
         units, trace = [], []
         try:
             for word in self.inventory.words(text):
@@ -213,14 +215,13 @@ class Transliterator:
                 else:
                     word_units = [MappedUnit(*f) for f in entry[0]]
                 if collect_trace:
-                    fields, scores = entry
-                    if scores is None:
-                        scores = entry[1] = self._scores(word_units)
+                    rows = entry[1]
+                    if rows is None:
+                        rows = entry[1] = self._trace_rows(word_units)
+                    base = len(units)
                     trace += [
-                        TraceRecord(i, source.text, candidates, unit_scores, resolved, kind)
-                        for i, ((source, candidates, resolved, kind, _), unit_scores)
-                        in enumerate(zip(fields, scores), len(units))
-                        if source.char_class is not CharClass.OTHER
+                        TraceRecord(base + i, source, candidates, scores, resolved, kind)
+                        for i, source, candidates, scores, resolved, kind in rows
                     ]
                 units += word_units
         except PipelineError as err:
@@ -258,23 +259,29 @@ class Transliterator:
                 )
         return units
 
-    def _scores(self, units):
-        """The float scores of each of a word's units, None for a unit
-        the table resolved."""
-        scores = [None] * len(units)
-        ambiguous = [i for i, u in enumerate(units) if len(u.candidates) > 1]
-        if ambiguous:
-            keys = self._context_keys(u.source for u in units)
-            for i in ambiguous:
-                scores[i] = tuple(
+    def _trace_rows(self, units):
+        """One row per non-Other unit of a word, in one walk: its
+        index in the word, source text, candidates, float scores (None
+        for a unit the table resolved), resolved text and resolution."""
+        rows, keys = [], None
+        for i, u in enumerate(units):
+            source = u.source
+            if source.char_class is CharClass.OTHER:
+                continue
+            scores = None
+            if len(u.candidates) > 1:
+                if keys is None:
+                    keys = self._context_keys(v.source for v in units)
+                scores = tuple(
                     s.value
                     for s in candidate_scores(
                         self.model,
-                        units[i],
+                        u,
                         keys[i + 1],
                         keys[i + 3],
                         mode=self.config.mode,
                         c_prev2=keys[i],
                     )
                 )
-        return scores
+            rows.append((i, source.text, u.candidates, scores, u.resolved, u.resolution))
+        return rows

@@ -2,11 +2,13 @@
 
 Each case runs ``translit transliterate --trace`` in a fresh process
 with the demo model and compares its stdout and stderr with the files
-under ``tests/golden/``: the demo sample in bigram and trigram mode,
-and edge lines under ``--orphan-matra pass`` (an orphan vowel sign, a
-nukta after punctuation, conjuncts, unlisted letters, both digit
-scripts).  A change meant to alter output regenerates the files with
-``PYTHONPATH=src python tests/test_golden.py`` and commits the difference.
+under ``tests/golden/``: the demo sample in bigram and trigram mode and
+under add-one smoothing (set by ``smoothed.conf``), and edge lines
+under ``--orphan-matra pass`` (an orphan vowel sign, a nukta after
+punctuation, conjuncts, unlisted letters, both digit scripts).  A
+change meant to alter output regenerates the files with
+``PYTHONPATH=src python tests/test_golden.py`` and commits the
+difference.
 """
 
 import os
@@ -24,6 +26,8 @@ GOLDEN = ROOT / "tests" / "golden"
 CASES = {
     "demo_bigram": ["--mode", "bigram", "-i", shipped.demo_sample_path()],
     "demo_trigram": ["--mode", "trigram", "-i", shipped.demo_sample_path()],
+    "demo_smoothed": ["--config", str(GOLDEN / "smoothed.conf"),
+                      "-i", shipped.demo_sample_path()],
     "edges": ["--orphan-matra", "pass", "-i", str(GOLDEN / "edges.txt")],
 }
 

@@ -322,13 +322,22 @@ def shared_model_calls(draw):
 @given(case=shared_model_calls())
 def test_shared_model_disambiguates_each_call_as_choose(case):
     model, mode, calls = case
+    # a fresh twin on which `candidate_scores` reads every row first
+    twin = NgramModel(model.unigram, model.bigram, model.trigram, model.emission,
+                      add_one_smoothing=model.add_one_smoothing)
     for c, candidates, c_prev2, c_prev, c_next in calls:
         source = Grapheme(c, CharClass.CONSONANT)
         unit, fresh = MappedUnit(source, candidates), MappedUnit(source, candidates)
         chosen = disambiguate(model, unit, c_prev, c_next, mode=mode, c_prev2=c_prev2)
-        choose(fresh, candidate_scores(
-            model, fresh, c_prev, c_next, mode=mode, c_prev2=c_prev2
-        ))
+        scores = candidate_scores(model, fresh, c_prev, c_next, mode=mode, c_prev2=c_prev2)
+        choose(fresh, scores)
         assert (chosen, unit.resolved, unit.resolution) == (
             fresh.resolved, fresh.resolved, fresh.resolution
         )
+        scored, decided = MappedUnit(source, candidates), MappedUnit(source, candidates)
+        twin_scores = candidate_scores(
+            twin, scored, c_prev, c_next, mode=mode, c_prev2=c_prev2
+        )
+        disambiguate(twin, decided, c_prev, c_next, mode=mode, c_prev2=c_prev2)
+        assert twin_scores == scores
+        assert (decided.resolved, decided.resolution) == (unit.resolved, unit.resolution)

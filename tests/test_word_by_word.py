@@ -203,6 +203,21 @@ def test_units_of_a_memo_miss_can_be_changed(demo_model_path, collect_trace):
     assert expected.output == "تآرا"
 
 
+def test_records_of_a_memo_hit_can_be_changed(demo_model_path):
+    config = EngineConfig(model=str(demo_model_path))
+    line = "तारो खंड, तारो"
+    expected = Transliterator(config).transliterate_line(line, collect_trace=True)
+    engine = Transliterator(config)
+    engine.transliterate_line(line, collect_trace=True)
+    hit = engine.transliterate_line(line, collect_trace=True)
+    for record in hit.trace:
+        record.index, record.source, record.scores = -1, "x", (0.5,)
+        record.candidates, record.chosen, record.resolution = ("x",), "x", Resolution.RULE
+    assert engine.transliterate_line(line, collect_trace=True) == expected
+    assert any(record.scores is not None for record in expected.trace)
+    assert [record.index for record in expected.trace[-4:]] == [10, 11, 12, 13]
+
+
 def test_word_memo_bounds_traced_lines(demo_model_path, monkeypatch):
     sample = Path(shipped.demo_sample_path()).read_text(encoding="utf-8").splitlines()
     config = EngineConfig(model=str(demo_model_path))
