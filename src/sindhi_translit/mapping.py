@@ -53,6 +53,12 @@ class Resolution(enum.Enum):
     PASS_THROUGH = "PassThrough"
 
 
+# enum members as module names: reading a member off its class runs
+# Python code, and the mapping walk reads one per grapheme
+_PASS_THROUGH = Resolution.PASS_THROUGH
+_RULE = Resolution.RULE
+
+
 @dataclass
 class MappedUnit:
     """One grapheme with its candidates and (eventually) its choice."""
@@ -181,15 +187,36 @@ def load_mapping(path) -> MappingTable:
     return MappingTable(entries)
 
 
-# the role each grapheme of a phoneme is looked up in, by the value of
-# the phoneme's pattern (hashing an enum member runs Python code):
-# segmentation has decided it.  None passes the grapheme through
+# the roles of a phoneme's graphemes, by the value of its pattern
+# (hashing an enum member runs Python code): segmentation has decided
+# them.  None passes the grapheme through
 _ROLES = {
     PhonemePattern.CONSONANT.value: (Role.ANY,),
     PhonemePattern.VOWEL.value: (Role.VOWEL,),
     PhonemePattern.CONSONANT_VOWEL.value: (Role.ANY, Role.MATRA),
     PhonemePattern.OTHER.value: (None,),
 }
+
+
+def map_graphemes(
+    table: MappingTable,
+    graphemes,
+    patterns,
+    *,
+    unmapped_policy: str = UNMAPPED_ERROR,
+) -> list[MappedUnit]:
+    """The mapping rule as one walk over a clustered grapheme sequence
+    and the phoneme patterns :func:`phonemes.segment` found in it.
+
+    Output is one unit per grapheme, in order, each looked up in the
+    role its phoneme's pattern gives it.  Single-candidate rows resolve
+    immediately (Rule); multi-candidate rows stay unresolved for the
+    statistical layer; graphemes with no role pass straight through,
+    and so, under the pass policy, do those with no row.
+    """
+    _check_policy(unmapped_policy)
+    roles = [role for p in patterns for role in _ROLES[p._value_]]
+    return _map(table, graphemes, roles, unmapped_policy)
 
 
 def map_phonemes(
@@ -200,57 +227,53 @@ def map_phonemes(
 ) -> list[MappedUnit]:
     """Map each grapheme of each phoneme to its candidate targets.
 
-    Output is one unit per grapheme, in order, each looked up in the
-    role its phoneme's pattern gives it.  Single-candidate rows resolve
-    immediately (Rule); multi-candidate rows stay unresolved for the
-    statistical layer; Other units pass straight through.
+    The phonemes are flattened into graphemes and roles for the same
+    mapping walk the engine runs through :func:`map_graphemes`, so both
+    give the same units and errors.  A phoneme whose length does not
+    fit its pattern raises ValueError.
     """
-    if unmapped_policy not in UNMAPPED_POLICIES:
-        raise ValueError(f"unknown unmapped policy {unmapped_policy!r}")
-    # (grapheme, role); a phoneme whose length does not fit its
-    # pattern raises ValueError
-    flat = [
+    _check_policy(unmapped_policy)
+    pairs = [
         pair
         for ph in phonemes
         for pair in zip(ph.graphemes, _ROLES[ph.pattern._value_], strict=True)
     ]
+    return _map(table, [g for g, _ in pairs], [r for _, r in pairs], unmapped_policy)
 
+
+def _check_policy(unmapped_policy):
+    if unmapped_policy not in UNMAPPED_POLICIES:
+        raise ValueError(f"unknown unmapped policy {unmapped_policy!r}")
+
+
+def _map(table, graphemes, roles, unmapped_policy):
+    """The walk: ``roles[i]`` is the role of ``graphemes[i]``, or None."""
     units = []
-    last = len(flat) - 1
-    for i, (g, role) in enumerate(flat):
+    lookup = table.lookup
+    last = len(graphemes) - 1
+    for i, g in enumerate(graphemes):
+        role = roles[i]
         if role is None:
-            units.append(
-                MappedUnit(g, (), resolved=g.text, resolution=Resolution.PASS_THROUGH)
-            )
+            units.append(MappedUnit(g, (), g.text, _PASS_THROUGH))
             continue
         # a unit is at a word edge where the text ends or a separator
         # grapheme is next to it; a neighbour with a role is a letter,
         # never a separator
-        before = flat[i - 1] if i else None
-        after = flat[i + 1] if i < last else None
-        candidates = table.lookup(
+        candidates = lookup(
             g.text,
             role,
-            word_initial=before is None
-            or (before[1] is None and is_word_separator(before[0])),
-            word_final=after is None
-            or (after[1] is None and is_word_separator(after[0])),
+            word_initial=i == 0
+            or (roles[i - 1] is None and is_word_separator(graphemes[i - 1])),
+            word_final=i == last
+            or (roles[i + 1] is None and is_word_separator(graphemes[i + 1])),
         )
         if candidates is None:
             if unmapped_policy == UNMAPPED_ERROR:
-                offset = sum(len(u.source.text) for u in units)
+                offset = sum(len(x.text) for x in graphemes[:i])
                 raise UnmappedGraphemeError(g.text, offset)
-            units.append(
-                MappedUnit(
-                    g,
-                    (),
-                    resolved=g.text,
-                    resolution=Resolution.PASS_THROUGH,
-                    unmapped=True,
-                )
-            )
+            units.append(MappedUnit(g, (), g.text, _PASS_THROUGH, True))
         elif len(candidates) == 1:
-            units.append(MappedUnit(g, candidates, candidates[0], Resolution.RULE))
+            units.append(MappedUnit(g, candidates, candidates[0], _RULE))
         else:
             units.append(MappedUnit(g, candidates))
     return units

@@ -5,6 +5,11 @@ single consonant+matra unit; an independent vowel always stands alone; a
 bare consonant stands alone.  Everything outside the script (spaces,
 punctuation, digits) flows through as an Other unit so sentence
 structure survives to the output.
+
+The rule is written once, as the walk :func:`segment`, which returns
+each phoneme's pattern.  The engine reads those patterns directly;
+:func:`phonify` and :func:`phonify_graphemes` only add the
+:class:`Phoneme` objects.
 """
 
 from __future__ import annotations
@@ -28,6 +33,17 @@ class PhonemePattern(enum.Enum):
     OTHER = "Other"
 
 
+# enum members as module names: reading a member off its class runs
+# Python code, and the segmentation walk reads one per grapheme
+_C = PhonemePattern.CONSONANT
+_V = PhonemePattern.VOWEL
+_CV = PhonemePattern.CONSONANT_VOWEL
+_OTHER = PhonemePattern.OTHER
+_CONSONANT = CharClass.CONSONANT
+_VOWEL = CharClass.INDEPENDENT_VOWEL
+_SIGN = CharClass.VOWEL_SYMBOL
+
+
 @dataclass(frozen=True)
 class Phoneme:
     """One pronounceable unit: a tuple of graphemes plus its pattern.
@@ -46,32 +62,47 @@ class Phoneme:
         return "".join(g.text for g in self.graphemes)
 
 
-def phonify_graphemes(graphemes, *, orphan_policy: str = ORPHAN_REJECT) -> list[Phoneme]:
-    """Group an already-clustered grapheme sequence into phonemes."""
+def segment(graphemes, *, orphan_policy: str = ORPHAN_REJECT) -> list[PhonemePattern]:
+    """The segmentation rule as one walk over a clustered grapheme
+    sequence: the pattern of each phoneme, in order.  A CV phoneme spans
+    two graphemes, every other phoneme one.
+
+    Under the reject policy the first orphan vowel symbol raises
+    :class:`OrphanMatraError` with its code-point offset.
+    """
     if orphan_policy not in ORPHAN_POLICIES:
         raise ValueError(f"unknown orphan policy {orphan_policy!r}")
-    out = []
+    patterns = []
     i = 0
     n = len(graphemes)
     while i < n:
-        g = graphemes[i]
-        if g.char_class is CharClass.CONSONANT:
-            nxt = graphemes[i + 1] if i + 1 < n else None
-            if nxt is not None and nxt.char_class is CharClass.VOWEL_SYMBOL:
-                out.append(Phoneme((g, nxt), PhonemePattern.CONSONANT_VOWEL))
+        cls = graphemes[i].char_class
+        if cls is _CONSONANT:
+            if i + 1 < n and graphemes[i + 1].char_class is _SIGN:
+                patterns.append(_CV)
                 i += 2
                 continue
-            out.append(Phoneme((g,), PhonemePattern.CONSONANT))
-        elif g.char_class is CharClass.INDEPENDENT_VOWEL:
-            out.append(Phoneme((g,), PhonemePattern.VOWEL))
-        elif g.char_class is CharClass.VOWEL_SYMBOL:
-            if orphan_policy == ORPHAN_REJECT:
-                offset = sum(len(x.text) for x in graphemes[:i])
-                raise OrphanMatraError(g.text, offset)
-            out.append(Phoneme((g,), PhonemePattern.OTHER))
+            patterns.append(_C)
+        elif cls is _VOWEL:
+            patterns.append(_V)
         else:
-            out.append(Phoneme((g,), PhonemePattern.OTHER))
+            if cls is _SIGN and orphan_policy == ORPHAN_REJECT:
+                offset = sum(len(x.text) for x in graphemes[:i])
+                raise OrphanMatraError(graphemes[i].text, offset)
+            patterns.append(_OTHER)
         i += 1
+    return patterns
+
+
+def phonify_graphemes(graphemes, *, orphan_policy: str = ORPHAN_REJECT) -> list[Phoneme]:
+    """Group an already-clustered grapheme sequence into phonemes: the
+    :func:`segment` walk, with a :class:`Phoneme` built per pattern."""
+    out = []
+    i = 0
+    for pattern in segment(graphemes, orphan_policy=orphan_policy):
+        width = 2 if pattern is _CV else 1
+        out.append(Phoneme(tuple(graphemes[i : i + width]), pattern))
+        i += width
     return out
 
 

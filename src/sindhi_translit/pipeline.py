@@ -2,12 +2,16 @@
 
 The engine is configured once (inventory, mapping table, optional model,
 policies) and then converts lines independently: same input, same
-output.  A new word goes through the staged functions and nothing
-else: ``phonify``, ``map_phonemes``, then ``ngram.disambiguate`` for
-each unit the rules leave ambiguous.  Its context is the neighbouring
+output.  A new word goes through the rule walks and nothing else:
+``cluster_graphemes``, the segmentation walk ``phonemes.segment``, the
+mapping walk ``mapping.map_graphemes``, then ``ngram.disambiguate`` for
+each unit the rules leave ambiguous, in a context of the neighbouring
 source graphemes within the word; word edges contribute the boundary
-symbol.  Every decision is therefore local to a word, and the engine
-converts a line word by word, each distinct word once, traced or not.
+symbol.  The staged functions (``phonify``, ``map_phonemes``) run the
+same two walks and only add the ``Phoneme`` objects, which the engine
+never builds.  Every decision is therefore local to a word, and the
+engine converts a line word by word, each distinct word once, traced
+or not.
 """
 
 from __future__ import annotations
@@ -31,11 +35,11 @@ from .mapping import (
     MappedUnit,
     Resolution,
     load_mapping,
-    map_phonemes,
+    map_graphemes,
 )
 from .ngram import MODE_BIGRAM, MODES, NgramModel, candidate_scores, disambiguate
-from .phonemes import ORPHAN_POLICIES, ORPHAN_REJECT, phonify
-from .script import CharClass, load_inventory, normalize
+from .phonemes import ORPHAN_POLICIES, ORPHAN_REJECT, segment
+from .script import CharClass, cluster_graphemes, load_inventory, normalize
 from .training import load_model
 
 # distinct words an engine keeps converted; the memo empties when full.
@@ -139,7 +143,8 @@ class Transliterator:
 
     Every decision is local to a word, so a line is converted word by
     word, with the words split by ``ScriptInventory.words`` (the rule
-    training counts by), and each distinct word only once: its unit
+    training counts by), and each distinct word only once, through the
+    segmentation and mapping walks the staged functions share: its unit
     fields are kept in a bounded memo, from which every later result
     gets fresh units.  A traced line also gets fresh records, built
     from the word's trace rows, which are computed, scores included,
@@ -243,9 +248,17 @@ class Transliterator:
 
     def _convert(self, word):
         """The resolved units of ``word``, each ambiguous unit decided
-        by :func:`disambiguate` in its word-local context."""
-        phonemes = phonify(self.inventory, word, orphan_policy=self.config.orphan_matra)
-        units = map_phonemes(self.table, phonemes, unmapped_policy=self.config.unmapped)
+        by :func:`disambiguate` in its word-local context.  Segmentation
+        walks the whole text before mapping starts, so its errors come
+        first, as in the staged functions."""
+        config = self.config
+        graphemes = cluster_graphemes(self.inventory, word)
+        units = map_graphemes(
+            self.table,
+            graphemes,
+            segment(graphemes, orphan_policy=config.orphan_matra),
+            unmapped_policy=config.unmapped,
+        )
         model, keys = self.model, None
         for i, unit in enumerate(units):
             if unit.resolved is None:
@@ -253,9 +266,9 @@ class Transliterator:
                     offset = sum(len(u.source.text) for u in units[:i])
                     raise MissingModelError(unit.source.text, offset)
                 if keys is None:
-                    keys = self._context_keys(u.source for u in units)
+                    keys = self._context_keys(graphemes)
                 disambiguate(
-                    model, unit, keys[i + 1], keys[i + 3], mode=self.config.mode, c_prev2=keys[i]
+                    model, unit, keys[i + 1], keys[i + 3], mode=config.mode, c_prev2=keys[i]
                 )
         return units
 

@@ -30,6 +30,10 @@ VIRAMA = "्"
 # empties when full
 GRAPHEME_CACHE_SIZE = 1024
 
+# whitespace as str.isspace defines it: for str patterns re's \s
+# matches exactly the code points that str.isspace accepts
+_WHITESPACE = re.compile(r"\s")
+
 # what follows a grapheme's base: any nuktas, then, after a consonant
 # only, one virama
 _TAIL = NUKTA + "*"
@@ -89,8 +93,9 @@ def normalize(text: str) -> str:
 class ScriptInventory:
     """The three character classes of the source script.
 
-    Immutable after construction.  Multi-code-point entries (nukta
-    consonants, the nasalised vowel) are allowed; clustering matches
+    Immutable after construction.  A key may not be empty or hold
+    whitespace, which always separates words.  Multi-code-point entries
+    (nukta consonants, the nasalised vowel) are allowed; clustering matches
     them longest-first.  Graphemes are interned per piece of text, so
     each distinct piece is classified once.  ``words`` holds the word
     rule that the engine and training share.  Both rules are compiled
@@ -101,6 +106,12 @@ class ScriptInventory:
         self.consonants = frozenset(normalize(k) for k in consonants)
         self.independent_vowels = frozenset(normalize(k) for k in independent_vowels)
         self.vowel_symbols = frozenset(normalize(k) for k in vowel_symbols)
+        # one search over all keys joined: a key-by-key test costs about
+        # ten times as much, in every engine's construction
+        keys = self.consonants | self.independent_vowels | self.vowel_symbols
+        if "" in keys or _WHITESPACE.search("".join(keys)):
+            bad = min(k for k in keys if not k or _WHITESPACE.search(k))
+            raise ValueError(f"grapheme {bad!r} is empty or holds whitespace")
         overlap = (
             (self.consonants & self.independent_vowels)
             | (self.consonants & self.vowel_symbols)

@@ -1,3 +1,4 @@
+import re
 import unicodedata
 
 import pytest
@@ -171,6 +172,15 @@ def test_grapheme_rejects_empty():
 def test_inventory_rejects_cross_class_overlap():
     with pytest.raises(ValueError):
         ScriptInventory({"क"}, {"क"}, set())
+
+
+def test_inventory_rejects_empty_or_whitespace_key():
+    # keys that load_inventory cannot read in, under each class
+    for i, key in enumerate(["", " ", "( ", "क\n", "\u2029", "ा\u3000"]):
+        keys = [{"क", "ख"}, {"अ"}, {"ा"}]
+        keys[i % 3].add(key)
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            ScriptInventory(*keys)
 
 
 def test_load_empty_inventory(tmp_path):

@@ -138,6 +138,8 @@ def shared_engine(name, demo_model_path, mapping_paths):
 @example(line="\u0958क \u093e")
 @example(line="क\u094dस \u096d\u0967\u0964 \u0929ा, a1")
 @example(line="तारो तारो, तारो")
+@example(line="गअा")
+@example(line="कaम")
 def test_engine_equals_staged_functions(name, demo_model_path, mapping_paths, line):
     engine = shared_engine(name, demo_model_path, mapping_paths)
     for collect_trace in (False, True):
