@@ -31,7 +31,7 @@ from .mapping import UNMAPPED_POLICIES, MappedUnit, Resolution
 from .ngram import MODES
 from .phonemes import ORPHAN_POLICIES
 from .pipeline import EngineConfig, Transliterator
-from .script import CharClass, Grapheme, cluster_graphemes, load_inventory
+from .script import CharClass, Grapheme, load_inventory
 from .training import WORD_GAP, load_aligned, parse_aligned_row, save_model, train_model
 
 EXIT_OK = 0
@@ -225,7 +225,8 @@ def _check_source_units(inventory, pairs, path):
     for pair in pairs:
         for unit in pair.source_units:
             if unit not in checked:
-                if len(cluster_graphemes(inventory, unit)) != 1:
+                # parse_aligned_row has normalised the unit
+                if len(inventory.grapheme_keys(unit)) != 1:
                     raise DataFormatError(
                         f"source unit {unit!r} is not a single grapheme "
                         "under the inventory",

@@ -212,10 +212,13 @@ def map_graphemes(
     role its phoneme's pattern gives it.  Single-candidate rows resolve
     immediately (Rule); multi-candidate rows stay unresolved for the
     statistical layer; graphemes with no role pass straight through,
-    and so, under the pass policy, do those with no row.
+    and so, under the pass policy, do those with no row.  Patterns that
+    do not cover the graphemes exactly raise ValueError.
     """
     _check_policy(unmapped_policy)
     roles = [role for p in patterns for role in _ROLES[p._value_]]
+    if len(roles) != len(graphemes):
+        raise ValueError(f"patterns cover {len(roles)} graphemes, not {len(graphemes)}")
     return _map(table, graphemes, roles, unmapped_policy)
 
 

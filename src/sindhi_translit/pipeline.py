@@ -2,11 +2,12 @@
 
 The engine is configured once (inventory, mapping table, optional model,
 policies) and then converts lines independently: same input, same
-output.  A new word goes through the rule walks and nothing else:
-``cluster_graphemes``, the segmentation walk ``phonemes.segment``, the
-mapping walk ``mapping.map_graphemes``, then ``ngram.disambiguate`` for
-each unit the rules leave ambiguous, in a context of the neighbouring
-source graphemes within the word; word edges contribute the boundary
+output.  A new word goes through the rule walks and nothing else: one
+split into grapheme keys (``ScriptInventory.grapheme_keys``, interned
+as graphemes), the segmentation walk ``phonemes.segment``, the mapping
+walk ``mapping.map_graphemes``, then ``ngram.disambiguate`` for each
+unit the rules leave ambiguous, in a context of the neighbouring
+grapheme keys within the word; word edges contribute the boundary
 symbol.  The staged functions (``phonify``, ``map_phonemes``) run the
 same two walks and only add the ``Phoneme`` objects, which the engine
 never builds.  Every decision is therefore local to a word, and the
@@ -39,7 +40,7 @@ from .mapping import (
 )
 from .ngram import MODE_BIGRAM, MODES, NgramModel, candidate_scores, disambiguate
 from .phonemes import ORPHAN_POLICIES, ORPHAN_REJECT, segment
-from .script import CharClass, cluster_graphemes, load_inventory, normalize
+from .script import CharClass, load_inventory, normalize
 from .training import load_model
 
 # distinct words an engine keeps converted; the memo empties when full.
@@ -239,36 +240,42 @@ class Transliterator:
             ) from err
         return units, trace
 
-    def _context_keys(self, sources):
-        """The word's grapheme keys padded with two boundary symbols on
-        the left and one on the right: unit ``i`` has ``keys[i]`` and
-        ``keys[i + 1]`` before it and ``keys[i + 3]`` after it."""
+    def _context_keys(self, keys):
+        """The word's grapheme keys (texts, not Graphemes) padded with
+        two boundary symbols on the left and one on the right: unit
+        ``i`` has ``ctx[i]`` and ``ctx[i + 1]`` of the result ``ctx``
+        before it and ``ctx[i + 3]`` after it."""
         edge = self.model.boundary
-        return [edge, edge, *(g.text for g in sources), edge]
+        return [edge, edge, *keys, edge]
 
     def _convert(self, word):
-        """The resolved units of ``word``, each ambiguous unit decided
-        by :func:`disambiguate` in its word-local context.  Segmentation
-        walks the whole text before mapping starts, so its errors come
-        first, as in the staged functions."""
+        """The resolved units of NFC ``word`` (a slice of the NFC line,
+        or on the error path the whole line), each ambiguous unit
+        decided by :func:`disambiguate` in its word-local context.  The
+        word is split into grapheme keys once, with no second
+        normalisation; the keys are interned for the walks and read as
+        they are for the context.  Segmentation walks the whole text
+        before mapping starts, so its errors come first, as in the
+        staged functions."""
         config = self.config
-        graphemes = cluster_graphemes(self.inventory, word)
+        keys = self.inventory.grapheme_keys(word)
+        graphemes = list(map(self.inventory.grapheme, keys))
         units = map_graphemes(
             self.table,
             graphemes,
             segment(graphemes, orphan_policy=config.orphan_matra),
             unmapped_policy=config.unmapped,
         )
-        model, keys = self.model, None
+        model, ctx = self.model, None
         for i, unit in enumerate(units):
             if unit.resolved is None:
                 if model is None:
                     offset = sum(len(u.source.text) for u in units[:i])
                     raise MissingModelError(unit.source.text, offset)
-                if keys is None:
-                    keys = self._context_keys(graphemes)
+                if ctx is None:
+                    ctx = self._context_keys(keys)
                 disambiguate(
-                    model, unit, keys[i + 1], keys[i + 3], mode=config.mode, c_prev2=keys[i]
+                    model, unit, ctx[i + 1], ctx[i + 3], mode=config.mode, c_prev2=ctx[i]
                 )
         return units
 
@@ -284,7 +291,7 @@ class Transliterator:
             scores = None
             if len(u.candidates) > 1:
                 if keys is None:
-                    keys = self._context_keys(v.source for v in units)
+                    keys = self._context_keys(v.source.text for v in units)
                 scores = tuple(
                     s.value
                     for s in candidate_scores(

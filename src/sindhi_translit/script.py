@@ -96,10 +96,12 @@ class ScriptInventory:
     Immutable after construction.  A key may not be empty or hold
     whitespace, which always separates words.  Multi-code-point entries
     (nukta consonants, the nasalised vowel) are allowed; clustering matches
-    them longest-first.  Graphemes are interned per piece of text, so
-    each distinct piece is classified once.  ``words`` holds the word
-    rule that the engine and training share.  Both rules are compiled
-    here, once per inventory.
+    them longest-first.  ``words`` holds the word rule and
+    ``grapheme_keys`` the grapheme rule, which the engine, training and
+    :func:`cluster_graphemes` share: NFC text is split into keys once,
+    and the engine interns them as Graphemes (``grapheme``: each
+    distinct piece is classified once) while training counts the key
+    strings.  Both rules are compiled here, once per inventory.
     """
 
     def __init__(self, consonants, independent_vowels, vowel_symbols):
@@ -150,6 +152,12 @@ class ScriptInventory:
             g = self._graphemes[piece] = Grapheme(piece, classify(self, piece))
         return g
 
+    def grapheme_keys(self, text: str) -> list[str]:
+        """The keys (texts) of the graphemes of NFC ``text``, in order:
+        the grapheme rule as one ``findall``.  Joined, they give
+        ``text`` back."""
+        return self._grapheme_pattern.findall(text)
+
     def words(self, text: str) -> list[str]:
         """Split NFC ``text`` into words and single separator characters.
 
@@ -174,10 +182,6 @@ class ScriptInventory:
         if start < len(text):
             pieces.append(text[start:])
         return pieces
-
-    def class_of_key(self, key: str) -> CharClass | None:
-        """Exact-key lookup; None when the key is not listed."""
-        return self._class_by_key.get(key)
 
     def __eq__(self, other):
         if not isinstance(other, ScriptInventory):
@@ -229,23 +233,22 @@ def classify(inventory: ScriptInventory, text: str) -> CharClass:
     """
     text = normalize(text)
     for end in range(len(text), 0, -1):
-        cls = inventory.class_of_key(text[:end])
+        cls = inventory._class_by_key.get(text[:end])
         if cls is not None:
             return cls
     return CharClass.OTHER
 
 
 def cluster_graphemes(inventory: ScriptInventory, text: str) -> list[Grapheme]:
-    """Split text into classified graphemes.
+    """Split text into classified graphemes: the inventory's keys of
+    the normalised text (``ScriptInventory.grapheme_keys``), interned.
 
     Joining the results reproduces the normalised input exactly; nothing
     is dropped or invented.  A nukta always fuses with the character
     before it, and a virama fuses with a preceding consonant so conjunct
     spellings survive as single units.
     """
-    return list(
-        map(inventory.grapheme, inventory._grapheme_pattern.findall(normalize(text)))
-    )
+    return list(map(inventory.grapheme, inventory.grapheme_keys(normalize(text))))
 
 
 def is_word_separator(grapheme: Grapheme) -> bool:

@@ -10,6 +10,7 @@ sorted UTF-8 text and round-trips exactly.
 from __future__ import annotations
 
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, islice
@@ -17,7 +18,7 @@ from itertools import chain, islice
 from .data import open_text, read_rows
 from .errors import AlignmentError, DataFormatError
 from .ngram import BOUNDARY, NgramModel
-from .script import ScriptInventory, cluster_graphemes, is_word_separator, normalize
+from .script import ScriptInventory, is_word_separator, normalize
 
 # reserved token marking a word gap inside an aligned row, so a row can
 # hold a whole sentence; real text never produces it as a grapheme
@@ -51,11 +52,16 @@ def corpus_words(inventory: ScriptInventory, line: str) -> list[list[str]]:
     """Split a raw line into words of grapheme keys.
 
     The words are the inventory's (``ScriptInventory.words``), the ones
-    the engine converts.  Separator pieces are dropped; unlisted letters
-    are kept and counted under their own keys.
+    the engine converts, and each is split into keys by the one split
+    the engine uses (``ScriptInventory.grapheme_keys``); training counts
+    the key strings and builds no Grapheme for them.  Separator pieces
+    are dropped; unlisted letters are kept and counted under their own
+    keys.
     """
     return [
-        [g.text for g in cluster_graphemes(inventory, piece)]
+        # interned, so equal keys are one object: the tallies hash each
+        # once, and save_model's sort compares them by identity
+        list(map(sys.intern, inventory.grapheme_keys(piece)))
         for piece in inventory.words(normalize(line))
         # a separator piece is one character
         if len(piece) > 1 or not is_word_separator(inventory.grapheme(piece))
@@ -179,8 +185,10 @@ def save_model(model: NgramModel, path) -> None:
 def load_model(path, *, add_one_smoothing: bool = False) -> NgramModel:
     """Read a model file back, validating header and section sizes."""
     with open_text(path) as fh:
-        raw_lines = fh.read().splitlines()
-    if not raw_lines:
+        # split at "\n" only, the one line end universal newlines leave,
+        # as for every data file; splitlines also breaks at \f, U+0085...
+        raw_lines = fh.read().split("\n")
+    if raw_lines == [""]:
         raise DataFormatError("empty model file", path=path)
     header = raw_lines[0].split(" ")
     if len(header) != 3 or header[0] != _MAGIC:

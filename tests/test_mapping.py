@@ -13,9 +13,10 @@ from sindhi_translit.mapping import (
     Resolution,
     Role,
     load_mapping,
+    map_graphemes,
     map_phonemes,
 )
-from sindhi_translit.phonemes import ORPHAN_PASS, Phoneme, PhonemePattern, phonify
+from sindhi_translit.phonemes import ORPHAN_PASS, Phoneme, PhonemePattern, phonify, segment
 from sindhi_translit.script import CharClass, cluster_graphemes, is_word_separator, normalize
 
 
@@ -250,3 +251,12 @@ def test_phoneme_whose_length_does_not_fit_its_pattern_is_rejected(inventory, ta
     ):
         with pytest.raises(ValueError):
             map_phonemes(table, [phoneme])
+
+
+def test_patterns_that_do_not_cover_the_graphemes_are_rejected(inventory, table):
+    graphemes = cluster_graphemes(inventory, "कमल")
+    patterns = segment(graphemes)
+    assert len(map_graphemes(table, graphemes, patterns)) == 3
+    for wrong in (patterns[:2], patterns * 2):
+        with pytest.raises(ValueError, match="cover"):
+            map_graphemes(table, graphemes, wrong)

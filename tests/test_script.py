@@ -18,6 +18,7 @@ from sindhi_translit.script import (
     load_inventory,
     normalize,
 )
+from sindhi_translit.training import corpus_words
 
 
 def test_shipped_inventory_sizes(inventory):
@@ -119,6 +120,36 @@ def test_words_equals_per_character_rule(name, text):
     inventory = make_inventory(name)
     text = normalize(text)
     assert inventory.words(text) == per_character_words(inventory, text)
+
+
+def clustered_corpus_words(inventory, line):
+    """Words of grapheme keys through ``cluster_graphemes``: each word
+    normalised again and clustered into Graphemes, whose texts are read."""
+    return [
+        [g.text for g in cluster_graphemes(inventory, piece)]
+        for piece in inventory.words(normalize(line))
+        if len(piece) > 1 or not is_word_separator(inventory.grapheme(piece))
+    ]
+
+
+@pytest.mark.parametrize("name", INVENTORY_NAMES)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=rule_texts)
+@example(text="क\u0085ख\u2028ग")
+@example(text="क \u093cख \u093c")
+@example(text="\u0958\u0959 \u095b\u095f, \u0929\u0931\u0934")
+@example(text="क\u0301ख\u05b0 \u064bग\u0e31 ,\u0300 \u0338=\u0338a\u0308")
+def test_words_of_nfc_text_are_nfc_and_split_into_the_clustered_keys(name, text):
+    # the engine and training split each word of the NFC line into keys
+    # without normalising again: that needs every word to be NFC already
+    inventory = make_inventory(name)
+    line = normalize(text)
+    for piece in inventory.words(line):
+        assert unicodedata.is_normalized("NFC", piece), piece
+    keys = inventory.grapheme_keys(line)
+    assert "".join(keys) == line
+    assert keys == [g.text for g in cluster_graphemes(inventory, text)]
+    assert corpus_words(inventory, text) == clustered_corpus_words(inventory, text)
 
 
 def test_multi_code_point_keys_of_every_class_take_a_virama_after_consonants():

@@ -360,7 +360,9 @@ def test_load_rejects_non_integer_count(tmp_path):
 
 @pytest.mark.parametrize(
     "count",
-    ["\u0967_\u0966", "1_0", " 5", "5 ", "+5", "-5", "\u0665", "\u00b2", ""],
+    ["\u0967_\u0966", "1_0", " 5", "5 ", "+5", "-5", "\u0665", "\u00b2", ""]
+    # breaks that str.splitlines knows but universal newlines do not
+    + ["1" + end for end in "\v\f\x1c\x1d\x1e\u0085\u2028\u2029"],
 )
 def test_load_rejects_count_that_is_not_ascii_digits(tmp_path, capsys, count):
     # save_model writes plain ASCII digits; int() would take most of these
@@ -379,6 +381,23 @@ def test_load_rejects_count_that_is_not_ascii_digits(tmp_path, capsys, count):
     code = cli.main(["transliterate", "--model", str(path)])
     assert code == cli.EXIT_DATA
     assert f"{path}:4:" in capsys.readouterr().err
+
+
+def test_load_names_the_line_after_a_character_that_splitlines_breaks_at(
+    demo_model, tmp_path
+):
+    # lines end at a newline only, as in every other data file: U+0085
+    # ends no line, so line 12 is the first faulty one
+    path = tmp_path / "model.tsv"
+    save_model(demo_model, path)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert "\t" in lines[11] and "\t" in lines[29]
+    lines[11] += "\u0085"
+    lines[29] = lines[29].replace("\t", " ")
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(DataFormatError) as excinfo:
+        load_model(path)
+    assert str(excinfo.value).startswith(f"{path}:12: count ")
 
 
 @pytest.mark.parametrize("size", ["\u0967", "\u00b2", "+1", "1_0"])
