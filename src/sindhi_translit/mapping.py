@@ -5,12 +5,16 @@ one or more target candidates.  A single candidate is a hard rule; two
 or more mark the grapheme as ambiguous and leave the choice to the
 statistical layer.  Candidate order matters: the first entry is the
 deterministic fallback when statistics cannot decide.
+
+Each table caches its lookups in an ``lru_cache`` of the
+``LOOKUP_MEMO_SIZE`` most recently used, which the mapping walk calls.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 from .data import read_rows
 from .errors import DataFormatError, UnmappedGraphemeError
@@ -22,10 +26,9 @@ UNMAPPED_ERROR = "error"
 UNMAPPED_PASS = "pass"
 UNMAPPED_POLICIES = (UNMAPPED_ERROR, UNMAPPED_PASS)
 
-# (key, role, position flags) lookups a table keeps answered; the memo
-# empties when full
+# (key, role, position flags) lookups a table keeps answered; the
+# cache evicts the least recently used
 LOOKUP_MEMO_SIZE = 1024
-_UNSEEN = object()  # memo default: None is a memoised miss
 
 
 class Role(enum.Enum):
@@ -57,6 +60,7 @@ class Resolution(enum.Enum):
 # Python code, and the mapping walk reads one per grapheme
 _PASS_THROUGH = Resolution.PASS_THROUGH
 _RULE = Resolution.RULE
+_ROLE_BY_VALUE = {r.value: r for r in Role}
 
 
 @dataclass
@@ -85,7 +89,9 @@ class MappingTable:
                 raise ValueError(f"empty candidate list for {key!r}")
             if len(set(cands)) != len(cands):
                 raise ValueError(f"duplicate candidates for {key!r}")
-        self._memo = {}  # (key, role value, word_initial, word_final) -> answer
+        # (key, role value, initial, final) -> answer, called by position;
+        # it holds the rows, not ``self``: no reference cycle
+        self._find = lru_cache(maxsize=LOOKUP_MEMO_SIZE)(partial(_search, self._entries))
 
     def __len__(self):
         return len(self._entries)
@@ -104,43 +110,32 @@ class MappingTable:
         variants (word-initial, then word-final) before the plain row.
         A key that misses entirely is retried with any virama stripped,
         since the vowel killer has no letter of its own in the target
-        script.  Answers, misses included, are memoised per key, role
-        and position flags.
+        script.  Answers, misses included, are cached per key, role and
+        position flags; the cache keeps the ``LOOKUP_MEMO_SIZE`` most
+        recently used.
         """
-        # the role's value string, not the member: hashing an enum
-        # member runs Python code
-        memo_key = (key, role._value_, word_initial, word_final)
-        hit = self._memo.get(memo_key, _UNSEEN)
-        if hit is _UNSEEN:
-            if len(self._memo) >= LOOKUP_MEMO_SIZE:
-                self._memo.clear()
-            hit = self._memo[memo_key] = self._search(
-                key, role, word_initial, word_final
-            )
-        return hit
-
-    def _search(self, key, role, word_initial, word_final):
-        roles = (role,) if role is Role.ANY else (role, Role.ANY)
-        for r in roles:
-            if word_initial:
-                hit = self._entries.get((key, r, Position.WORD_INITIAL))
-                if hit is not None:
-                    return hit
-            if word_final:
-                hit = self._entries.get((key, r, Position.WORD_FINAL))
-                if hit is not None:
-                    return hit
-            hit = self._entries.get((key, r, Position.ANY))
-            if hit is not None:
-                return hit
-        if VIRAMA in key:
-            return self._search(key.replace(VIRAMA, ""), role, word_initial, word_final)
-        return None
+        return self._find(key, role._value_, word_initial, word_final)
 
     def ambiguous_keys(self) -> set[str]:
         return {
             key for (key, _r, _p), cands in self._entries.items() if len(cands) > 1
         }
+
+
+def _search(entries, key, role, initial, final):
+    """The rows' answer to :meth:`MappingTable.lookup` for ``role``, a
+    Role's value (hashing an enum member for the cache runs Python code)."""
+    member = _ROLE_BY_VALUE[role]
+    for r in (member,) if member is Role.ANY else (member, Role.ANY):
+        for position, wanted in (
+            (Position.WORD_INITIAL, initial), (Position.WORD_FINAL, final), (Position.ANY, True)
+        ):
+            hit = entries.get((key, r, position)) if wanted else None
+            if hit is not None:
+                return hit
+    if VIRAMA in key:
+        return _search(entries, key.replace(VIRAMA, ""), role, initial, final)
+    return None
 
 
 def load_mapping(path) -> MappingTable:
@@ -152,7 +147,6 @@ def load_mapping(path) -> MappingTable:
     context) are all rejected.
     """
     entries = {}
-    role_by_code = {r.value: r for r in Role}
 
     def parse_row(fields, _line):
         if len(fields) < 3:
@@ -168,7 +162,7 @@ def load_mapping(path) -> MappingTable:
         elif ctx.endswith("$"):
             position = Position.WORD_FINAL
             ctx = ctx[:-1]
-        role = role_by_code.get(ctx)
+        role = _ROLE_BY_VALUE.get(ctx)
         if role is None:
             raise DataFormatError(f"unknown context code {fields[1]!r}")
         candidates = tuple(normalize(c) for c in fields[2:])
@@ -252,7 +246,7 @@ def _check_policy(unmapped_policy):
 def _map(table, graphemes, roles, unmapped_policy):
     """The walk: ``roles[i]`` is the role of ``graphemes[i]``, or None."""
     units = []
-    lookup = table.lookup
+    find = table._find
     last = len(graphemes) - 1
     for i, g in enumerate(graphemes):
         role = roles[i]
@@ -261,14 +255,13 @@ def _map(table, graphemes, roles, unmapped_policy):
             continue
         # a unit is at a word edge where the text ends or a separator
         # grapheme is next to it; a neighbour with a role is a letter,
-        # never a separator
-        candidates = lookup(
+        # never a separator.  The cache is called by position, with the
+        # role's value: its key is then the argument tuple itself
+        candidates = find(
             g.text,
-            role,
-            word_initial=i == 0
-            or (roles[i - 1] is None and is_word_separator(graphemes[i - 1])),
-            word_final=i == last
-            or (roles[i + 1] is None and is_word_separator(graphemes[i + 1])),
+            role._value_,
+            i == 0 or (roles[i - 1] is None and is_word_separator(graphemes[i - 1])),
+            i == last or (roles[i + 1] is None and is_word_separator(graphemes[i + 1])),
         )
         if candidates is None:
             if unmapped_policy == UNMAPPED_ERROR:

@@ -31,7 +31,9 @@ _NEG_INF = float("-inf")
 
 @dataclass(frozen=True)
 class Probability:
-    """A score as an exact count ratio plus float/log views."""
+    """A score as an exact count ratio plus float/log views; ``value``
+    is ``math.inf`` where counts that do not agree give a ratio too large
+    for a float (a bigram seen more often than its context)."""
 
     numerator: int
     denominator: int
@@ -42,12 +44,11 @@ class Probability:
     def from_counts(cls, numerator: int, denominator: int) -> "Probability":
         if denominator <= 0 or numerator <= 0:
             return cls(0, max(denominator, 1), 0.0, _NEG_INF)
-        return cls(
-            numerator,
-            denominator,
-            numerator / denominator,
-            math.log(numerator) - math.log(denominator),
-        )
+        log_value = math.log(numerator) - math.log(denominator)
+        try:
+            return cls(numerator, denominator, numerator / denominator, log_value)
+        except OverflowError:
+            return cls(numerator, denominator, math.inf, log_value)
 
     @classmethod
     def product(cls, factors) -> "Probability":
@@ -59,7 +60,10 @@ class Probability:
             log_sum += f.log_value
         if num == 0:
             return cls(0, max(den, 1), 0.0, _NEG_INF)
-        return cls(num, den, math.exp(log_sum), log_sum)
+        try:
+            return cls(num, den, math.exp(log_sum), log_sum)
+        except OverflowError:
+            return cls(num, den, math.inf, log_sum)
 
     def exact(self):
         """The score as an exact fraction (numerator, denominator)."""
@@ -96,13 +100,8 @@ class NgramModel:
         self.emission = dict(emission or {})
         self.boundary = boundary
         self.add_one_smoothing = add_one_smoothing
-        for name, counts in (
-            ("unigram", self.unigram),
-            ("bigram", self.bigram),
-            ("trigram", self.trigram),
-            ("emission", self.emission),
-        ):
-            for key, count in counts.items():
+        for name in ("unigram", "bigram", "trigram", "emission"):
+            for key, count in getattr(self, name).items():
                 if not isinstance(count, int) or count < 0:
                     raise ValueError(f"{name} count for {key!r} must be an int >= 0")
         self.target_unigram = {}
@@ -215,8 +214,8 @@ def candidate_scores(
     c = unit.source.text
     left, right = _context_counts(model, c, c_prev, c_next, mode, c_prev2)
     left, right = _ratio(model, *left), _ratio(model, *right)
-    row = model._verdicts.get((c, unit.candidates)) or _new_row(model, c, unit.candidates)
-    return [Probability.product((emission, left, right)) for emission in row[0]]
+    factors = _row(model, c, unit.candidates)[0]
+    return [Probability.product((emission, left, right)) for emission in factors]
 
 
 def _argmax(scores):
@@ -236,13 +235,16 @@ def _argmax(scores):
     return index, Resolution.FALLBACK
 
 
-def _new_row(model, c, candidates):
-    """Cache and return the (emission factors, resolved, resolution)
-    of the table row ``candidates`` for source ``c``: its verdict is
-    :func:`choose` over the emission ratios alone."""
-    factors = tuple(emission_prob(model, b, c) for b in candidates)
-    index, resolution = _argmax(factors)
-    row = model._verdicts[c, candidates] = (factors, candidates[index], resolution)
+def _row(model, c, candidates):
+    """The (emission factors, resolved, resolution) of the table row
+    ``candidates`` for source ``c``, read from the model's cache or
+    built and cached: its verdict is :func:`choose` over the emission
+    ratios alone."""
+    row = model._verdicts.get((c, candidates))
+    if row is None:
+        factors = tuple(emission_prob(model, b, c) for b in candidates)
+        index, resolution = _argmax(factors)
+        row = model._verdicts[c, candidates] = (factors, candidates[index], resolution)
     return row
 
 
@@ -285,8 +287,7 @@ def disambiguate(
     c = unit.source.text
     left, right = _context_counts(model, c, c_prev, c_next, mode, c_prev2)
     if model.add_one_smoothing or min(*left, *right) > 0:
-        row = model._verdicts.get((c, unit.candidates)) or _new_row(model, c, unit.candidates)
-        _, unit.resolved, unit.resolution = row
+        _, unit.resolved, unit.resolution = _row(model, c, unit.candidates)
     else:
         unit.resolved, unit.resolution = unit.candidates[0], Resolution.FALLBACK
     return unit.resolved

@@ -104,6 +104,8 @@ class EngineConfig:
                         )
                     values[key] = flag
                 elif key in ("inventory", "mapping", "model"):
+                    if not value:
+                        raise ConfigError(f"{path}:{line_no}: {key} needs a path")
                     values[key] = os.path.join(base, value)
                 else:
                     values[key] = value

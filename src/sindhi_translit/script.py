@@ -19,6 +19,7 @@ import enum
 import re
 import unicodedata
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .data import read_rows
 from .errors import DataFormatError
@@ -27,7 +28,7 @@ NUKTA = "़"
 VIRAMA = "्"
 
 # distinct pieces of text an inventory keeps classified; the cache
-# empties when full
+# evicts the least recently used
 GRAPHEME_CACHE_SIZE = 1024
 
 # whitespace as str.isspace defines it: for str patterns re's \s
@@ -99,9 +100,10 @@ class ScriptInventory:
     them longest-first.  ``words`` holds the word rule and
     ``grapheme_keys`` the grapheme rule, which the engine, training and
     :func:`cluster_graphemes` share: NFC text is split into keys once,
-    and the engine interns them as Graphemes (``grapheme``: each
-    distinct piece is classified once) while training counts the key
-    strings.  Both rules are compiled here, once per inventory.
+    and the engine interns them as Graphemes (``grapheme``, an
+    ``lru_cache`` of the ``GRAPHEME_CACHE_SIZE`` most recently used)
+    while training counts the key strings.  The two rules and the cache
+    are built here, once per inventory.
     """
 
     def __init__(self, consonants, independent_vowels, vowel_symbols):
@@ -124,13 +126,11 @@ class ScriptInventory:
                 "grapheme(s) listed under more than one class: "
                 + ", ".join(repr(k) for k in sorted(overlap))
             )
-        self._class_by_key = {}
-        for key in self.consonants:
-            self._class_by_key[key] = CharClass.CONSONANT
-        for key in self.independent_vowels:
-            self._class_by_key[key] = CharClass.INDEPENDENT_VOWEL
-        for key in self.vowel_symbols:
-            self._class_by_key[key] = CharClass.VOWEL_SYMBOL
+        self._class_by_key = classes = {
+            **dict.fromkeys(self.consonants, CharClass.CONSONANT),
+            **dict.fromkeys(self.independent_vowels, CharClass.INDEPENDENT_VOWEL),
+            **dict.fromkeys(self.vowel_symbols, CharClass.VOWEL_SYMBOL),
+        }
         # characters that may split words: any not in a key, and not
         # followed by a nukta
         key_chars = "".join(self._class_by_key)
@@ -140,17 +140,14 @@ class ScriptInventory:
             re.DOTALL,
         )
         self._grapheme_pattern = re.compile(_grapheme_regex(self), re.DOTALL)
-        self._graphemes = {}  # piece of text -> its Grapheme
 
-    def grapheme(self, piece: str) -> Grapheme:
-        """The classified Grapheme for ``piece``, built once and shared
-        (graphemes are frozen) until the bounded cache empties."""
-        g = self._graphemes.get(piece)
-        if g is None:
-            if len(self._graphemes) >= GRAPHEME_CACHE_SIZE:
-                self._graphemes.clear()
-            g = self._graphemes[piece] = Grapheme(piece, classify(self, piece))
-        return g
+        # it holds the class table, not ``self``: no reference cycle
+        @lru_cache(maxsize=GRAPHEME_CACHE_SIZE)
+        def grapheme(piece: str) -> Grapheme:
+            """The classified Grapheme for ``piece``, shared while cached."""
+            return Grapheme(piece, _class_of(classes, piece))
+
+        self.grapheme = grapheme
 
     def grapheme_keys(self, text: str) -> list[str]:
         """The keys (texts) of the graphemes of NFC ``text``, in order:
@@ -186,11 +183,7 @@ class ScriptInventory:
     def __eq__(self, other):
         if not isinstance(other, ScriptInventory):
             return NotImplemented
-        return (
-            self.consonants == other.consonants
-            and self.independent_vowels == other.independent_vowels
-            and self.vowel_symbols == other.vowel_symbols
-        )
+        return self._class_by_key == other._class_by_key  # the classes are disjoint
 
     def __repr__(self):
         return (
@@ -231,9 +224,14 @@ def classify(inventory: ScriptInventory, text: str) -> CharClass:
     that is not listed itself falls back to its base character's entry.
     Total: anything unlisted is OTHER.
     """
+    return _class_of(inventory._class_by_key, text)
+
+
+def _class_of(class_by_key, text):
+    """:func:`classify` over an inventory's table of key -> class."""
     text = normalize(text)
     for end in range(len(text), 0, -1):
-        cls = inventory._class_by_key.get(text[:end])
+        cls = class_by_key.get(text[:end])
         if cls is not None:
             return cls
     return CharClass.OTHER

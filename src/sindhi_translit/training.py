@@ -209,7 +209,11 @@ def load_model(path, *, add_one_smoothing: bool = False) -> NgramModel:
             raise DataFormatError(
                 f"bad sections token {token!r}", path=path, line=2
             )
-        declared[name] = int(size)
+        try:
+            declared[name] = int(size)
+        except ValueError:  # more digits than int() converts
+            raise DataFormatError(f"section {name!r} size of {len(size)} digits is "
+                                  "too long to read", path=path, line=2) from None
     if set(declared) != set(_SECTIONS):
         raise DataFormatError("sections line must declare all four sections",
                               path=path, line=2)
@@ -241,7 +245,11 @@ def load_model(path, *, add_one_smoothing: bool = False) -> NgramModel:
                 path=path,
                 line=line_no,
             )
-        count = int(count_part)
+        try:
+            count = int(count_part)
+        except ValueError:  # more digits than int() converts
+            raise DataFormatError(f"count of {len(count_part)} digits is too long to read",
+                                  path=path, line=line_no) from None
         parts = key_part.split(" ")
         if len(parts) != arity:
             raise DataFormatError(
@@ -261,11 +269,6 @@ def load_model(path, *, add_one_smoothing: bool = False) -> NgramModel:
                 f"but holds {len(sections[name])} (truncated or corrupt file)",
                 path=path,
             )
-    return NgramModel(
-        sections["unigram"],
-        sections["bigram"],
-        sections["trigram"],
-        sections["emission"],
-        boundary=boundary,
-        add_one_smoothing=add_one_smoothing,
+    return NgramModel(  # the sections in the constructor's order
+        *sections.values(), boundary=boundary, add_one_smoothing=add_one_smoothing
     )

@@ -93,6 +93,28 @@ def test_trace_goes_to_stderr(capsys, monkeypatch, demo_model_path):
     assert nasal[6] == "Statistical"
 
 
+def test_trace_prints_inf_for_counts_that_do_not_agree(tmp_path, capsys, monkeypatch):
+    # bigrams seen 10**350 times after a context seen once: the context
+    # factor is too large for a float
+    model = tmp_path / "model.tsv"
+    many = 10**350
+    model.write_text(
+        "TLMODEL v1 boundary=⊥\n"
+        "sections unigram=2 bigram=3 trigram=0 emission=2\n"
+        "[unigram]\nत\t1\nा\t1\n"
+        f"[bigram]\nत ा\t{many}\n⊥ त\t{many}\n⊥ ⊥\t1\n"
+        "[trigram]\n[emission]\nت त\t1\nط त\t2\n",
+        encoding="utf-8",
+    )
+    argv = ["transliterate", "--model", str(model)]
+    monkeypatch.setattr(sys, "stdin", io.StringIO("ता\n"))
+    assert run(argv, capsys) == (EXIT_OK, "تآ\n", "")
+    monkeypatch.setattr(sys, "stdin", io.StringIO("ता\n"))
+    code, out, err = run([*argv, "--trace"], capsys)
+    assert (code, out) == (EXIT_OK, "تآ\n")
+    assert err.splitlines()[0] == "1\t0\tत\tت|ط\tinf|inf\tت\tFallback"
+
+
 def test_rule_only_input_needs_no_model(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("कमल\n"))
     code, out, _ = run(["transliterate"], capsys)

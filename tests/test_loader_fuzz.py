@@ -26,12 +26,14 @@ ROW_FILES = ("inventory", "mapping", "aligned")
 
 # what a mutation may put into a line: the formats' separators and
 # markers, counts (with non-ASCII digits and underscores, which int()
-# would take), classes, letters and signs of both scripts, line
-# breaks that only some readers split on, and a byte that is not UTF-8
-# (written through surrogateescape)
+# would take, and one with more digits than int() converts), classes,
+# letters and signs of both scripts, line breaks that only some
+# readers split on, and a byte that is not UTF-8 (written through
+# surrogateescape)
 FRAGMENTS = [
     "\t", " ", "#", "=", "[", "]", "_", "^", "$", "-", "+", "0", "1", "-1",
-    "99999999999999999999", "1.5", "\u0967", "\u0665", "\u00b2", "1_0",
+    "99999999999999999999", "1" + "0" * 5000, "1.5", "\u0967", "\u0665",
+    "\u00b2", "1_0",
     "\u0967_\u0966", "C", "V", "M", "A", "x",
     "TLMODEL", "v1", "v2", "boundary=", "sections", "unigram=1", "[bigram]",
     "[trigram]", "emission", "क", "\u093e", "\u093c", "\u094d", "\u0958",

@@ -146,6 +146,22 @@ def test_product_accumulates_in_log_space():
     assert product.log_value == pytest.approx(math.log(3 / 8))
 
 
+def test_probability_value_saturates_beyond_float_range():
+    # counts that do not agree: a bigram seen more often than its context
+    p = Probability.from_counts(10**350, 3)
+    assert p.value == math.inf
+    assert p.exact() == Fraction(10**350, 3)
+    assert p.log_value == pytest.approx(350 * math.log(10) - math.log(3))
+
+
+def test_product_value_saturates_beyond_float_range():
+    factors = [Probability.from_counts(10**200, 1), Probability.from_counts(10**200, 3)]
+    product = Probability.product(factors)
+    assert product.value == math.inf
+    assert product.exact() == Fraction(10**400, 3)
+    assert product.log_value == pytest.approx(400 * math.log(10) - math.log(3))
+
+
 def test_product_with_zero_factor():
     factors = [Probability.from_counts(1, 2), Probability.from_counts(0, 4)]
     product = Probability.product(factors)

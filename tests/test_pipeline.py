@@ -4,7 +4,7 @@ import pytest
 
 from helpers import word_context
 from sindhi_translit import data as shipped
-from sindhi_translit import ngram, pipeline
+from sindhi_translit import cli, ngram, pipeline
 from sindhi_translit.errors import (
     ConfigError,
     MissingModelError,
@@ -330,6 +330,18 @@ def test_config_rejects_bad_smoothing(tmp_path):
     cfg.write_text("smoothing = sometimes\n", encoding="utf-8")
     with pytest.raises(ConfigError):
         EngineConfig.from_file(cfg)
+
+
+@pytest.mark.parametrize("key", ["inventory", "mapping", "model"])
+def test_config_rejects_empty_path(tmp_path, capsys, key):
+    # an empty path would resolve to the config file's own directory
+    cfg = tmp_path / "engine.cfg"
+    cfg.write_text(f"mode = bigram\n{key} =\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as excinfo:
+        EngineConfig.from_file(cfg)
+    assert str(excinfo.value) == f"{cfg}:2: {key} needs a path"
+    assert cli.main(["transliterate", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"translit: config error: {cfg}:2: {key} needs a path\n"
 
 
 def test_config_override():

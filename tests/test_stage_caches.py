@@ -1,12 +1,15 @@
 """The caches inside the staged functions never change an answer: the
-interned graphemes of `cluster_graphemes`, the lookup memo of
+interned graphemes of `cluster_graphemes`, the lookup cache of
 `MappingTable` and the integer comparison in `choose`, each against an
-uncached test-local rule, also with bounds so small that the caches
-empty mid-line.  `disambiguate`, which keeps per-row verdicts on the
-model and gates them by context counts, decides as `choose` over
-`candidate_scores` does, in the engine and when one model serves many
-calls."""
+uncached test-local rule, also with bounds so small that the two
+`functools.lru_cache`s evict entries mid-line.  Neither cache holds
+its owner, so a dropped engine is freed without the cycle collector.
+`disambiguate`, which keeps per-row verdicts on the model and gates
+them by context counts, decides as `choose` over `candidate_scores`
+does, in the engine and when one model serves many calls."""
 
+import gc
+import weakref
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -97,7 +100,7 @@ def test_cluster_graphemes_equals_uncached_rule(bound, lines):
                 assert cluster_graphemes(inventory, line) == uncached_cluster(
                     inventory, line
                 )
-                assert len(inventory._graphemes) <= script.GRAPHEME_CACHE_SIZE
+                assert inventory.grapheme.cache_info().currsize <= script.GRAPHEME_CACHE_SIZE
 
 
 # ---------------------------------------------------------------------
@@ -147,7 +150,7 @@ def check_lookups(table, entries, asked):
         expected = direct_lookup(entries, key, role, initial, final)
         got = table.lookup(key, role, word_initial=initial, word_final=final)
         assert got == expected, (key, role, initial, final)
-        assert len(table._memo) <= mapping.LOOKUP_MEMO_SIZE
+        assert table._find.cache_info().currsize <= mapping.LOOKUP_MEMO_SIZE
 
 
 @pytest.mark.parametrize("bound", BOUNDS)
@@ -167,9 +170,22 @@ def shipped_rows():
 @SETTINGS
 @given(asked=queries(MAPPING_KEYS + ["ж"]))
 def test_lookup_equals_direct_search_on_shipped_table(bound, shipped_rows, asked):
-    table = load_mapping(shipped.mapping_path())
-    with bounded(mapping, "LOOKUP_MEMO_SIZE", bound):
+    with bounded(mapping, "LOOKUP_MEMO_SIZE", bound):  # read when the table is built
+        table = load_mapping(shipped.mapping_path())
         check_lookups(table, shipped_rows, asked + asked[::-1])
+
+
+def test_dropped_engine_is_freed_without_the_cycle_collector(demo_model_path):
+    gc.disable()
+    try:
+        engine = Transliterator(EngineConfig(model=str(demo_model_path)))
+        engine.transliterate_line("तारो खंड हलु", collect_trace=True)
+        parts = (engine, engine.inventory, engine.table, engine.model)
+        refs = [weakref.ref(x) for x in parts]
+        del engine, parts
+        assert [ref() for ref in refs] == [None] * 4
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------

@@ -383,6 +383,28 @@ def test_load_rejects_count_that_is_not_ascii_digits(tmp_path, capsys, count):
     assert f"{path}:4:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["count", "section size"])
+def test_load_rejects_number_too_long_for_int(tmp_path, capsys, where):
+    # more digits than int() converts (sys.get_int_max_str_digits)
+    huge = "1" + "0" * 5000
+    size, count, line = (1, huge, 4) if where == "count" else (huge, 1, 2)
+    path = tmp_path / "model.tsv"
+    path.write_text(
+        "TLMODEL v1 boundary=⊥\n"
+        f"sections unigram={size} bigram=0 trigram=0 emission=0\n"
+        "[unigram]\n"
+        f"क\t{count}\n"
+        "[bigram]\n[trigram]\n[emission]\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(DataFormatError) as excinfo:
+        load_model(path)
+    assert str(excinfo.value).startswith(f"{path}:{line}: ")
+    assert "5001 digits" in str(excinfo.value)
+    assert cli.main(["transliterate", "--model", str(path)]) == cli.EXIT_DATA
+    assert f"{path}:{line}:" in capsys.readouterr().err
+
+
 def test_load_names_the_line_after_a_character_that_splitlines_breaks_at(
     demo_model, tmp_path
 ):
