@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .mapping import MappedUnit, Resolution
 
@@ -82,6 +83,12 @@ class NgramModel:
     and is recomputed, never stored, and each table row's emission
     ratios and verdict are filled in as they are asked for.  Treat
     instances as immutable.
+
+    ``trigram`` may also be given as a callable returning the counts,
+    as ``training.load_model`` gives a section it has already checked:
+    the dict is then built on first read of ``trigram`` (trigram-mode
+    scoring, ``==``, ``repr``, ``save_model``), so a bigram-mode engine
+    never builds it.
     """
 
     def __init__(
@@ -96,12 +103,16 @@ class NgramModel:
     ):
         self.unigram = dict(unigram or {})
         self.bigram = dict(bigram or {})
-        self.trigram = dict(trigram or {})
+        if callable(trigram):
+            self._read_trigram = trigram
+        else:
+            self.trigram = dict(trigram or {})
         self.emission = dict(emission or {})
         self.boundary = boundary
         self.add_one_smoothing = add_one_smoothing
         for name in ("unigram", "bigram", "trigram", "emission"):
-            for key, count in getattr(self, name).items():
+            # counts read later were checked by their reader
+            for key, count in vars(self).get(name, {}).items():
                 if not isinstance(count, int) or count < 0:
                     raise ValueError(f"{name} count for {key!r} must be an int >= 0")
         self.target_unigram = {}
@@ -121,6 +132,14 @@ class NgramModel:
         # taken over them, filled in by :func:`disambiguate` and
         # :func:`candidate_scores`
         self._verdicts = {}
+
+    @cached_property
+    def trigram(self):
+        """Trigram counts read on first use; a dict passed to the
+        constructor is stored over this property."""
+        trigram = self._read_trigram()
+        del self._read_trigram  # and with it the section's text
+        return trigram
 
     def context_count(self, key: str) -> int:
         """Occurrences of ``key`` as a bigram conditioning context."""

@@ -163,8 +163,10 @@ class Transliterator:
             raise ConfigError(f"unknown orphan_matra policy {config.orphan_matra!r}")
         if config.unmapped not in UNMAPPED_POLICIES:
             raise ConfigError(f"unknown unmapped policy {config.unmapped!r}")
-        inventory_file = config.inventory or shipped.inventory_path()
-        mapping_file = config.mapping or shipped.mapping_path()
+        # an empty path is a missing file, not the shipped default
+        inventory_file = (shipped.inventory_path() if config.inventory is None
+                          else config.inventory)
+        mapping_file = shipped.mapping_path() if config.mapping is None else config.mapping
         for label, path in (
             ("inventory", inventory_file),
             ("mapping", mapping_file),

@@ -9,10 +9,12 @@ sorted UTF-8 text and round-trips exactly.
 
 from __future__ import annotations
 
+import operator
 import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, islice
 
 from .data import open_text, read_rows
@@ -32,6 +34,17 @@ _MAGIC = "TLMODEL"
 _VERSION = "v1"
 _SECTIONS = ("unigram", "bigram", "trigram", "emission")
 _KEY_ARITY = {"unigram": 1, "bigram": 2, "trigram": 3, "emission": 2}
+
+# the lines of a trigram section that the per-line loop of load_model
+# accepts, as save_model writes them: three space-joined key parts, each
+# free of space, tab and line end (and maybe empty), a tab and a count
+# of ASCII digits.  The count is no longer than the least digit limit
+# int() can be given (sys.set_int_max_str_digits), so reading the
+# section later cannot fail; a longer one is left to the loop.
+_TRIGRAM_LINES = re.compile(
+    r"(?:[^ \t\n]* [^ \t\n]* [^ \t\n]*\t[0-9]{1,%d}\n)*"
+    % getattr(sys.int_info, "str_digits_check_threshold", 640)
+)
 
 
 @dataclass(frozen=True)
@@ -183,14 +196,22 @@ def save_model(model: NgramModel, path) -> None:
 
 
 def load_model(path, *, add_one_smoothing: bool = False) -> NgramModel:
-    """Read a model file back, validating header and section sizes."""
+    """Read a model file back, validating header, counts and section sizes.
+
+    Every section is checked here, so a bad file fails at load with its
+    path and line.  A trigram section as ``save_model`` writes it
+    (``_trigram_section``) is kept as text after its check, and the
+    model builds its dict when ``trigram`` is first read; bigram-mode
+    conversion never reads it.
+    """
     with open_text(path) as fh:
-        # split at "\n" only, the one line end universal newlines leave,
-        # as for every data file; splitlines also breaks at \f, U+0085...
-        raw_lines = fh.read().split("\n")
-    if raw_lines == [""]:
+        text = fh.read()
+    if not text:
         raise DataFormatError("empty model file", path=path)
-    header = raw_lines[0].split(" ")
+    # split at "\n" only, the one line end universal newlines leave,
+    # as for every data file; splitlines also breaks at \f, U+0085...
+    head = text.split("\n", 2)
+    header = head[0].split(" ")
     if len(header) != 3 or header[0] != _MAGIC:
         raise DataFormatError("not a model file (bad magic)", path=path, line=1)
     if header[1] != _VERSION:
@@ -200,10 +221,10 @@ def load_model(path, *, add_one_smoothing: bool = False) -> NgramModel:
     if not header[2].startswith("boundary=") or len(header[2]) <= len("boundary="):
         raise DataFormatError("missing boundary symbol", path=path, line=1)
     boundary = header[2][len("boundary="):]
-    if len(raw_lines) < 2 or not raw_lines[1].startswith("sections "):
+    if len(head) < 2 or not head[1].startswith("sections "):
         raise DataFormatError("missing sections line", path=path, line=2)
     declared = {}
-    for token in raw_lines[1].split(" ")[1:]:
+    for token in head[1].split(" ")[1:]:
         name, _, size = token.partition("=")
         if name not in _SECTIONS or not (size.isascii() and size.isdigit()):
             raise DataFormatError(
@@ -218,9 +239,18 @@ def load_model(path, *, add_one_smoothing: bool = False) -> NgramModel:
         raise DataFormatError("sections line must declare all four sections",
                               path=path, line=2)
 
+    span = _trigram_section(text)
+    if span is None:
+        rows = enumerate(text.split("\n")[2:], 3)
+    else:  # the loop reads the trigram header, then the next one
+        start, end = span
+        before = text[: start - 1].split("\n")
+        trigrams = text.count("\n", start, end)
+        rows = chain(enumerate(before[2:], 3),
+                     enumerate(text[end:].split("\n"), len(before) + trigrams + 1))
     sections = {name: {} for name in _SECTIONS}
     current = counts = arity = None
-    for line_no, line in enumerate(raw_lines[2:], 3):
+    for line_no, line in rows:
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
@@ -262,13 +292,49 @@ def load_model(path, *, add_one_smoothing: bool = False) -> NgramModel:
             raise DataFormatError(f"duplicate key {key_part!r}", path=path, line=line_no)
         counts[key] = count
 
+    held = {name: len(counts) for name, counts in sections.items()}
+    if span is not None:
+        held["trigram"] = trigrams
+        sections["trigram"] = partial(_read_trigrams, text[start:end])
     for name in _SECTIONS:
-        if len(sections[name]) != declared[name]:
+        if held[name] != declared[name]:
             raise DataFormatError(
                 f"section {name!r} declares {declared[name]} entries "
-                f"but holds {len(sections[name])} (truncated or corrupt file)",
+                f"but holds {held[name]} (truncated or corrupt file)",
                 path=path,
             )
     return NgramModel(  # the sections in the constructor's order
         *sections.values(), boundary=boundary, add_one_smoothing=add_one_smoothing
     )
+
+
+def _trigram_section(text):
+    """(start, end) of the trigram lines in model file ``text`` when
+    the per-line loop of ``load_model`` would accept every one of them
+    and nothing else adds a trigram, else None (the loop then reads
+    them).  That holds when the ``[trigram]`` header occurs once and
+    ``[emission]`` follows its lines, every line matches
+    ``_TRIGRAM_LINES``, and the key texts ascend strictly, which
+    ``save_model`` writes and which rules out a repeated key."""
+    header = text.find("\n[trigram]\n")
+    if header < 0 or text.count("\n[trigram]") != 1:
+        return None
+    start = header + len("\n[trigram]\n")
+    end = _TRIGRAM_LINES.match(text, start).end()
+    if not text.startswith("[emission]\n", end):
+        return None
+    # each line holds one tab: keys and counts alternate
+    keys = text[start:end].replace("\t", "\n").split("\n")[:-1:2]
+    if not all(map(operator.lt, keys, islice(keys, 1, None))):
+        return None
+    return start, end
+
+
+def _read_trigrams(lines):
+    """The counts of trigram ``lines`` that ``_trigram_section``
+    accepted.  A model holds few distinct key parts, so they are
+    interned: one string each instead of one per key."""
+    intern = sys.intern
+    fields = iter(lines.replace("\t", " ").replace("\n", " ").split(" "))
+    return {(intern(a), intern(b), intern(c)): int(count)
+            for a, b, c, count in zip(fields, fields, fields, fields)}

@@ -139,6 +139,15 @@ def test_missing_config_file_exits_config(capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("flag", ["inventory", "mapping", "model"])
+def test_empty_path_option_exits_config(flag, capsys, monkeypatch):
+    # an empty path names no file; it does not select the shipped one
+    monkeypatch.setattr(sys, "stdin", io.StringIO("कमल\n"))
+    code, out, err = run(["transliterate", f"--{flag}", ""], capsys)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert f"config error: {flag} file does not exist" in err
+
+
 def test_missing_input_file_exits_io(capsys, demo_model_path):
     code, _, err = run(
         [

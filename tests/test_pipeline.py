@@ -96,6 +96,18 @@ def test_trigram_mode_runs(demo_model_path):
     assert engine.transliterate_line("तारो खंड").output == "تآرا کنڊ"
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_only_trigram_mode_builds_the_trigram_dict(mode, demo_model_path):
+    # the loaded model builds its trigram dict on first read; the golden
+    # demo_trigram case checks trigram-mode output on the same file
+    engine = Transliterator(EngineConfig(model=str(demo_model_path), mode=mode))
+    lines = Path(shipped.demo_sample_path()).read_text(encoding="utf-8").splitlines()
+    for line in lines:
+        engine.transliterate_line(line)
+        engine.transliterate_line(line, collect_trace=True)
+    assert ("trigram" in vars(engine.model)) == (mode == MODE_TRIGRAM)
+
+
 def test_context_is_word_local(inventory, demo_model_path, monkeypatch):
     graphemes = cluster_graphemes(inventory, "कम ल")
     assert word_context(graphemes, 3) == (BOUNDARY, BOUNDARY, BOUNDARY)

@@ -229,6 +229,14 @@ def test_save_load_roundtrip(demo_model, tmp_path):
     assert load_model(path) == demo_model
 
 
+def test_loaded_trigram_keys_share_their_parts(demo_model_path):
+    # a model holds few distinct key parts: one string object each
+    keys = list(load_model(demo_model_path).trigram)
+    first = {}
+    assert all(first.setdefault(part, part) is part for key in keys for part in key)
+    assert len(first) < len(keys)
+
+
 def test_save_load_key_beginning_with_hash(inventory, tmp_path):
     # model files have no comment lines: a counted key may begin with
     # "#", as a "#" that a nukta follows joins its word
