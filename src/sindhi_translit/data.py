@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import codecs
 import io
-from importlib import resources
+import os
 
 from .errors import DataFormatError
 
@@ -55,7 +55,7 @@ def read_rows(path, parse_row) -> list:
 
 
 def _data(*parts) -> str:
-    return str(resources.files(__package__).joinpath("data", *parts))
+    return os.path.join(os.path.dirname(__file__), "data", *parts)
 
 
 def inventory_path() -> str:

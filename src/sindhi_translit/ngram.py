@@ -85,10 +85,10 @@ class NgramModel:
     instances as immutable.
 
     ``trigram`` may also be given as a callable returning the counts,
-    as ``training.load_model`` gives a section it has already checked:
-    the dict is then built on first read of ``trigram`` (trigram-mode
-    scoring, ``==``, ``repr``, ``save_model``), so a bigram-mode engine
-    never builds it.
+    as ``training.load_model`` gives those of a whole file it has found
+    as ``save_model`` writes it: the dict is then built on first read
+    of ``trigram`` (trigram-mode scoring, ``==``, ``repr``,
+    ``save_model``), so a bigram-mode engine never builds it.
     """
 
     def __init__(

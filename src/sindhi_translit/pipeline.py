@@ -55,6 +55,10 @@ WORD_MEMO_SIZE = 1024
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False,
                 "yes": True, "no": False}
 
+# each policy's values, and its name in an error message
+_CHOICES = {"mode": (MODES, "mode"), "orphan_matra": (ORPHAN_POLICIES, "orphan_matra policy"),
+            "unmapped": (UNMAPPED_POLICIES, "unmapped policy")}
+
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -107,6 +111,8 @@ class EngineConfig:
                     if not value:
                         raise ConfigError(f"{path}:{line_no}: {key} needs a path")
                     values[key] = os.path.join(base, value)
+                elif value not in _CHOICES[key][0]:  # a policy
+                    raise ConfigError(f"{path}:{line_no}: unknown {_CHOICES[key][1]} {value!r}")
                 else:
                     values[key] = value
         return cls(**values)
@@ -157,12 +163,9 @@ class Transliterator:
 
     def __init__(self, config: EngineConfig | None = None):
         config = config or EngineConfig()
-        if config.mode not in MODES:
-            raise ConfigError(f"unknown mode {config.mode!r}")
-        if config.orphan_matra not in ORPHAN_POLICIES:
-            raise ConfigError(f"unknown orphan_matra policy {config.orphan_matra!r}")
-        if config.unmapped not in UNMAPPED_POLICIES:
-            raise ConfigError(f"unknown unmapped policy {config.unmapped!r}")
+        for key, (choices, label) in _CHOICES.items():
+            if getattr(config, key) not in choices:
+                raise ConfigError(f"unknown {label} {getattr(config, key)!r}")
         # an empty path is a missing file, not the shipped default
         inventory_file = (shipped.inventory_path() if config.inventory is None
                           else config.inventory)

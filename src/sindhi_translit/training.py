@@ -35,16 +35,16 @@ _VERSION = "v1"
 _SECTIONS = ("unigram", "bigram", "trigram", "emission")
 _KEY_ARITY = {"unigram": 1, "bigram": 2, "trigram": 3, "emission": 2}
 
-# the lines of a trigram section that the per-line loop of load_model
-# accepts, as save_model writes them: three space-joined key parts, each
-# free of space, tab and line end (and maybe empty), a tab and a count
-# of ASCII digits.  The count is no longer than the least digit limit
-# int() can be given (sys.set_int_max_str_digits), so reading the
-# section later cannot fail; a longer one is left to the loop.
-_TRIGRAM_LINES = re.compile(
-    r"(?:[^ \t\n]* [^ \t\n]* [^ \t\n]*\t[0-9]{1,%d}\n)*"
-    % getattr(sys.int_info, "str_digits_check_threshold", 640)
-)
+# the count lines of each section as save_model writes them: key parts
+# free of space, tab and line end (maybe empty), space-joined, a tab and
+# ASCII digits, no more than the least limit int() can be given
+# (sys.set_int_max_str_digits), so reading them later cannot fail
+_COUNT_LINES = {
+    name: re.compile(r"(?:%s\t[0-9]{1,%d}\n)*" % (
+        " ".join([r"[^ \t\n]*"] * arity),
+        getattr(sys.int_info, "str_digits_check_threshold", 640)))
+    for name, arity in _KEY_ARITY.items()
+}
 
 
 @dataclass(frozen=True)
@@ -199,10 +199,10 @@ def load_model(path, *, add_one_smoothing: bool = False) -> NgramModel:
     """Read a model file back, validating header, counts and section sizes.
 
     Every section is checked here, so a bad file fails at load with its
-    path and line.  A trigram section as ``save_model`` writes it
-    (``_trigram_section``) is kept as text after its check, and the
-    model builds its dict when ``trigram`` is first read; bigram-mode
-    conversion never reads it.
+    path and line.  A file as ``save_model`` writes it (``_saved_sections``)
+    is read a section at a time, and its trigram dict is built on first
+    read, which bigram-mode conversion never does; any other file goes
+    through a per-line loop, the one place that names a faulty line.
     """
     with open_text(path) as fh:
         text = fh.read()
@@ -230,6 +230,8 @@ def load_model(path, *, add_one_smoothing: bool = False) -> NgramModel:
             raise DataFormatError(
                 f"bad sections token {token!r}", path=path, line=2
             )
+        if name in declared:
+            raise DataFormatError(f"section {name!r} declared twice", path=path, line=2)
         try:
             declared[name] = int(size)
         except ValueError:  # more digits than int() converts
@@ -239,18 +241,10 @@ def load_model(path, *, add_one_smoothing: bool = False) -> NgramModel:
         raise DataFormatError("sections line must declare all four sections",
                               path=path, line=2)
 
-    span = _trigram_section(text)
-    if span is None:
-        rows = enumerate(text.split("\n")[2:], 3)
-    else:  # the loop reads the trigram header, then the next one
-        start, end = span
-        before = text[: start - 1].split("\n")
-        trigrams = text.count("\n", start, end)
-        rows = chain(enumerate(before[2:], 3),
-                     enumerate(text[end:].split("\n"), len(before) + trigrams + 1))
+    saved = _saved_sections(head[2], declared) if len(head) > 2 else None
     sections = {name: {} for name in _SECTIONS}
     current = counts = arity = None
-    for line_no, line in rows:
+    for line_no, line in enumerate(text.split("\n")[2:] if saved is None else (), 3):
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
@@ -292,49 +286,51 @@ def load_model(path, *, add_one_smoothing: bool = False) -> NgramModel:
             raise DataFormatError(f"duplicate key {key_part!r}", path=path, line=line_no)
         counts[key] = count
 
-    held = {name: len(counts) for name, counts in sections.items()}
-    if span is not None:
-        held["trigram"] = trigrams
-        sections["trigram"] = partial(_read_trigrams, text[start:end])
-    for name in _SECTIONS:
-        if held[name] != declared[name]:
+    for name, counts in sections.items():  # sizes _saved_sections did not check
+        if saved is None and len(counts) != declared[name]:
             raise DataFormatError(
                 f"section {name!r} declares {declared[name]} entries "
-                f"but holds {held[name]} (truncated or corrupt file)",
+                f"but holds {len(counts)} (truncated or corrupt file)",
                 path=path,
             )
+    if saved is not None:  # the trigram counts become a dict on first read
+        sections = {name: read if name == "trigram" else read() for name, read in saved.items()}
     return NgramModel(  # the sections in the constructor's order
         *sections.values(), boundary=boundary, add_one_smoothing=add_one_smoothing
     )
 
 
-def _trigram_section(text):
-    """(start, end) of the trigram lines in model file ``text`` when
-    the per-line loop of ``load_model`` would accept every one of them
-    and nothing else adds a trigram, else None (the loop then reads
-    them).  That holds when the ``[trigram]`` header occurs once and
-    ``[emission]`` follows its lines, every line matches
-    ``_TRIGRAM_LINES``, and the key texts ascend strictly, which
-    ``save_model`` writes and which rules out a repeated key."""
-    header = text.find("\n[trigram]\n")
-    if header < 0 or text.count("\n[trigram]") != 1:
-        return None
-    start = header + len("\n[trigram]\n")
-    end = _TRIGRAM_LINES.match(text, start).end()
-    if not text.startswith("[emission]\n", end):
-        return None
-    # each line holds one tab: keys and counts alternate
-    keys = text[start:end].replace("\t", "\n").split("\n")[:-1:2]
-    if not all(map(operator.lt, keys, islice(keys, 1, None))):
-        return None
-    return start, end
+def _saved_sections(body, declared):
+    """A reader of each section's counts (``_read_counts``) by name if
+    ``body``, a model file after its two header lines, is as
+    ``save_model`` writes it: the four headers in order, each followed
+    by as many ``_COUNT_LINES`` as ``declared`` with key texts ascending
+    strictly (none repeats), and nothing after; else None."""
+    sections, start = {}, 0
+    for name in _SECTIONS:
+        header = f"[{name}]\n"
+        if not body.startswith(header, start):
+            return None
+        start += len(header)
+        end = _COUNT_LINES[name].match(body, start).end()
+        lines = body[start:end]
+        if lines.count("\n") != declared[name]:
+            return None
+        # each line holds one tab: keys and counts alternate
+        keys = lines.replace("\t", "\n").split("\n")[:-1:2]
+        if not all(map(operator.lt, keys, islice(keys, 1, None))):
+            return None
+        del keys  # before the next section's keys are split
+        sections[name] = partial(_read_counts, lines, _KEY_ARITY[name])
+        start = end
+    return sections if start == len(body) else None
 
 
-def _read_trigrams(lines):
-    """The counts of trigram ``lines`` that ``_trigram_section``
+def _read_counts(lines, arity):
+    """The counts of section ``lines`` that ``_saved_sections``
     accepted.  A model holds few distinct key parts, so they are
     interned: one string each instead of one per key."""
-    intern = sys.intern
-    fields = iter(lines.replace("\t", " ").replace("\n", " ").split(" "))
-    return {(intern(a), intern(b), intern(c)): int(count)
-            for a, b, c, count in zip(fields, fields, fields, fields)}
+    fields = lines.replace("\t", " ").replace("\n", " ").split(" ")
+    parts = [map(sys.intern, fields[i::arity + 1]) for i in range(arity)]
+    keys = parts[0] if arity == 1 else zip(*parts)
+    return dict(zip(keys, map(int, fields[arity::arity + 1])))

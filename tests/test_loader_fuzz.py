@@ -1,8 +1,8 @@
 """Every data file loader either returns or raises DataFormatError,
 whatever is done to the lines of a valid file; a row file loader's
-error names the file and the line.  A model file's trigram section is
-read the same way whether its fast check or the per-line loop reads
-it."""
+error names the file and the line.  A model file is read the same way
+whether it passes the check for the form save_model writes or goes
+through the per-line loop."""
 
 import sys
 from pathlib import Path
@@ -130,12 +130,13 @@ def drawn_counts(arity):
 
 
 drawn_models = st.builds(NgramModel, *map(drawn_counts, (1, 2, 3, 2)))
-# count lengths around the fast check's digit bound and the int() limit
+# count lengths around the saved form's digit bound and the int() limit
 LIMIT = sys.get_int_max_str_digits()
 DIGITS = (639, 640, 641, LIMIT, LIMIT + 1)
-trigram_edits = st.lists(
+section_edits = st.lists(
     st.tuples(
-        st.sampled_from(("swap", "duplicate", "empty part", "digits", "move")),
+        st.sampled_from(("swap", "duplicate", "blank", "empty part", "digits", "move")),
+        st.sampled_from(training._SECTIONS),
         st.integers(0, 10**6),
         st.sampled_from(DIGITS),
     ),
@@ -143,15 +144,20 @@ trigram_edits = st.lists(
 )
 
 
-def edit_trigrams(lines, edits):
-    """``lines`` of a model file as save_model writes it, with trigram
-    lines swapped with the next, duplicated, given an empty key part,
-    given a count of ``digits`` digits, or moved from one on under a
-    second trigram header at the end of the file."""
+HEADERS = [f"[{name}]" for name in training._SECTIONS]
+
+
+def edit_sections(lines, edits):
+    """``lines`` of a model file as save_model writes it, with count
+    lines of the named section swapped with the next, duplicated,
+    preceded by a blank line, given an empty key part, given a count of
+    ``digits`` digits, or moved from one on under a second header of
+    their section at the end of the file."""
     lines = list(lines)
-    for op, a, digits in edits:
-        start = lines.index("[trigram]") + 1
-        size = lines.index("[emission]") - start
+    for op, name, a, digits in edits:
+        start = lines.index(f"[{name}]") + 1
+        size = next((k for k, line in enumerate(lines[start:]) if line in HEADERS),
+                    len(lines) - 1 - start)
         if not size:
             continue
         i = start + a % size
@@ -161,6 +167,8 @@ def edit_trigrams(lines, edits):
             lines[i], lines[j] = lines[j], lines[i]
         elif op == "duplicate":
             lines.insert(i, lines[i])
+        elif op == "blank":
+            lines.insert(i, "")
         elif op == "empty part":
             parts = key.split(" ")
             parts[a % len(parts)] = ""
@@ -169,13 +177,13 @@ def edit_trigrams(lines, edits):
             lines[i] = key + "\t" + "1" * digits
         else:
             end = start + size
-            lines = [*lines[:i], *lines[end:-1], "[trigram]", *lines[i:end], lines[-1]]
+            lines = [*lines[:i], *lines[end:-1], f"[{name}]", *lines[i:end], lines[-1]]
     return lines
 
 
 def declare_held_sizes(lines):
     """``lines`` with the sections line declaring what each section holds."""
-    starts = [lines.index(f"[{name}]") for name in training._SECTIONS]
+    starts = list(map(lines.index, HEADERS))
     ends = [*starts[1:], len(lines) - 1]  # the file ends with a line end
     sizes = (f"{name}={end - start - 1}"
              for name, start, end in zip(training._SECTIONS, starts, ends))
@@ -192,32 +200,42 @@ def load_outcome(path):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
     drawn=st.one_of(st.none(), drawn_models),
-    edits=trigram_edits,
+    edits=section_edits,
     declare_held=st.booleans(),
     steps=st.one_of(st.just([]), mutations),
 )
-# the demo model with a repeated key, a count too long for int() and a
-# second trigram header: each a file a weaker fast check would misread
-@example(drawn=None, edits=[("duplicate", 5, 0)], declare_held=True, steps=[])
-@example(drawn=None, edits=[("digits", 5, LIMIT + 1)], declare_held=True, steps=[])
-@example(drawn=None, edits=[("move", 5, 0)], declare_held=False, steps=[])
-def test_fast_trigram_check_reads_as_the_loop_does(
+# the demo model with a repeated trigram key, a trigram count too long
+# for int(), a second trigram header, a repeated bigram key, an unsorted
+# emission section, a second unigram header, a blank line, and a blank
+# line before a section's one count line: each a file a weaker check
+# would misread
+@example(drawn=None, edits=[("duplicate", "trigram", 5, 0)], declare_held=True, steps=[])
+@example(drawn=None, edits=[("digits", "trigram", 5, LIMIT + 1)], declare_held=True,
+         steps=[])
+@example(drawn=None, edits=[("move", "trigram", 5, 0)], declare_held=False, steps=[])
+@example(drawn=None, edits=[("duplicate", "bigram", 5, 0)], declare_held=True, steps=[])
+@example(drawn=None, edits=[("swap", "emission", 5, 0)], declare_held=True, steps=[])
+@example(drawn=None, edits=[("move", "unigram", 5, 0)], declare_held=False, steps=[])
+@example(drawn=None, edits=[("blank", "bigram", 5, 0)], declare_held=False, steps=[])
+@example(drawn=NgramModel({"a": 1}), edits=[("blank", "unigram", 0, 0)], declare_held=True,
+         steps=[])
+def test_saved_form_check_reads_as_the_loop_does(
     originals, fuzz_dir, drawn, edits, declare_held, steps
 ):
-    path = fuzz_dir / "trigram.tsv"
+    path = fuzz_dir / "saved.tsv"
     if drawn is None:
         lines = originals["model"]
     else:
         save_model(drawn, path)
         lines = path.read_bytes().decode("utf-8").split("\n")
-    lines = edit_trigrams(lines, edits)
+    lines = edit_sections(lines, edits)
     if declare_held:
         lines = declare_held_sizes(lines)
     text = "\n".join(mutate(lines, steps))
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
     checked = load_outcome(path)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(training, "_trigram_section", lambda text: None)
+        patch.setattr(training, "_saved_sections", lambda body, declared: None)
         looped = load_outcome(path)
     # a model compares its trigram dict, built here if it was deferred
     assert checked == looped

@@ -356,6 +356,25 @@ def test_config_rejects_empty_path(tmp_path, capsys, key):
     assert capsys.readouterr().err == f"translit: config error: {cfg}:2: {key} needs a path\n"
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("mode", "trigam", "unknown mode 'trigam'"),
+        ("orphan_matra", "keep", "unknown orphan_matra policy 'keep'"),
+        ("unmapped", "none", "unknown unmapped policy 'none'"),
+    ],
+    ids=["mode", "orphan_matra", "unmapped"],
+)
+def test_config_rejects_bad_policy_naming_its_line(tmp_path, capsys, key, value, message):
+    cfg = tmp_path / "engine.cfg"
+    cfg.write_text(f"smoothing = false\n{key} = {value}\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as excinfo:
+        EngineConfig.from_file(cfg)
+    assert str(excinfo.value) == f"{cfg}:2: {message}"
+    assert cli.main(["transliterate", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"translit: config error: {cfg}:2: {message}\n"
+
+
 def test_config_override():
     config = EngineConfig()
     assert config.override(mode=None) is config

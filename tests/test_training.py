@@ -229,12 +229,13 @@ def test_save_load_roundtrip(demo_model, tmp_path):
     assert load_model(path) == demo_model
 
 
-def test_loaded_trigram_keys_share_their_parts(demo_model_path):
+@pytest.mark.parametrize("name", ["bigram", "trigram", "emission"])
+def test_loaded_keys_share_their_parts(demo_model_path, name):
     # a model holds few distinct key parts: one string object each
-    keys = list(load_model(demo_model_path).trigram)
+    parts = [part for key in getattr(load_model(demo_model_path), name) for part in key]
     first = {}
-    assert all(first.setdefault(part, part) is part for key in keys for part in key)
-    assert len(first) < len(keys)
+    assert all(first.setdefault(part, part) is part for part in parts)
+    assert len(first) < len(parts)
 
 
 def test_save_load_key_beginning_with_hash(inventory, tmp_path):
@@ -473,6 +474,24 @@ def test_load_rejects_duplicate_key(tmp_path):
     )
     with pytest.raises(DataFormatError):
         load_model(path)
+
+
+def test_load_rejects_repeated_sections_token(tmp_path, capsys):
+    # the last value would otherwise win
+    path = tmp_path / "model.tsv"
+    path.write_text(
+        "TLMODEL v1 boundary=⊥\n"
+        "sections unigram=1 bigram=0 trigram=0 emission=0 unigram=1\n"
+        "[unigram]\n"
+        "क\t1\n"
+        "[bigram]\n[trigram]\n[emission]\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(DataFormatError) as excinfo:
+        load_model(path)
+    assert str(excinfo.value) == f"{path}:2: section 'unigram' declared twice"
+    assert cli.main(["transliterate", "--model", str(path)]) == cli.EXIT_DATA
+    assert f"{path}:2: section 'unigram' declared twice" in capsys.readouterr().err
 
 
 def test_load_rejects_size_mismatch(tmp_path):
