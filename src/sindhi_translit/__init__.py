@@ -14,112 +14,52 @@ Typical use::
     print(engine.transliterate_line("तारो").output)
 """
 
-from .errors import (
-    AlignmentError,
-    ConfigError,
-    DataFormatError,
-    MissingModelError,
-    OrphanMatraError,
-    PipelineError,
-    TransliterationError,
-    UndefinedAccuracyError,
-    UnmappedGraphemeError,
-)
-from .evaluation import EvaluationReport, accuracy, evaluate, format_report, normalize_target
-from .mapping import (
-    MappedUnit,
-    MappingTable,
-    Resolution,
-    Role,
-    load_mapping,
-    map_phonemes,
-)
-from .ngram import (
-    BOUNDARY,
-    NgramModel,
-    Probability,
-    bigram_prob,
-    candidate_scores,
-    choose,
-    disambiguate,
-    emission_prob,
-    trigram_prob,
-)
-from .phonemes import Phoneme, PhonemePattern, phonify, phonify_graphemes
-from .pipeline import EngineConfig, LineResult, TraceRecord, Transliterator
-from .script import (
-    CharClass,
-    Grapheme,
-    ScriptInventory,
-    classify,
-    cluster_graphemes,
-    is_word_separator,
-    load_inventory,
-    normalize,
-)
-from .training import (
-    AlignedPair,
-    count_emissions,
-    count_ngrams,
-    load_aligned,
-    load_model,
-    save_model,
-    train_model,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlignedPair",
-    "AlignmentError",
-    "BOUNDARY",
-    "CharClass",
-    "ConfigError",
-    "DataFormatError",
-    "EngineConfig",
-    "EvaluationReport",
-    "Grapheme",
-    "LineResult",
-    "MappedUnit",
-    "MappingTable",
-    "MissingModelError",
-    "NgramModel",
-    "OrphanMatraError",
-    "Phoneme",
-    "PhonemePattern",
-    "PipelineError",
-    "Probability",
-    "Resolution",
-    "Role",
-    "ScriptInventory",
-    "TraceRecord",
-    "TransliterationError",
-    "Transliterator",
-    "UndefinedAccuracyError",
-    "UnmappedGraphemeError",
-    "accuracy",
-    "bigram_prob",
-    "candidate_scores",
-    "choose",
-    "classify",
-    "cluster_graphemes",
-    "count_emissions",
-    "count_ngrams",
-    "disambiguate",
-    "emission_prob",
-    "evaluate",
-    "format_report",
-    "is_word_separator",
-    "load_aligned",
-    "load_inventory",
-    "load_mapping",
-    "load_model",
-    "map_phonemes",
-    "normalize",
-    "normalize_target",
-    "phonify",
-    "phonify_graphemes",
-    "save_model",
-    "train_model",
-    "trigram_prob",
-]
+# each public name by its home module, imported from there the first
+# time the name is read (PEP 562): importing the package, or one of its
+# modules such as the command line's, loads no module it does not use
+_HOME = {
+    name: module
+    for module, names in (
+        ("errors", ("AlignmentError", "ConfigError", "DataFormatError",
+                    "MissingModelError", "OrphanMatraError", "PipelineError",
+                    "TransliterationError", "UndefinedAccuracyError",
+                    "UnmappedGraphemeError")),
+        ("evaluation", ("EvaluationReport", "accuracy", "evaluate", "format_report",
+                        "normalize_target")),
+        ("mapping", ("MappedUnit", "MappingTable", "Resolution", "Role", "load_mapping",
+                     "map_phonemes")),
+        ("ngram", ("BOUNDARY", "NgramModel", "Probability", "bigram_prob",
+                   "candidate_scores", "choose", "disambiguate", "emission_prob",
+                   "trigram_prob")),
+        ("phonemes", ("Phoneme", "PhonemePattern", "phonify", "phonify_graphemes")),
+        ("pipeline", ("EngineConfig", "LineResult", "TraceRecord", "Transliterator")),
+        ("script", ("CharClass", "Grapheme", "ScriptInventory", "classify",
+                    "cluster_graphemes", "is_word_separator", "load_inventory",
+                    "normalize")),
+        ("training", ("AlignedPair", "count_emissions", "count_ngrams", "load_aligned",
+                      "load_model", "save_model", "train_model")),
+    )
+    for name in names
+}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    """A public name, from its home module.  Any other name raises
+    AttributeError, so ``from sindhi_translit import cli`` imports the
+    submodule."""
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

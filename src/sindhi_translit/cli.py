@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import os
 import re
 import shutil
@@ -26,7 +25,6 @@ from .errors import (
     PipelineError,
     TransliterationError,
 )
-from .evaluation import evaluate, format_report, format_skipped
 from .mapping import UNMAPPED_POLICIES, MappedUnit, Resolution
 from .ngram import MODES
 from .phonemes import ORPHAN_POLICIES
@@ -183,12 +181,16 @@ def cmd_transliterate(args) -> int:
                         f"invalid UTF-8 byte 0x{ord(bad.group()) - 0xDC00:02x} "
                         f"at offset {bad.start()}"
                     )
-                result = engine.transliterate_line(line, collect_trace=args.trace)
+                if args.trace:
+                    result = engine.transliterate_line(line, collect_trace=True)
+                    text, trace = result.output, result.trace
+                else:
+                    text, trace = engine._line_text(line), ()  # builds no unit
             except PipelineError as err:
                 err.where = f"line {line_no}: "  # main() prefixes the report
                 raise
-            fout.write(result.output + "\n")
-            for record in result.trace:
+            fout.write(text + "\n")
+            for record in trace:
                 sys.stderr.write(f"{line_no}\t{_trace_line(record)}\n")
     return EXIT_OK
 
@@ -264,6 +266,11 @@ def _load_system_rows(path):
 
 
 def cmd_evaluate(args) -> int:
+    # imported here: the other commands need neither
+    import dataclasses
+
+    from .evaluation import evaluate, format_report, format_skipped
+
     gold = load_aligned(args.gold)
     if args.system:
         system_rows = _load_system_rows(args.system)
@@ -303,6 +310,10 @@ def _evaluate_end_to_end(args, gold):
     row the engine rejects is skipped and reported, naming the gold
     file and the error; a missing model still stops the run, naming the
     gold file and line."""
+    import dataclasses
+
+    from .evaluation import evaluate
+
     engine = _engine_from_args(args)
     system_rows, kept, rejected = [], [], []
     for index, pair in enumerate(gold):

@@ -13,12 +13,12 @@ Each table caches its lookups in an ``lru_cache`` of the
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .data import read_rows
 from .errors import DataFormatError, UnmappedGraphemeError
 from .phonemes import PhonemePattern
+from .records import Record
 from .script import VIRAMA, Grapheme, is_word_separator, normalize
 
 # what to do with an inventory grapheme that has no table row
@@ -63,15 +63,26 @@ _RULE = Resolution.RULE
 _ROLE_BY_VALUE = {r.value: r for r in Role}
 
 
-@dataclass
-class MappedUnit:
-    """One grapheme with its candidates and (eventually) its choice."""
+class MappedUnit(Record):
+    """One grapheme with its candidates and (eventually) its choice;
+    ``unmapped`` marks a grapheme passed through because the table had
+    no row."""
 
-    source: Grapheme
-    candidates: tuple[str, ...]
-    resolved: str | None = None
-    resolution: Resolution | None = None
-    unmapped: bool = False  # passed through because the table had no row
+    __slots__ = ("source", "candidates", "resolved", "resolution", "unmapped")
+
+    def __init__(
+        self,
+        source: Grapheme,
+        candidates: tuple[str, ...],
+        resolved: str | None = None,
+        resolution: Resolution | None = None,
+        unmapped: bool = False,
+    ):
+        self.source = source
+        self.candidates = candidates
+        self.resolved = resolved
+        self.resolution = resolution
+        self.unmapped = unmapped
 
     @property
     def is_ambiguous(self) -> bool:

@@ -16,10 +16,10 @@ are only built for traces, through :func:`candidate_scores`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 from .mapping import MappedUnit, Resolution
+from .records import Record
 
 BOUNDARY = "⊥"  # ⊥ pads word edges; it can never occur as a counted token
 
@@ -30,16 +30,18 @@ MODES = (MODE_BIGRAM, MODE_TRIGRAM)
 _NEG_INF = float("-inf")
 
 
-@dataclass(frozen=True)
-class Probability:
+class Probability(Record, frozen=True):
     """A score as an exact count ratio plus float/log views; ``value``
     is ``math.inf`` where counts that do not agree give a ratio too large
     for a float (a bigram seen more often than its context)."""
 
-    numerator: int
-    denominator: int
-    value: float
-    log_value: float
+    __slots__ = ("numerator", "denominator", "value", "log_value")
+
+    def __init__(self, numerator: int, denominator: int, value: float, log_value: float):
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "log_value", log_value)
 
     @classmethod
     def from_counts(cls, numerator: int, denominator: int) -> "Probability":

@@ -15,9 +15,9 @@ each phoneme's pattern.  The engine reads those patterns directly;
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .errors import OrphanMatraError
+from .records import Record
 from .script import CharClass, Grapheme, ScriptInventory, cluster_graphemes
 
 # what to do with a vowel symbol that has no consonant before it
@@ -44,8 +44,7 @@ _VOWEL = CharClass.INDEPENDENT_VOWEL
 _SIGN = CharClass.VOWEL_SYMBOL
 
 
-@dataclass(frozen=True)
-class Phoneme:
+class Phoneme(Record, frozen=True):
     """One pronounceable unit: a tuple of graphemes plus its pattern.
 
     CV units hold exactly [consonant, vowel symbol].  Under the
@@ -54,8 +53,11 @@ class Phoneme:
     not wrap an OTHER-class grapheme.
     """
 
-    graphemes: tuple[Grapheme, ...]
-    pattern: PhonemePattern
+    __slots__ = ("graphemes", "pattern")
+
+    def __init__(self, graphemes: tuple[Grapheme, ...], pattern: PhonemePattern):
+        object.__setattr__(self, "graphemes", graphemes)
+        object.__setattr__(self, "pattern", pattern)
 
     @property
     def text(self) -> str:

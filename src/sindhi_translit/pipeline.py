@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import bisect
 import os
-from dataclasses import dataclass, field, fields, replace
 
 from . import data as shipped
 from .errors import (
@@ -40,16 +39,18 @@ from .mapping import (
 )
 from .ngram import MODE_BIGRAM, MODES, NgramModel, candidate_scores, disambiguate
 from .phonemes import ORPHAN_POLICIES, ORPHAN_REJECT, segment
+from .records import Record
 from .script import CharClass, load_inventory, normalize
 from .training import load_model
 
 # distinct words an engine keeps converted; the memo empties when full.
-# An entry holds its unit fields, and its trace rows once a trace has
-# read it, and shares the inventory's interned graphemes: for a random
-# word about 0.45 KiB untraced and 0.85 KiB traced on average, 99% of
-# traced entries under 2.2 KiB (tracemalloc, 1,000 words of the
+# An entry holds its unit fields, its trace rows once a trace has read
+# it, and its output text once the text path (the untraced command
+# line) has read it, and shares the inventory's interned graphemes: for
+# a random word about 0.45 KiB untraced and 0.85 KiB traced on average,
+# 99% of traced entries under 2.2 KiB (tracemalloc, 1,000 words of the
 # benchmark's train-eval inputs), so a full traced memo holds about
-# 0.9 MiB.
+# 0.9 MiB; an output text adds about 85 bytes (sys.getsizeof, same words).
 WORD_MEMO_SIZE = 1024
 
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False,
@@ -60,28 +61,40 @@ _CHOICES = {"mode": (MODES, "mode"), "orphan_matra": (ORPHAN_POLICIES, "orphan_m
             "unmapped": (UNMAPPED_POLICIES, "unmapped policy")}
 
 
-@dataclass(frozen=True)
-class EngineConfig:
+class EngineConfig(Record, frozen=True):
     """Paths and policies for one engine instance.
 
     None for inventory/mapping means the shipped defaults; None for
     model means rule-only conversion (ambiguous input then fails fast).
     """
 
-    inventory: str | None = None
-    mapping: str | None = None
-    model: str | None = None
-    mode: str = MODE_BIGRAM
-    orphan_matra: str = ORPHAN_REJECT
-    unmapped: str = UNMAPPED_ERROR
-    smoothing: bool = False
+    __slots__ = (
+        "inventory", "mapping", "model", "mode", "orphan_matra", "unmapped", "smoothing"
+    )
+
+    def __init__(
+        self,
+        inventory: str | None = None,
+        mapping: str | None = None,
+        model: str | None = None,
+        mode: str = MODE_BIGRAM,
+        orphan_matra: str = ORPHAN_REJECT,
+        unmapped: str = UNMAPPED_ERROR,
+        smoothing: bool = False,
+    ):
+        object.__setattr__(self, "inventory", inventory)
+        object.__setattr__(self, "mapping", mapping)
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "orphan_matra", orphan_matra)
+        object.__setattr__(self, "unmapped", unmapped)
+        object.__setattr__(self, "smoothing", smoothing)
 
     @classmethod
     def from_file(cls, path) -> "EngineConfig":
         """Parse a key=value config file; relative paths are taken
         relative to the file itself."""
         values = {}
-        known = {f.name for f in fields(cls)}
         try:
             fh = shipped.open_text(path)
         except (OSError, DataFormatError) as err:
@@ -96,7 +109,7 @@ class EngineConfig:
                 key, value = key.strip(), value.strip()
                 if not sep or not key:
                     raise ConfigError(f"{path}:{line_no}: expected key=value")
-                if key not in known:
+                if key not in cls._fields:
                     raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
                 if key in values:
                     raise ConfigError(f"{path}:{line_no}: duplicate key {key!r}")
@@ -120,31 +133,54 @@ class EngineConfig:
     def override(self, **kwargs) -> "EngineConfig":
         """A copy with the not-None keyword values replacing fields."""
         updates = {k: v for k, v in kwargs.items() if v is not None}
-        return replace(self, **updates) if updates else self
+        if not updates:
+            return self
+        values = {name: getattr(self, name) for name in self._fields}
+        return type(self)(**(values | updates))
 
 
-@dataclass
-class TraceRecord:
+class TraceRecord(Record):
     """How one non-Other grapheme was resolved.
 
     Not frozen: records are built fresh for every traced line and
-    nothing hashes them, and a frozen dataclass costs several times as
-    much to build.
+    nothing hashes them, and a frozen record's fields are set through
+    ``object.__setattr__``, which costs more than assigning them.
     """
 
-    index: int
-    source: str
-    candidates: tuple[str, ...]
-    scores: tuple[float, ...] | None
-    chosen: str
-    resolution: Resolution
+    __slots__ = ("index", "source", "candidates", "scores", "chosen", "resolution")
+
+    def __init__(
+        self,
+        index: int,
+        source: str,
+        candidates: tuple[str, ...],
+        scores: tuple[float, ...] | None,
+        chosen: str,
+        resolution: Resolution,
+    ):
+        self.index = index
+        self.source = source
+        self.candidates = candidates
+        self.scores = scores
+        self.chosen = chosen
+        self.resolution = resolution
 
 
-@dataclass
-class LineResult:
-    output: str
-    units: list[MappedUnit]
-    trace: list[TraceRecord] = field(default_factory=list)
+class LineResult(Record):
+    """One converted line: its output text, its units and, when traced,
+    its records."""
+
+    __slots__ = ("output", "units", "trace")
+
+    def __init__(
+        self,
+        output: str,
+        units: list[MappedUnit],
+        trace: list[TraceRecord] | None = None,
+    ):
+        self.output = output
+        self.units = units
+        self.trace = [] if trace is None else trace
 
 
 class Transliterator:
@@ -158,6 +194,8 @@ class Transliterator:
     gets fresh units.  A traced line also gets fresh records, built
     from the word's trace rows, which are computed, scores included,
     when a trace first reads the word's entry and kept there.  The
+    untraced command line reads only the output text, which an entry
+    keeps the same way, so a word it has seen builds no unit.  The
     memo fills on demand and never changes an output or a trace.
     """
 
@@ -183,7 +221,8 @@ class Transliterator:
         self.model: NgramModel | None = None
         if config.model is not None:
             self.model = load_model(config.model, add_one_smoothing=config.smoothing)
-        self._memo = {}  # NFC word -> [unit fields, trace rows or None]
+        # NFC word -> [unit fields, trace rows or None, output text or None]
+        self._memo = {}
 
     def transliterate_line(self, line: str, *, collect_trace: bool = False) -> LineResult:
         """Convert one line of Devanagari text; line breaks are not part
@@ -191,9 +230,21 @@ class Transliterator:
 
         Error offsets count code points of ``line`` as given.
         """
+        units, trace = self._convert_line(line, collect_trace, True)
+        return LineResult("".join(u.resolved for u in units), units, trace)
+
+    def _line_text(self, line):
+        """``transliterate_line(line).output``, errors included, joined
+        from the words' output texts in the memo with no unit built: the
+        untraced command line prints nothing else."""
+        return "".join(self._convert_line(line, False, False)[0])
+
+    def _convert_line(self, line, collect_trace, build_units):
+        """:meth:`_convert_by_word` on the NFC form of ``line``, with an
+        error's offset counted in code points of ``line`` as given."""
         text = normalize(line)
         try:
-            units, trace = self._convert_by_word(text, collect_trace)
+            return self._convert_by_word(text, collect_trace, build_units)
         except (OrphanMatraError, UnmappedGraphemeError, MissingModelError) as err:
             offset = err.offset
             if text != line:
@@ -205,12 +256,14 @@ class Transliterator:
                     key=lambda k: len(normalize(line[:k])),
                 ) - 1
             raise type(err)(err.grapheme, offset) from None
-        return LineResult("".join(u.resolved for u in units), units, trace)
 
-    def _convert_by_word(self, text, collect_trace):
+    def _convert_by_word(self, text, collect_trace, build_units):
         """Units of NFC ``text``, each word taken from the memo or
         converted and memoised, and with ``collect_trace`` one record per
-        non-Other unit; every unit and record is a fresh object."""
+        non-Other unit; every unit and record is a fresh object.  Without
+        ``build_units`` (and untraced) the units are the words' output
+        texts instead, each kept in its entry the first time it is read,
+        and a word in the memo builds no unit."""
         units, trace = [], []
         try:
             for word in self.inventory.words(text):
@@ -221,12 +274,19 @@ class Transliterator:
                         [(u.source, u.candidates, u.resolved, u.resolution, u.unmapped)
                          for u in word_units],
                         None,
+                        None,
                     ]
                     if len(self._memo) >= WORD_MEMO_SIZE:
                         self._memo.clear()
                     self._memo[word] = entry
-                else:
+                elif build_units:
                     word_units = [MappedUnit(*f) for f in entry[0]]
+                if not build_units:
+                    output = entry[2]
+                    if output is None:
+                        output = entry[2] = "".join(f[2] for f in entry[0])
+                    units.append(output)
+                    continue
                 if collect_trace:
                     rows = entry[1]
                     if rows is None:

@@ -18,11 +18,11 @@ from __future__ import annotations
 import enum
 import re
 import unicodedata
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .data import read_rows
 from .errors import DataFormatError
+from .records import Record
 
 NUKTA = "़"
 VIRAMA = "्"
@@ -63,16 +63,16 @@ _CLASS_BY_CODE = {
 }
 
 
-@dataclass(frozen=True)
-class Grapheme:
+class Grapheme(Record, frozen=True):
     """One unit of source text: its code points and its class."""
 
-    text: str
-    char_class: CharClass
+    __slots__ = ("text", "char_class")
 
-    def __post_init__(self):
-        if not self.text:
+    def __init__(self, text: str, char_class: CharClass):
+        if not text:
             raise ValueError("grapheme text must be non-empty")
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "char_class", char_class)
 
 
 def _letter_or_mark(ch: str) -> bool:

@@ -13,13 +13,13 @@ import operator
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, islice
 
 from .data import open_text, read_rows
 from .errors import AlignmentError, DataFormatError
 from .ngram import BOUNDARY, NgramModel
+from .records import Record
 from .script import ScriptInventory, is_word_separator, normalize
 
 # reserved token marking a word gap inside an aligned row, so a row can
@@ -47,8 +47,7 @@ _COUNT_LINES = {
 }
 
 
-@dataclass(frozen=True)
-class AlignedPair:
+class AlignedPair(Record, frozen=True, compare=("source_units", "target_units")):
     """Positionally aligned source graphemes and target units.
 
     Equal length is the caller's promise; the counters reject pairs
@@ -56,9 +55,17 @@ class AlignedPair:
     from, if any; it takes no part in comparisons.
     """
 
-    source_units: tuple[str, ...]
-    target_units: tuple[str, ...]
-    line: int | None = field(default=None, compare=False)
+    __slots__ = ("source_units", "target_units", "line")
+
+    def __init__(
+        self,
+        source_units: tuple[str, ...],
+        target_units: tuple[str, ...],
+        line: int | None = None,
+    ):
+        object.__setattr__(self, "source_units", source_units)
+        object.__setattr__(self, "target_units", target_units)
+        object.__setattr__(self, "line", line)
 
 
 def corpus_words(inventory: ScriptInventory, line: str) -> list[list[str]]:

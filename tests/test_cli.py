@@ -2,6 +2,7 @@ import codecs
 import io
 import os
 import stat
+import subprocess
 import sys
 from pathlib import Path
 
@@ -75,6 +76,36 @@ def test_demo_gold_round_trip(capsys, monkeypatch, demo_model_path):
     )
     assert code == EXIT_OK
     assert out.splitlines() == targets
+
+
+def test_transliterate_imports_neither_dataclasses_nor_evaluation(tmp_path, demo_model_path):
+    # a fresh interpreter: the modules the command adds, not those a
+    # site module may have loaded before it
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from sindhi_translit import cli\n"
+        "model, sample, out, gold = sys.argv[1:]\n"
+        "code = cli.main(['transliterate', '--model', model, '-i', sample, '-o', out])\n"
+        "added = set(sys.modules) - before\n"
+        "print(code, sorted(added & {'dataclasses', 'sindhi_translit.evaluation'}),\n"
+        "      'sindhi_translit.pipeline' in added)\n"
+        "sys.exit(cli.main(['evaluate', '--gold', gold, '--end-to-end', '--model', model]))\n"
+    )
+    out = tmp_path / "out.txt"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(demo_model_path), shipped.demo_sample_path(),
+         str(out), shipped.demo_gold_path()],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    first, *report = proc.stdout.splitlines()
+    assert first == "0 [] True"
+    assert "overall_accuracy=100.00" in report
+    assert out.read_text(encoding="utf-8") == (
+        Path(__file__).parent / "golden" / "demo_bigram.out"
+    ).read_text(encoding="utf-8")
 
 
 def test_trace_goes_to_stderr(capsys, monkeypatch, demo_model_path):

@@ -32,7 +32,7 @@ CASES = {
 }
 
 
-def transliterate(case, model_path):
+def transliterate(case, model_path, trace=("--trace",)):
     """(stdout, stderr) bytes of one case's run."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -40,7 +40,7 @@ def transliterate(case, model_path):
     )
     proc = subprocess.run(
         [sys.executable, "-m", "sindhi_translit.cli", "transliterate",
-         "--model", str(model_path), "--trace", *CASES[case]],
+         "--model", str(model_path), *trace, *CASES[case]],
         env=env,
         capture_output=True,
         timeout=120,
@@ -54,6 +54,14 @@ def test_output_and_trace_match_golden_files(case, demo_model_path):
     out, trace = transliterate(case, demo_model_path)
     assert out == (GOLDEN / f"{case}.out").read_bytes()
     assert trace == (GOLDEN / f"{case}.trace").read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_untraced_output_matches_golden_files(case, demo_model_path):
+    # the untraced command builds no units, yet prints the same text
+    assert transliterate(case, demo_model_path, trace=()) == (
+        (GOLDEN / f"{case}.out").read_bytes(), b""
+    )
 
 
 if __name__ == "__main__":

@@ -307,6 +307,7 @@ def test_config_from_file(tmp_path, demo_model_path):
     assert config.orphan_matra == "pass"
     assert config.smoothing is False
     assert Path(config.model).name == "demo.tsv"
+    assert config == EngineConfig(model=str(demo_model_path), orphan_matra="pass")
     engine = Transliterator(config)
     assert engine.transliterate_line("तारो").output == "تآرا"
 
@@ -379,6 +380,11 @@ def test_config_override():
     config = EngineConfig()
     assert config.override(mode=None) is config
     assert config.override(mode=MODE_TRIGRAM).mode == MODE_TRIGRAM
+    changed = config.override(model="m.tsv", mode=None, smoothing=True)
+    assert changed == EngineConfig(model="m.tsv", smoothing=True)
+    assert config == EngineConfig()  # not changed in place
+    with pytest.raises(TypeError):
+        config.override(speed="fast")
 
 
 def test_smoothing_engine_still_deterministic(demo_model_path):

@@ -5,12 +5,13 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import lines, word_context
 from sindhi_translit import data as shipped
 from sindhi_translit import pipeline
 from sindhi_translit.errors import MissingModelError, PipelineError
-from sindhi_translit.mapping import UNMAPPED_PASS, Resolution, map_phonemes
+from sindhi_translit.mapping import UNMAPPED_PASS, MappedUnit, Resolution, map_phonemes
 from sindhi_translit.ngram import MODE_TRIGRAM, candidate_scores, choose
 from sindhi_translit.phonemes import ORPHAN_PASS, phonify
 from sindhi_translit.pipeline import EngineConfig, LineResult, TraceRecord, Transliterator
@@ -244,3 +245,67 @@ def test_word_split_the_whole_line_accepts_is_an_internal_error(demo_model_path,
     with pytest.raises(PipelineError, match="internal error") as excinfo:
         engine.transliterate_line("कि")
     assert type(excinfo.value) is PipelineError
+
+
+def error_fields(err):
+    return type(err), err.grapheme, err.offset, str(err)
+
+
+@pytest.mark.parametrize("name", ["no-model", "bigram", "trigram", "pass", "trimmed",
+                                  "trimmed-pass"])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(calls=st.lists(st.tuples(lines, st.sampled_from(["text", "units", "trace"])),
+                      min_size=1, max_size=4))
+@example(calls=[("तारो तारो, तारो", "trace"), ("तारो खंड", "text"), ("खंड तारो", "units")])
+@example(calls=[(" ़क तारो", "units"), ("क़क ा", "text")])
+@example(calls=[("कि", "trace"), ("कि ि", "text")])
+def test_text_path_equals_line_output(name, demo_model_path, mapping_paths, calls):
+    """The untraced command line's path, after the line's words were
+    first read by itself, by a call that builds units or by a traced
+    call, gives the output, or the error, ``transliterate_line`` gives."""
+    engine = shared_engine(name, demo_model_path, mapping_paths)
+    for line, first in calls:
+        if first != "text":
+            converted(engine, line, first == "trace")
+        try:
+            text = engine._line_text(line)
+        except PipelineError as err:
+            text = error_fields(err)
+        expected = converted(engine, line, False)
+        if isinstance(expected, PipelineError):
+            assert text == error_fields(expected)
+        else:
+            assert text == expected.output
+
+
+def test_text_path_equals_line_output_across_memo_evictions(demo_model_path):
+    engine = Transliterator(EngineConfig(model=str(demo_model_path)))
+    consonants = sorted(engine.inventory.consonants)
+    words = [a + ("ं" if i % 3 else "ा") + b
+             for i, (a, b) in enumerate((a, b) for a in consonants for b in consonants)]
+    assert len(set(words)) > pipeline.WORD_MEMO_SIZE
+    sizes = []
+    for i in range(0, len(words), 5):
+        line = " ".join(words[i : i + 5])
+        if i % 3:
+            engine.transliterate_line(line, collect_trace=i % 3 == 2)
+        assert engine._line_text(line) == engine.transliterate_line(line).output
+        sizes.append(len(engine._memo))
+    assert any(after < before for before, after in zip(sizes, sizes[1:]))  # emptied
+
+
+def test_text_path_builds_no_units_for_memoised_words(demo_model_path, monkeypatch):
+    engine = Transliterator(EngineConfig(model=str(demo_model_path)))
+    line = "तारो खंड, तारो"
+    expected = engine._line_text(line)
+    built = []
+
+    def counted(*fields):
+        built.append(fields)
+        return MappedUnit(*fields)
+
+    monkeypatch.setattr(pipeline, "MappedUnit", counted)
+    assert engine._line_text(line) == expected == "تآرا کنڊ, تآرا"
+    assert built == []
+    assert engine.transliterate_line(line).output == expected
+    assert len(built) == len(normalize(line))  # one unit per code point here
