@@ -25,9 +25,8 @@ from .errors import (
     PipelineError,
     TransliterationError,
 )
-from .mapping import UNMAPPED_POLICIES, MappedUnit, Resolution
+from .mapping import ORPHAN_POLICIES, UNMAPPED_POLICIES, MappedUnit, Resolution
 from .ngram import MODES
-from .phonemes import ORPHAN_POLICIES
 from .pipeline import EngineConfig, Transliterator
 from .script import CharClass, Grapheme, load_inventory
 from .training import WORD_GAP, load_aligned, parse_aligned_row, save_model, train_model

@@ -6,6 +6,10 @@ or more mark the grapheme as ambiguous and leave the choice to the
 statistical layer.  Candidate order matters: the first entry is the
 deterministic fallback when statistics cannot decide.
 
+The role each grapheme is looked up under is decided once, by the walk
+:func:`roles`, which :func:`map_graphemes` runs before the mapping walk
+and the phoneme functions are adapters over.
+
 Each table caches its lookups in an ``lru_cache`` of the
 ``LOOKUP_MEMO_SIZE`` most recently used, which the mapping walk calls.
 """
@@ -16,10 +20,14 @@ import enum
 from functools import lru_cache, partial
 
 from .data import read_rows
-from .errors import DataFormatError, UnmappedGraphemeError
-from .phonemes import PhonemePattern
+from .errors import DataFormatError, OrphanMatraError, UnmappedGraphemeError
 from .records import Record
-from .script import VIRAMA, Grapheme, is_word_separator, normalize
+from .script import VIRAMA, CharClass, Grapheme, is_word_separator, normalize
+
+# what to do with a vowel symbol that has no consonant before it
+ORPHAN_REJECT = "reject"
+ORPHAN_PASS = "pass"
+ORPHAN_POLICIES = (ORPHAN_REJECT, ORPHAN_PASS)
 
 # what to do with an inventory grapheme that has no table row
 UNMAPPED_ERROR = "error"
@@ -57,9 +65,15 @@ class Resolution(enum.Enum):
 
 
 # enum members as module names: reading a member off its class runs
-# Python code, and the mapping walk reads one per grapheme
+# Python code, and the role and mapping walks read one per grapheme
 _PASS_THROUGH = Resolution.PASS_THROUGH
 _RULE = Resolution.RULE
+_ANY = Role.ANY
+_VOWEL = Role.VOWEL
+_MATRA = Role.MATRA
+_CONSONANT = CharClass.CONSONANT
+_INDEPENDENT_VOWEL = CharClass.INDEPENDENT_VOWEL
+_SIGN = CharClass.VOWEL_SYMBOL
 _ROLE_BY_VALUE = {r.value: r for r in Role}
 
 
@@ -192,39 +206,53 @@ def load_mapping(path) -> MappingTable:
     return MappingTable(entries)
 
 
-# the roles of a phoneme's graphemes, by the value of its pattern
-# (hashing an enum member runs Python code): segmentation has decided
-# them.  None passes the grapheme through
-_ROLES = {
-    PhonemePattern.CONSONANT.value: (Role.ANY,),
-    PhonemePattern.VOWEL.value: (Role.VOWEL,),
-    PhonemePattern.CONSONANT_VOWEL.value: (Role.ANY, Role.MATRA),
-    PhonemePattern.OTHER.value: (None,),
-}
+def roles(graphemes, *, orphan_policy: str = ORPHAN_REJECT) -> list[Role | None]:
+    """The role rule as one walk over clustered graphemes: a consonant
+    is any role (A rows), an independent vowel a vowel, a vowel sign
+    right after a consonant a matra.  Any other vowel sign is an orphan,
+    which the reject policy raises as :class:`OrphanMatraError` at its
+    offset; it and anything else get None and pass through."""
+    if orphan_policy not in ORPHAN_POLICIES:
+        raise ValueError(f"unknown orphan policy {orphan_policy!r}")
+    out = []
+    prev = None
+    for i, g in enumerate(graphemes):
+        cls = g.char_class
+        if cls is _CONSONANT:
+            out.append(_ANY)
+        elif cls is _INDEPENDENT_VOWEL:
+            out.append(_VOWEL)
+        elif cls is _SIGN and prev is _CONSONANT:
+            out.append(_MATRA)
+        elif cls is _SIGN and orphan_policy == ORPHAN_REJECT:
+            raise OrphanMatraError(g.text, sum(len(x.text) for x in graphemes[:i]))
+        else:
+            out.append(None)
+        prev = cls
+    return out
 
 
 def map_graphemes(
     table: MappingTable,
     graphemes,
-    patterns,
     *,
+    orphan_policy: str = ORPHAN_REJECT,
     unmapped_policy: str = UNMAPPED_ERROR,
 ) -> list[MappedUnit]:
-    """The mapping rule as one walk over a clustered grapheme sequence
-    and the phoneme patterns :func:`phonemes.segment` found in it.
+    """Map a clustered grapheme sequence: the :func:`roles` walk over the
+    whole sequence, so an orphan sign is reported before any grapheme is
+    looked up, then the mapping walk.
 
-    Output is one unit per grapheme, in order, each looked up in the
-    role its phoneme's pattern gives it.  Single-candidate rows resolve
-    immediately (Rule); multi-candidate rows stay unresolved for the
-    statistical layer; graphemes with no role pass straight through,
-    and so, under the pass policy, do those with no row.  Patterns that
-    do not cover the graphemes exactly raise ValueError.
+    Output is one unit per grapheme, in order, each looked up in its
+    role.  Single-candidate rows resolve immediately (Rule);
+    multi-candidate rows stay unresolved for the statistical layer;
+    graphemes with no role pass straight through, and so, under the
+    pass policy, do those with no row.
     """
-    _check_policy(unmapped_policy)
-    roles = [role for p in patterns for role in _ROLES[p._value_]]
-    if len(roles) != len(graphemes):
-        raise ValueError(f"patterns cover {len(roles)} graphemes, not {len(graphemes)}")
-    return _map(table, graphemes, roles, unmapped_policy)
+    if unmapped_policy not in UNMAPPED_POLICIES:
+        raise ValueError(f"unknown unmapped policy {unmapped_policy!r}")
+    return _map(table, graphemes, roles(graphemes, orphan_policy=orphan_policy),
+                unmapped_policy)
 
 
 def map_phonemes(
@@ -235,23 +263,22 @@ def map_phonemes(
 ) -> list[MappedUnit]:
     """Map each grapheme of each phoneme to its candidate targets.
 
-    The phonemes are flattened into graphemes and roles for the same
-    mapping walk the engine runs through :func:`map_graphemes`, so both
-    give the same units and errors.  A phoneme whose length does not
-    fit its pattern raises ValueError.
+    The phonemes are flattened into their graphemes, which
+    :func:`map_graphemes` maps under the pass orphan policy: a phoneme
+    carries no role of its own, so both give the same units and errors.
+    Phonemes that ``phonemes.phonify_graphemes`` would not build from
+    those graphemes raise ValueError.
     """
-    _check_policy(unmapped_policy)
-    pairs = [
-        pair
-        for ph in phonemes
-        for pair in zip(ph.graphemes, _ROLES[ph.pattern._value_], strict=True)
-    ]
-    return _map(table, [g for g, _ in pairs], [r for _, r in pairs], unmapped_policy)
+    # phonemes imports this module, so its import waits for a call; by
+    # then the caller's phonemes have loaded it
+    from .phonemes import phonify_graphemes
 
-
-def _check_policy(unmapped_policy):
-    if unmapped_policy not in UNMAPPED_POLICIES:
-        raise ValueError(f"unknown unmapped policy {unmapped_policy!r}")
+    graphemes = [g for ph in phonemes for g in ph.graphemes]
+    if phonify_graphemes(graphemes, orphan_policy=ORPHAN_PASS) != list(phonemes):
+        raise ValueError("the phonemes do not group their graphemes as phonify would")
+    return map_graphemes(
+        table, graphemes, orphan_policy=ORPHAN_PASS, unmapped_policy=unmapped_policy
+    )
 
 
 def _map(table, graphemes, roles, unmapped_policy):

@@ -1,29 +1,20 @@
 """Phoneme segmentation: group classified graphemes into C / V / CV units.
 
-Rules, in order: a consonant directly followed by a vowel symbol forms a
-single consonant+matra unit; an independent vowel always stands alone; a
-bare consonant stands alone.  Everything outside the script (spaces,
-punctuation, digits) flows through as an Other unit so sentence
-structure survives to the output.
-
-The rule is written once, as the walk :func:`segment`, which returns
-each phoneme's pattern.  The engine reads those patterns directly;
-:func:`phonify` and :func:`phonify_graphemes` only add the
-:class:`Phoneme` objects.
+The grouping is an adapter over the role walk ``mapping.roles``, which
+the engine runs without it: a matra joins the consonant before it as a
+CV unit, and every other grapheme is a unit of its own.  Spaces,
+punctuation and digits, and under the pass policy an orphan vowel sign,
+become Other units, so sentence structure survives to the output.
 """
 
 from __future__ import annotations
 
 import enum
 
-from .errors import OrphanMatraError
+# the orphan policies are re-exported from their home
+from .mapping import ORPHAN_PASS, ORPHAN_POLICIES, ORPHAN_REJECT, Role, roles
 from .records import Record
-from .script import CharClass, Grapheme, ScriptInventory, cluster_graphemes
-
-# what to do with a vowel symbol that has no consonant before it
-ORPHAN_REJECT = "reject"
-ORPHAN_PASS = "pass"
-ORPHAN_POLICIES = (ORPHAN_REJECT, ORPHAN_PASS)
+from .script import Grapheme, ScriptInventory, cluster_graphemes
 
 
 class PhonemePattern(enum.Enum):
@@ -34,14 +25,14 @@ class PhonemePattern(enum.Enum):
 
 
 # enum members as module names: reading a member off its class runs
-# Python code, and the segmentation walk reads one per grapheme
+# Python code, and the grouping reads one per grapheme
 _C = PhonemePattern.CONSONANT
 _V = PhonemePattern.VOWEL
 _CV = PhonemePattern.CONSONANT_VOWEL
 _OTHER = PhonemePattern.OTHER
-_CONSONANT = CharClass.CONSONANT
-_VOWEL = CharClass.INDEPENDENT_VOWEL
-_SIGN = CharClass.VOWEL_SYMBOL
+_ANY = Role.ANY
+_VOWEL = Role.VOWEL
+_MATRA = Role.MATRA
 
 
 class Phoneme(Record, frozen=True):
@@ -64,47 +55,17 @@ class Phoneme(Record, frozen=True):
         return "".join(g.text for g in self.graphemes)
 
 
-def segment(graphemes, *, orphan_policy: str = ORPHAN_REJECT) -> list[PhonemePattern]:
-    """The segmentation rule as one walk over a clustered grapheme
-    sequence: the pattern of each phoneme, in order.  A CV phoneme spans
-    two graphemes, every other phoneme one.
-
-    Under the reject policy the first orphan vowel symbol raises
-    :class:`OrphanMatraError` with its code-point offset.
-    """
-    if orphan_policy not in ORPHAN_POLICIES:
-        raise ValueError(f"unknown orphan policy {orphan_policy!r}")
-    patterns = []
-    i = 0
-    n = len(graphemes)
-    while i < n:
-        cls = graphemes[i].char_class
-        if cls is _CONSONANT:
-            if i + 1 < n and graphemes[i + 1].char_class is _SIGN:
-                patterns.append(_CV)
-                i += 2
-                continue
-            patterns.append(_C)
-        elif cls is _VOWEL:
-            patterns.append(_V)
-        else:
-            if cls is _SIGN and orphan_policy == ORPHAN_REJECT:
-                offset = sum(len(x.text) for x in graphemes[:i])
-                raise OrphanMatraError(graphemes[i].text, offset)
-            patterns.append(_OTHER)
-        i += 1
-    return patterns
-
-
 def phonify_graphemes(graphemes, *, orphan_policy: str = ORPHAN_REJECT) -> list[Phoneme]:
     """Group an already-clustered grapheme sequence into phonemes: the
-    :func:`segment` walk, with a :class:`Phoneme` built per pattern."""
+    ``mapping.roles`` walk, with a matra joined to the consonant before
+    it as CV, and any other grapheme a phoneme of its own: C for a
+    consonant, V for an independent vowel, Other for one with no role."""
     out = []
-    i = 0
-    for pattern in segment(graphemes, orphan_policy=orphan_policy):
-        width = 2 if pattern is _CV else 1
-        out.append(Phoneme(tuple(graphemes[i : i + width]), pattern))
-        i += width
+    for g, role in zip(graphemes, roles(graphemes, orphan_policy=orphan_policy)):
+        if role is _MATRA:
+            out[-1] = Phoneme((out[-1].graphemes[0], g), _CV)
+        else:
+            out.append(Phoneme((g,), _C if role is _ANY else _V if role is _VOWEL else _OTHER))
     return out
 
 

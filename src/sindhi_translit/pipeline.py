@@ -4,15 +4,15 @@ The engine is configured once (inventory, mapping table, optional model,
 policies) and then converts lines independently: same input, same
 output.  A new word goes through the rule walks and nothing else: one
 split into grapheme keys (``ScriptInventory.grapheme_keys``, interned
-as graphemes), the segmentation walk ``phonemes.segment``, the mapping
-walk ``mapping.map_graphemes``, then ``ngram.disambiguate`` for each
-unit the rules leave ambiguous, in a context of the neighbouring
-grapheme keys within the word; word edges contribute the boundary
-symbol.  The staged functions (``phonify``, ``map_phonemes``) run the
-same two walks and only add the ``Phoneme`` objects, which the engine
-never builds.  Every decision is therefore local to a word, and the
-engine converts a line word by word, each distinct word once, traced
-or not.
+as graphemes), ``mapping.map_graphemes`` (the role walk
+``mapping.roles``, then the mapping walk), then ``ngram.disambiguate``
+for each unit the rules leave ambiguous, in a context of the
+neighbouring grapheme keys within the word; word edges contribute the
+boundary symbol.  The staged functions (``phonify``, ``map_phonemes``)
+are adapters over the same walks that only add the ``Phoneme``
+objects, which the engine never builds.  Every decision is therefore
+local to a word, and the engine converts a line word by word, each
+distinct word once, traced or not.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ from .errors import (
     UnmappedGraphemeError,
 )
 from .mapping import (
+    ORPHAN_POLICIES,
+    ORPHAN_REJECT,
     UNMAPPED_ERROR,
     UNMAPPED_POLICIES,
     MappedUnit,
@@ -38,7 +40,6 @@ from .mapping import (
     map_graphemes,
 )
 from .ngram import MODE_BIGRAM, MODES, NgramModel, candidate_scores, disambiguate
-from .phonemes import ORPHAN_POLICIES, ORPHAN_REJECT, segment
 from .records import Record
 from .script import CharClass, load_inventory, normalize
 from .training import load_model
@@ -189,7 +190,7 @@ class Transliterator:
     Every decision is local to a word, so a line is converted word by
     word, with the words split by ``ScriptInventory.words`` (the rule
     training counts by), and each distinct word only once, through the
-    segmentation and mapping walks the staged functions share: its unit
+    role and mapping walks the staged functions share: its unit
     fields are kept in a bounded memo, from which every later result
     gets fresh units.  A traced line also gets fresh records, built
     from the word's trace rows, which are computed, scores included,
@@ -321,16 +322,16 @@ class Transliterator:
         decided by :func:`disambiguate` in its word-local context.  The
         word is split into grapheme keys once, with no second
         normalisation; the keys are interned for the walks and read as
-        they are for the context.  Segmentation walks the whole text
-        before mapping starts, so its errors come first, as in the
-        staged functions."""
+        they are for the context.  The role walk covers the whole text
+        before mapping starts, so an orphan sign is reported before an
+        unmapped grapheme, as in the staged functions."""
         config = self.config
         keys = self.inventory.grapheme_keys(word)
         graphemes = list(map(self.inventory.grapheme, keys))
         units = map_graphemes(
             self.table,
             graphemes,
-            segment(graphemes, orphan_policy=config.orphan_matra),
+            orphan_policy=config.orphan_matra,
             unmapped_policy=config.unmapped,
         )
         model, ctx = self.model, None

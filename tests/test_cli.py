@@ -88,7 +88,8 @@ def test_transliterate_imports_neither_dataclasses_nor_evaluation(tmp_path, demo
         "model, sample, out, gold = sys.argv[1:]\n"
         "code = cli.main(['transliterate', '--model', model, '-i', sample, '-o', out])\n"
         "added = set(sys.modules) - before\n"
-        "print(code, sorted(added & {'dataclasses', 'sindhi_translit.evaluation'}),\n"
+        "print(code, sorted(added & {'dataclasses', 'sindhi_translit.evaluation',\n"
+        "                            'sindhi_translit.phonemes'}),\n"
         "      'sindhi_translit.pipeline' in added)\n"
         "sys.exit(cli.main(['evaluate', '--gold', gold, '--end-to-end', '--model', model]))\n"
     )

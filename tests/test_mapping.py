@@ -1,12 +1,16 @@
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
 from helpers import lines
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from sindhi_translit import data as shipped
-from sindhi_translit.errors import DataFormatError, UnmappedGraphemeError
+from sindhi_translit.errors import DataFormatError, OrphanMatraError, UnmappedGraphemeError
 from sindhi_translit.mapping import (
+    ORPHAN_PASS,
+    ORPHAN_REJECT,
+    UNMAPPED_ERROR,
     UNMAPPED_PASS,
     MappingTable,
     Position,
@@ -16,7 +20,7 @@ from sindhi_translit.mapping import (
     map_graphemes,
     map_phonemes,
 )
-from sindhi_translit.phonemes import ORPHAN_PASS, Phoneme, PhonemePattern, phonify, segment
+from sindhi_translit.phonemes import Phoneme, PhonemePattern, phonify
 from sindhi_translit.script import CharClass, cluster_graphemes, is_word_separator, normalize
 
 
@@ -184,79 +188,113 @@ def test_table_len_and_entries(tmp_path):
     assert isinstance(t, MappingTable)
 
 
-def _tagged_table():
-    """Every key of the shipped table in every role and position, each
-    candidate tagged with the row's context code, so that a lookup under
-    the wrong role or word edge gives a different answer."""
-    entries = {}
+def _tagged_table(every=1):
+    """Every key of the shipped table (with ``every=2``, every other
+    key) in every role and position, each candidate tagged with the
+    row's context code, so that a lookup under the wrong role or word
+    edge gives a different answer."""
+    entries, keys = {}, []
     for row in Path(shipped.mapping_path()).read_text(encoding="utf-8").splitlines():
         if row and not row.startswith("#"):
             key, _ctx, *candidates = row.split("\t")
+            key = normalize(key)
+            if key not in keys:
+                keys.append(key)
+            if keys.index(key) % every:
+                continue
             for role in Role:
                 for pos in Position:
                     tag = role.value + pos.value
-                    entries[(normalize(key), role, pos)] = tuple(
-                        f"{c}/{tag}" for c in candidates
-                    )
+                    entries[(key, role, pos)] = tuple(f"{c}/{tag}" for c in candidates)
     return MappingTable(entries)
 
 
 TAGGED = _tagged_table()
+# half the keys have no row, so that unmapped letters are common
+GAPPED = _tagged_table(every=2)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(text=lines)
+# an unmapped letter (a consonant with a nukta the table has no row
+# for) before an orphan sign, and the other way round
+@example(text="त\u093c \u093f")
+@example(text="\u093f त\u093c")
 def test_letter_units_take_their_role_from_the_grapheme_classes(inventory, text):
     # the role rule stated on classes alone: an independent vowel is a
     # vowel, a vowel sign right after a consonant is a matra, any other
-    # letter is any role; an orphan vowel sign passes through.  A word
-    # edge is the end of the line or a separator next to the unit
+    # letter is any role; any other vowel sign is an orphan.  A word
+    # edge is the end of the line or a separator next to the unit.  An
+    # orphan sign anywhere raises before any unmapped letter does
     graphemes = cluster_graphemes(inventory, text)
-    units = map_phonemes(
-        TAGGED,
-        phonify(inventory, text, orphan_policy=ORPHAN_PASS),
-        unmapped_policy=UNMAPPED_PASS,
-    )
-    assert [u.source for u in units] == graphemes
+    offsets = list(accumulate((len(g.text) for g in graphemes), initial=0))
     last = len(graphemes) - 1
-    for i, (g, unit) in enumerate(zip(graphemes, units)):
+    orphans, roles = [], []
+    for i, g in enumerate(graphemes):
         after_consonant = i > 0 and graphemes[i - 1].char_class is CharClass.CONSONANT
         if g.char_class is CharClass.OTHER:
-            continue
-        if g.char_class is CharClass.VOWEL_SYMBOL and not after_consonant:
-            assert unit.candidates == ()
-            assert unit.resolution is Resolution.PASS_THROUGH
-            continue
-        if g.char_class is CharClass.INDEPENDENT_VOWEL:
-            role = Role.VOWEL
+            roles.append(None)
+        elif g.char_class is CharClass.INDEPENDENT_VOWEL:
+            roles.append(Role.VOWEL)
+        elif g.char_class is CharClass.VOWEL_SYMBOL and after_consonant:
+            roles.append(Role.MATRA)
         elif g.char_class is CharClass.VOWEL_SYMBOL:
-            role = Role.MATRA
+            orphans.append(i)
+            roles.append(None)
         else:
-            role = Role.ANY
-        want = TAGGED.lookup(
-            g.text,
-            role,
-            word_initial=i == 0 or is_word_separator(graphemes[i - 1]),
-            word_final=i == last or is_word_separator(graphemes[i + 1]),
+            roles.append(Role.ANY)
+    for table in (TAGGED, GAPPED):
+        expected = [
+            None if role is None else table.lookup(
+                g.text,
+                role,
+                word_initial=i == 0 or is_word_separator(graphemes[i - 1]),
+                word_final=i == last or is_word_separator(graphemes[i + 1]),
+            )
+            for i, (g, role) in enumerate(zip(graphemes, roles))
+        ]
+        unmapped = [
+            i for i, (want, role) in enumerate(zip(expected, roles))
+            if want is None and role is not None
+        ]
+        for orphan_policy in (ORPHAN_REJECT, ORPHAN_PASS):
+            for unmapped_policy in (UNMAPPED_ERROR, UNMAPPED_PASS):
+                policies = {"orphan_policy": orphan_policy, "unmapped_policy": unmapped_policy}
+                error = None
+                if orphans and orphan_policy == ORPHAN_REJECT:
+                    error, at = OrphanMatraError, orphans[0]
+                elif unmapped and unmapped_policy == UNMAPPED_ERROR:
+                    error, at = UnmappedGraphemeError, unmapped[0]
+                if error is not None:
+                    with pytest.raises(error) as excinfo:
+                        map_graphemes(table, graphemes, **policies)
+                    assert excinfo.type is error, (text, policies)
+                    assert excinfo.value.offset == offsets[at], (text, policies)
+                    continue
+                units = map_graphemes(table, graphemes, **policies)
+                assert [u.source for u in units] == graphemes
+                for i, (unit, want) in enumerate(zip(units, expected)):
+                    assert unit.candidates == (want or ()), (text, i)
+                    assert unit.unmapped is (i in unmapped), (text, i)
+                    if want is None:
+                        assert unit.resolution is Resolution.PASS_THROUGH
+        # the units of the last run, under both pass policies
+        assert units == map_phonemes(
+            table,
+            phonify(inventory, text, orphan_policy=ORPHAN_PASS),
+            unmapped_policy=UNMAPPED_PASS,
         )
-        assert unit.candidates == (want or ()), (text, i)
 
 
 def test_phoneme_whose_length_does_not_fit_its_pattern_is_rejected(inventory, table):
     consonant, sign = cluster_graphemes(inventory, "का")
-    for phoneme in (
-        Phoneme((consonant,), PhonemePattern.CONSONANT_VOWEL),
-        Phoneme((consonant, sign), PhonemePattern.CONSONANT),
-        Phoneme((consonant, sign), PhonemePattern.OTHER),
+    for phonemes in (
+        [Phoneme((consonant,), PhonemePattern.CONSONANT_VOWEL)],
+        [Phoneme((consonant, sign), PhonemePattern.CONSONANT)],
+        [Phoneme((consonant, sign), PhonemePattern.OTHER)],
+        # the sign of a consonant's matra, split from it
+        [Phoneme((consonant,), PhonemePattern.CONSONANT),
+         Phoneme((sign,), PhonemePattern.OTHER)],
     ):
         with pytest.raises(ValueError):
-            map_phonemes(table, [phoneme])
-
-
-def test_patterns_that_do_not_cover_the_graphemes_are_rejected(inventory, table):
-    graphemes = cluster_graphemes(inventory, "कमल")
-    patterns = segment(graphemes)
-    assert len(map_graphemes(table, graphemes, patterns)) == 3
-    for wrong in (patterns[:2], patterns * 2):
-        with pytest.raises(ValueError, match="cover"):
-            map_graphemes(table, graphemes, wrong)
+            map_phonemes(table, phonemes)

@@ -116,9 +116,12 @@ def test_reject_policy_agrees_with_reference(inventory):
         letters = "".join(g.char_class.value for g in graphemes)
         try:
             expected = reference.segment_by_classes(letters, orphan_policy="reject")
-        except ValueError:
-            with pytest.raises(OrphanMatraError):
+        except ValueError as err:
+            # the oracle names the orphan's grapheme index
+            index = int(str(err).rsplit(" ", 1)[1])
+            with pytest.raises(OrphanMatraError) as excinfo:
                 phonify_graphemes(graphemes, orphan_policy=ORPHAN_REJECT)
+            assert excinfo.value.offset == sum(len(g.text) for g in graphemes[:index])
             raised += 1
         else:
             got = phonify_graphemes(graphemes, orphan_policy=ORPHAN_REJECT)
