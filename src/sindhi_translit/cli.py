@@ -96,16 +96,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _engine_from_args(args) -> Transliterator:
+    """The engine the config file (or the defaults) describes, with
+    each field whose option was given (is not None) taking its value."""
     config = EngineConfig.from_file(args.config) if args.config else EngineConfig()
-    config = config.override(
-        inventory=getattr(args, "inventory", None),
-        mapping=getattr(args, "mapping", None),
-        model=getattr(args, "model", None),
-        mode=getattr(args, "mode", None),
-        orphan_matra=getattr(args, "orphan_matra", None),
-        unmapped=getattr(args, "unmapped", None),
-    )
-    return Transliterator(config)
+    given = vars(args)
+    return Transliterator(EngineConfig(**{
+        name: getattr(config, name) if given.get(name) is None else given[name]
+        for name in EngineConfig._fields
+    }))
 
 
 def _trace_line(record) -> str:
@@ -336,14 +334,15 @@ def _evaluate_end_to_end(args, gold):
 
 
 def main(argv=None) -> int:
-    for stream, errors in (
-        (sys.stdin, "surrogateescape"),
-        (sys.stdout, "strict"),
-        (sys.stderr, "strict"),
+    # stdin splits lines as -i and every data file do: at \n, \r\n or \r
+    for stream, options in (
+        (sys.stdin, {"errors": "surrogateescape", "newline": ""}),
+        (sys.stdout, {"errors": "strict"}),
+        (sys.stderr, {"errors": "strict"}),
     ):
         if hasattr(stream, "reconfigure"):
             try:
-                stream.reconfigure(encoding="utf-8", errors=errors)
+                stream.reconfigure(encoding="utf-8", **options)
             except (ValueError, OSError):
                 pass  # already closed or not a real stream; use as-is
     parser = build_parser()

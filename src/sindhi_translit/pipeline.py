@@ -131,14 +131,6 @@ class EngineConfig(Record, frozen=True):
                     values[key] = value
         return cls(**values)
 
-    def override(self, **kwargs) -> "EngineConfig":
-        """A copy with the not-None keyword values replacing fields."""
-        updates = {k: v for k, v in kwargs.items() if v is not None}
-        if not updates:
-            return self
-        values = {name: getattr(self, name) for name in self._fields}
-        return type(self)(**(values | updates))
-
 
 class TraceRecord(Record):
     """How one non-Other grapheme was resolved.

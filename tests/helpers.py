@@ -110,3 +110,57 @@ rule_texts = st.lists(
     st.one_of(st.sampled_from(RULE_PIECES), st.characters()),
     max_size=24,
 ).map("".join)
+
+
+# edits to the lines of a valid data file, for the fuzz tests; what a
+# mutation may put into a line: the formats' separators and
+# markers, counts (with non-ASCII digits and underscores, which int()
+# would take, and one with more digits than int() converts), classes,
+# letters and signs of both scripts, line breaks that only some
+# readers split on, and a byte that is not UTF-8 (written through
+# surrogateescape)
+FRAGMENTS = [
+    "\t", " ", "#", "=", "[", "]", "_", "^", "$", "-", "+", "0", "1", "-1",
+    "99999999999999999999", "1" + "0" * 5000, "1.5", "\u0967", "\u0665",
+    "\u00b2", "1_0",
+    "\u0967_\u0966", "C", "V", "M", "A", "x",
+    "TLMODEL", "v1", "v2", "boundary=", "sections", "unigram=1", "[bigram]",
+    "[trigram]", "emission", "क", "\u093e", "\u093c", "\u094d", "\u0958",
+    "ڪ", "آ", "\ufeff", "\r", "\n", "\x00", "\x85", "\u2028", "\udcff",
+]
+OPS = ("delete", "duplicate", "replace", "insert", "truncate", "swap")
+mutations = st.lists(
+    st.tuples(
+        st.sampled_from(OPS),
+        st.integers(0, 10**6),
+        st.integers(0, 10**6),
+        st.sampled_from(FRAGMENTS),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def mutate(lines, steps):
+    lines = list(lines)
+    for op, a, b, fragment in steps:
+        if not lines:
+            lines.append(fragment)
+            continue
+        i = a % len(lines)
+        line = lines[i]
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, line)
+        elif op == "replace":
+            lines[i] = fragment * (1 + b % 3)
+        elif op == "insert":
+            k = b % (len(line) + 1)
+            lines[i] = line[:k] + fragment + line[k:]
+        elif op == "truncate":
+            lines[i] = line[: b % (len(line) + 1)]
+        else:
+            j = b % len(lines)
+            lines[i], lines[j] = lines[j], line
+    return lines

@@ -20,6 +20,7 @@ from sindhi_translit.cli import (
     main,
 )
 from sindhi_translit.errors import DataFormatError
+from sindhi_translit.pipeline import EngineConfig
 from sindhi_translit.training import load_aligned, load_model
 
 
@@ -178,6 +179,108 @@ def test_empty_path_option_exits_config(flag, capsys, monkeypatch):
     code, out, err = run(["transliterate", f"--{flag}", ""], capsys)
     assert (code, out) == (EXIT_CONFIG, "")
     assert f"config error: {flag} file does not exist" in err
+
+
+# a config file that sets every field, with paths relative to itself,
+# and for each field that has an option a different value to give it
+FILE_CONFIG = (
+    "inventory = inventory.tsv\nmapping = mapping.tsv\nmodel = model.tsv\n"
+    "mode = trigram\norphan_matra = pass\nunmapped = pass\nsmoothing = true\n"
+)
+OPTIONS = {
+    "inventory": shipped.inventory_path(),
+    "mapping": shipped.mapping_path(),
+    "model": None,  # another copy of the demo model
+    "mode": "bigram",
+    "orphan_matra": "reject",
+    "unmapped": "error",
+}
+
+
+@pytest.fixture()
+def layered(tmp_path, monkeypatch, demo_model_path):
+    """``(run_with, file_config, options)``: ``run_with(argv)`` runs a
+    command with the config file above and returns its exit code and
+    the config of each engine it built; ``file_config`` is the file's
+    config and ``options`` the values to give the options."""
+    for name, source in (
+        ("inventory.tsv", shipped.inventory_path()),
+        ("mapping.tsv", shipped.mapping_path()),
+        ("model.tsv", demo_model_path),
+        ("other-model.tsv", demo_model_path),
+    ):
+        (tmp_path / name).write_bytes(Path(source).read_bytes())
+    cfg = tmp_path / "engine.cfg"
+    cfg.write_text(FILE_CONFIG, encoding="utf-8")
+    options = dict(OPTIONS, model=str(tmp_path / "other-model.tsv"))
+    built = []
+
+    class Recording(cli.Transliterator):
+        def __init__(self, config):
+            built.append(config)
+            super().__init__(config)
+
+    monkeypatch.setattr(cli, "Transliterator", Recording)
+
+    def run_with(argv):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        code = main([argv[0], "--config", str(cfg), *argv[1:]])
+        configs = list(built)
+        built.clear()
+        return code, configs
+
+    file_config = EngineConfig(
+        inventory=str(tmp_path / "inventory.tsv"),
+        mapping=str(tmp_path / "mapping.tsv"),
+        model=str(tmp_path / "model.tsv"),
+        mode="trigram",
+        orphan_matra="pass",
+        unmapped="pass",
+        smoothing=True,
+    )
+    return run_with, file_config, options
+
+
+def replaced(config, **values):
+    return EngineConfig(**{
+        name: values.get(name, getattr(config, name)) for name in EngineConfig._fields
+    })
+
+
+@pytest.mark.parametrize("field", OPTIONS)
+def test_option_replaces_config_value(field, layered, capsys):
+    # the option's value wins when it is given, the file's stays when it
+    # is not; smoothing has no option and keeps the file's value
+    run_with, file_config, options = layered
+    flag = "--" + field.replace("_", "-")
+    assert run_with(["transliterate"]) == (EXIT_OK, [file_config])
+    assert run_with(["transliterate", flag, options[field]]) == (
+        EXIT_OK, [replaced(file_config, **{field: options[field]})]
+    )
+    assert capsys.readouterr() == ("", "")
+    if field in ("inventory", "mapping", "model"):
+        # an empty path is given too: it names no file, not the file's
+        assert run_with(["transliterate", flag, ""]) == (
+            EXIT_CONFIG, [replaced(file_config, **{field: ""})]
+        )
+        assert capsys.readouterr() == (
+            "", f"translit: config error: {field} file does not exist: \n"
+        )
+
+
+def test_every_option_replaces_config_values(layered, capsys):
+    run_with, file_config, options = layered
+    argv = ["transliterate"]
+    for name, value in options.items():
+        argv += ["--" + name.replace("_", "-"), value]
+    assert run_with(argv) == (EXIT_OK, [replaced(file_config, **options)])
+    # evaluate has a --model option only
+    gold = ["evaluate", "--gold", shipped.demo_gold_path(), "--end-to-end"]
+    assert run_with(gold) == (EXIT_OK, [file_config])
+    assert run_with(gold + ["--model", options["model"]]) == (
+        EXIT_OK, [replaced(file_config, model=options["model"])]
+    )
+    assert "overall_accuracy=" in capsys.readouterr().out
 
 
 def test_missing_input_file_exits_io(capsys, demo_model_path):
@@ -718,6 +821,43 @@ def test_byte_order_mark_at_start_of_input_is_dropped(
         src.write_bytes(raw)
         argv += ["-i", str(src)]
     assert run(argv, capsys) == (EXIT_OK, "ڪم\n\ufeffڪم\n", "")
+
+
+@pytest.mark.parametrize(
+    "raw, flags",
+    [
+        # a lone CR mid-line, CRLF, CR CR LF, and a CR at the end
+        ("तारो\rखंड\r\nहलु\r\r\nकमल\r", ["--trace"]),
+        # the same line ends before a line that fails: the error names
+        # the same line
+        ("तारो\rखंड\r\nहलु\r\r\nिक\r", []),
+    ],
+    ids=["traced", "failing"],
+)
+def test_stdin_and_input_file_split_lines_alike(raw, flags, tmp_path, demo_model_path):
+    # a real stdin, which main() reconfigures: an in-process test's
+    # replacement stream may not split lines as sys.stdin does
+    src = tmp_path / "in.txt"
+    src.write_bytes(raw.encode())
+    argv = [sys.executable, "-m", "sindhi_translit.cli", "transliterate",
+            "--model", str(demo_model_path), *flags]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    outcomes = []
+    for extra, stdin in (([], raw.encode()), (["-i", str(src)], b"")):
+        proc = subprocess.run(argv + extra, input=stdin, env=env, capture_output=True,
+                              timeout=120)
+        outcomes.append((proc.returncode, proc.stdout, proc.stderr))
+    assert outcomes[0] == outcomes[1]
+    code, out, err = outcomes[0]
+    assert out.decode().split("\n")[:4] == ["تآرا", "کنڊ", "هلا", ""]
+    if flags:
+        assert code == EXIT_OK
+        assert {line.split("\t")[0] for line in err.decode().splitlines()} == {"1", "2", "3", "5"}
+    else:
+        assert (code, err.decode()) == (
+            EXIT_PIPELINE,
+            "translit: line 5: vowel symbol 'ि' at offset 0 has no preceding consonant\n",
+        )
 
 
 def test_invalid_utf8_after_byte_order_mark_on_stdin(capsys, monkeypatch, demo_model_path):

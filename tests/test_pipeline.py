@@ -376,17 +376,6 @@ def test_config_rejects_bad_policy_naming_its_line(tmp_path, capsys, key, value,
     assert capsys.readouterr().err == f"translit: config error: {cfg}:2: {message}\n"
 
 
-def test_config_override():
-    config = EngineConfig()
-    assert config.override(mode=None) is config
-    assert config.override(mode=MODE_TRIGRAM).mode == MODE_TRIGRAM
-    changed = config.override(model="m.tsv", mode=None, smoothing=True)
-    assert changed == EngineConfig(model="m.tsv", smoothing=True)
-    assert config == EngineConfig()  # not changed in place
-    with pytest.raises(TypeError):
-        config.override(speed="fast")
-
-
 def test_smoothing_engine_still_deterministic(demo_model_path):
     a = Transliterator(EngineConfig(model=str(demo_model_path), smoothing=True))
     b = Transliterator(EngineConfig(model=str(demo_model_path), smoothing=True))
