@@ -38,6 +38,16 @@ EXIT_DATA = 4
 EXIT_PIPELINE = 5
 EXIT_MISSING_MODEL = 6
 
+# the exit code and report label of each failure, most specific class
+# first: the first class the error is an instance of decides
+_FAILURES = (
+    (ConfigError, EXIT_CONFIG, "config error: "),
+    (DataFormatError, EXIT_DATA, "data error: "),
+    (MissingModelError, EXIT_MISSING_MODEL, ""),
+    (TransliterationError, EXIT_PIPELINE, ""),
+    (OSError, EXIT_IO, "i/o error: "),
+)
+
 _KIND_CODES = {
     "R": Resolution.RULE,
     "S": Resolution.STATISTICAL,
@@ -249,13 +259,14 @@ def _load_system_rows(path):
             raise DataFormatError("resolution column length differs from unit count")
         units = []
         for src, tgt, code in zip(sources, targets, codes or ["R"] * len(sources)):
+            # checked at a word gap too, though a gap's code goes unused
+            kind = _KIND_CODES.get(code)
+            if kind is None:
+                raise DataFormatError(f"unknown resolution code {code!r}")
             if src == WORD_GAP:
                 gap = Grapheme(" ", CharClass.OTHER)
                 units.append(MappedUnit(gap, (), " ", Resolution.PASS_THROUGH))
                 continue
-            kind = _KIND_CODES.get(code)
-            if kind is None:
-                raise DataFormatError(f"unknown resolution code {code!r}")
             units.append(MappedUnit(Grapheme(src, CharClass.CONSONANT), (tgt,), tgt, kind))
         return units
 
@@ -276,11 +287,9 @@ def cmd_evaluate(args) -> int:
                 f"system {args.system} has {len(system_rows)} rows, "
                 f"gold {args.gold} has {len(gold)}"
             )
-        report = evaluate(
-            system_rows, gold, include_passthrough=args.include_passthrough
-        )
     else:
-        report = _evaluate_end_to_end(args, gold)
+        system_rows = _end_to_end_rows(args, gold)
+    report = evaluate(system_rows, gold, include_passthrough=args.include_passthrough)
     # name each skipped row by its line in the gold file
     report = dataclasses.replace(
         report, skipped=tuple((gold[i].line, reason) for i, reason in report.skipped)
@@ -302,35 +311,22 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _evaluate_end_to_end(args, gold):
-    """Run the engine on each gold row's source side and score it.  A
-    row the engine rejects is skipped and reported, naming the gold
-    file and the error; a missing model still stops the run, naming the
-    gold file and line."""
-    import dataclasses
-
-    from .evaluation import evaluate
-
+def _end_to_end_rows(args, gold):
+    """The engine's units for each gold row's source side, or, for a row
+    the engine rejects, the reason, naming the gold file and the error;
+    a missing model still stops the run, naming the gold file and line."""
     engine = _engine_from_args(args)
-    system_rows, kept, rejected = [], [], []
-    for index, pair in enumerate(gold):
+    rows = []
+    for pair in gold:
         text = "".join(" " if unit == WORD_GAP else unit for unit in pair.source_units)
         try:
-            system_rows.append(engine.transliterate_line(text).units)
+            rows.append(engine.transliterate_line(text).units)
         except MissingModelError as err:
             err.where = f"{args.gold}:{pair.line}: "
             raise
         except PipelineError as err:
-            rejected.append((index, f"{args.gold}: {err}"))
-            continue
-        kept.append(index)
-    report = evaluate(
-        system_rows,
-        [gold[i] for i in kept],
-        include_passthrough=args.include_passthrough,
-    )
-    skipped = rejected + [(kept[i], reason) for i, reason in report.skipped]
-    return dataclasses.replace(report, skipped=tuple(sorted(skipped)))
+            rows.append(f"{args.gold}: {err}")
+    return rows
 
 
 def main(argv=None) -> int:
@@ -349,23 +345,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as err:
-        print(f"translit: config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DataFormatError as err:
-        print(f"translit: data error: {err}", file=sys.stderr)
-        return EXIT_DATA
-    except PipelineError as err:
-        print(f"translit: {getattr(err, 'where', '')}{err}", file=sys.stderr)
-        if isinstance(err, MissingModelError):
-            return EXIT_MISSING_MODEL
-        return EXIT_PIPELINE
-    except TransliterationError as err:
-        print(f"translit: {err}", file=sys.stderr)
-        return EXIT_PIPELINE
-    except OSError as err:
-        print(f"translit: i/o error: {err}", file=sys.stderr)
-        return EXIT_IO
+    except (TransliterationError, OSError) as err:
+        code, label = next(
+            (code, label) for cls, code, label in _FAILURES if isinstance(err, cls)
+        )
+        # a report stderr cannot take still leaves the failure's own code
+        with contextlib.suppress(OSError):
+            print(f"translit: {label}{getattr(err, 'where', '')}{err}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -71,7 +71,8 @@ class EvaluationReport:
     ``rule_accuracy`` is the share of all scored characters the rule
     base got right on its own; ``ml_accuracy`` is measured within the
     ambiguous share only.  ``skipped`` lists (row index, reason) for
-    rows that could not be aligned and were left out of every tally.
+    rows the system produced no units for or that could not be aligned,
+    all left out of every tally.
     """
 
     total_sentences: int
@@ -145,8 +146,10 @@ def _word_count(source_units) -> int:
 
 def _skip_reason(index, units, gold) -> str | None:
     """Why a system row cannot be scored against its gold row, or None
-    when it lines up; an unresolved unit in a row that lines up so far
-    raises ValueError."""
+    when it lines up; a row that is a string is that reason.  An
+    unresolved unit in a row that lines up so far raises ValueError."""
+    if isinstance(units, str):
+        return units
     if len(gold.source_units) != len(gold.target_units):
         return "gold row is not positionally aligned"
     if len(units) != len(gold.source_units):
@@ -171,11 +174,14 @@ def evaluate(
 ) -> EvaluationReport:
     """Score system output against gold, row by row, position by position.
 
-    ``system_sentences`` holds one list of resolved units per gold row.
-    Each unit counts towards the bucket ``_BUCKET_OF`` gives its
-    resolution kind, one ``[correct, total]`` pair per bucket.  Rows
-    whose unit count or source side disagrees with the gold row are
-    skipped and reported, never silently dropped.
+    ``system_sentences`` holds, for each gold row, its list of resolved
+    units, or a string giving the reason the system produced none; a
+    system file and an engine run over the gold rows both take this one
+    route.  Each unit counts towards the bucket ``_BUCKET_OF`` gives its
+    resolution kind, one ``[correct, total]`` pair per bucket.  A string
+    row is skipped with the string as the reason, and rows whose unit
+    count or source side disagrees with the gold row are skipped too;
+    each is reported, never silently dropped.
     """
     if len(system_sentences) != len(gold_pairs):
         raise ValueError(

@@ -548,6 +548,19 @@ def test_evaluate_unaligned_system_row_exits_data(tmp_path, capsys):
     assert f"{system}:3: 3 source units vs 2 target units" in err
 
 
+def test_evaluate_unknown_code_at_word_gap_exits_data(tmp_path, capsys):
+    # every code is checked, also the one at a word gap
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("क _ ख\tK _ X\n", encoding="utf-8")
+    system = tmp_path / "system.tsv"
+    system.write_text("क _ ख\tK _ X\tR Q S\n", encoding="utf-8")
+    code, out, err = run(
+        ["evaluate", "--gold", str(gold), "--system", str(system)], capsys
+    )
+    assert (code, out) == (EXIT_DATA, "")
+    assert err == f"translit: data error: {system}:1: unknown resolution code 'Q'\n"
+
+
 def test_evaluate_requires_a_source(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["evaluate", "--gold", "gold.tsv"])
@@ -692,6 +705,63 @@ def test_evaluate_end_to_end_skips_rejected_rows(tmp_path, capsys, demo_model_pa
     assert "overall_accuracy=100.00" in out
 
 
+# a scored row, a row the engine rejects, a row whose units do not line
+# up with the gold row, and another scored row, with a comment and a
+# blank line so that gold lines differ from row indices
+MIXED_GOLD = "# mixed\nक म ल\tڪ م ل\nि क\tي ڪ\nक मल\tڪ مل\n\nस च _ स ज\tس چ _ س ج\n"
+
+
+@pytest.mark.parametrize(
+    "flags, characters, overall, rule_accuracy",
+    [([], 7, 7, "71.43"), (["--include-passthrough"], 8, 8, "62.50")],
+    ids=["default", "include-passthrough"],
+)
+def test_evaluate_end_to_end_mixed_rows(
+    flags, characters, overall, rule_accuracy, tmp_path, capsys, demo_model_path
+):
+    gold = tmp_path / "gold.tsv"
+    gold.write_text(MIXED_GOLD, encoding="utf-8")
+    code, out, err = run(
+        ["evaluate", "--gold", str(gold), "--end-to-end", "--model", str(demo_model_path),
+         *flags],
+        capsys,
+    )
+    assert (code, err) == (EXIT_OK, "")
+    assert out == (
+        "Corpus\n"
+        "  Sentences   2\n"
+        "  Words       3\n"
+        f"  Characters  {characters}\n"
+        "\n"
+        "Results\n"
+        "  Layer           Count  Accuracy\n"
+        f"  Rule-Based          5  {rule_accuracy}%\n"
+        "  Statistical         2  100.00%\n"
+        f"  Overall             {overall}  100.00%\n"
+        "  Error               0  0.00%\n"
+        "\n"
+        "Skipped rows: 2\n"
+        f"  row 3: {gold}: vowel symbol 'ि' at offset 0 has no preceding consonant\n"
+        "  row 4: 3 system units vs 2 gold units\n"
+        "\n"
+        "total_sentences=2\n"
+        "total_words=3\n"
+        f"total_characters={characters}\n"
+        "rule_correct=5\n"
+        "rule_total=5\n"
+        "ml_correct=2\n"
+        "ml_total=2\n"
+        f"overall_correct={overall}\n"
+        "error_count=0\n"
+        "passthrough_total=1\n"
+        "passthrough_correct=1\n"
+        f"rule_accuracy={rule_accuracy}\n"
+        "ml_accuracy=100.00\n"
+        "overall_accuracy=100.00\n"
+        "error_rate=0.00\n"
+    )
+
+
 def test_evaluate_empty_gold_file_exits_data(tmp_path, capsys):
     gold = tmp_path / "gold.tsv"
     gold.write_text("# no rows\n", encoding="utf-8")
@@ -729,6 +799,59 @@ def test_evaluate_end_to_end_missing_model_names_gold_row(tmp_path, capsys):
         f"translit: {gold}:3: grapheme 'त' at offset 1 has multiple candidates "
         "and no model is loaded to pick one\n"
     )
+
+
+class BrokenStderr(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, expected",
+    [
+        (["transliterate", "--config", "/nonexistent/engine.cfg"], "", EXIT_CONFIG),
+        (["transliterate", "--model", "/nonexistent/model.tsv"], "क\n", EXIT_CONFIG),
+        (["transliterate", "-i", "/nonexistent/in.txt"], "", EXIT_IO),
+        (["transliterate", "--model", "{bogus}"], "क\n", EXIT_DATA),
+        (["transliterate", "--model", "{model}"], "िक\n", EXIT_PIPELINE),
+        (["transliterate"], "सरो\n", EXIT_MISSING_MODEL),
+        # the trace record itself fails to write: an i/o failure
+        (["transliterate", "--model", "{model}", "--trace"], "कमल\n", EXIT_IO),
+    ],
+    ids=["config", "missing-model-file", "io", "data", "pipeline", "missing-model",
+         "trace"],
+)
+def test_failing_stderr_keeps_exit_code(
+    argv, stdin, expected, tmp_path, capsys, monkeypatch, demo_model_path
+):
+    bogus = tmp_path / "model.tsv"
+    bogus.write_text("BOGUS\n", encoding="utf-8")
+    argv = [arg.format(bogus=bogus, model=demo_model_path) for arg in argv]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    monkeypatch.setattr(sys, "stderr", BrokenStderr())
+    assert main(argv) == expected
+
+
+def test_closed_trace_pipe_exits_io(tmp_path, demo_model_path):
+    # a real process: the report and the flush at interpreter shutdown
+    # both meet the closed pipe, and the exit code must still be 3.  The
+    # trace of this input (about 1.6 MB) outgrows any pipe buffer, so
+    # the process is still writing when the pipe closes.
+    src = tmp_path / "in.txt"
+    src.write_text(Path(shipped.demo_sample_path()).read_text(encoding="utf-8") * 100,
+                   encoding="utf-8")
+    argv = [sys.executable, "-m", "sindhi_translit.cli", "transliterate",
+            "--model", str(demo_model_path), "--trace", "-i", str(src)]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE)
+    try:
+        assert proc.stderr.readline().startswith(b"1\t0\t")
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == EXIT_IO
+    finally:
+        proc.kill()
+        proc.wait()
 
 
 def test_missing_model_error_names_input_line(capsys, monkeypatch):

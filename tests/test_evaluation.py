@@ -273,6 +273,19 @@ def test_misaligned_rows_skipped_with_reason():
     assert "mismatch" in report.skipped[1][1]
 
 
+def test_string_row_is_skipped_with_its_own_reason():
+    gold = [
+        AlignedPair(("क",), ("K",)),
+        AlignedPair(("क", "ख"), ("K",)),  # gold row itself is broken
+        AlignedPair(("ख",), ("X",)),
+    ]
+    system = [row(("क",), ("K",)), "engine rejected it", "no units either"]
+    report = evaluate(system, gold)
+    assert report.skipped == ((1, "engine rejected it"), (2, "no units either"))
+    assert (report.total_sentences, report.total_characters) == (1, 1)
+    assert report.overall_accuracy == 100.0
+
+
 def test_row_count_mismatch_raises():
     with pytest.raises(ValueError):
         evaluate([], [AlignedPair(("क",), ("K",))])
