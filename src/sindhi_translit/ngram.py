@@ -88,9 +88,10 @@ class NgramModel:
 
     ``trigram`` may also be given as a callable returning the counts,
     as ``training.load_model`` gives those of a whole file it has found
-    as ``save_model`` writes it: the dict is then built on first read
-    of ``trigram`` (trigram-mode scoring, ``==``, ``repr``,
-    ``save_model``), so a bigram-mode engine never builds it.
+    as ``save_model`` writes it, a reader holding the section's lines
+    in blocks: the dict is then built on first read of ``trigram``
+    (trigram-mode scoring, ``==``, ``repr``, ``save_model``), so a
+    bigram-mode engine never builds it.
     """
 
     def __init__(
@@ -140,7 +141,7 @@ class NgramModel:
         """Trigram counts read on first use; a dict passed to the
         constructor is stored over this property."""
         trigram = self._read_trigram()
-        del self._read_trigram  # and with it the section's text
+        del self._read_trigram  # and with it the section's blocks of lines
         return trigram
 
     def context_count(self, key: str) -> int:

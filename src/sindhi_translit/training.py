@@ -35,14 +35,20 @@ _VERSION = "v1"
 _SECTIONS = ("unigram", "bigram", "trigram", "emission")
 _KEY_ARITY = {"unigram": 1, "bigram": 2, "trigram": 3, "emission": 2}
 
-# the count lines of each section as save_model writes them: key parts
-# free of space, tab and line end (maybe empty), space-joined, a tab and
-# ASCII digits, no more than the least limit int() can be given
-# (sys.set_int_max_str_digits), so reading them later cannot fail
+# count lines are checked, read and written this many at a time, so
+# the memory a section takes beyond its counts is bounded by a block's
+_BLOCK = 1024
+
+# a block of the count lines of each section as save_model writes them:
+# up to _BLOCK lines, each of key parts free of space, tab and line end
+# (maybe empty), space-joined, a tab and ASCII digits, no more than the
+# least limit int() can be given (sys.set_int_max_str_digits), so
+# reading them later cannot fail; re keeps state for every line a
+# repeat matches, which the bound caps
 _COUNT_LINES = {
-    name: re.compile(r"(?:%s\t[0-9]{1,%d}\n)*" % (
+    name: re.compile(r"(?:%s\t[0-9]{1,%d}\n){0,%d}" % (
         " ".join([r"[^ \t\n]*"] * arity),
-        getattr(sys.int_info, "str_digits_check_threshold", 640)))
+        getattr(sys.int_info, "str_digits_check_threshold", 640), _BLOCK))
     for name, arity in _KEY_ARITY.items()
 }
 
@@ -183,23 +189,21 @@ def save_model(model: NgramModel, path) -> None:
 
     Key parts are space-joined (counted keys never contain spaces), the
     count follows a tab.  Sorting makes the output byte-deterministic
-    for identical counts.
+    for identical counts.  Count lines are formatted and written
+    ``_BLOCK`` at a time.
     """
-    lines = [
-        f"{_MAGIC} {_VERSION} boundary={model.boundary}",
-        "sections "
-        + " ".join(
-            f"{name}={len(getattr(model, name))}" for name in _SECTIONS
-        ),
-    ]
-    for name in _SECTIONS:
-        counts = getattr(model, name)
-        lines.append(f"[{name}]")
-        for key in sorted(counts):
-            flat = key if isinstance(key, str) else " ".join(key)
-            lines.append(f"{flat}\t{counts[key]}")
+    sizes = " ".join(f"{name}={len(getattr(model, name))}" for name in _SECTIONS)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{_MAGIC} {_VERSION} boundary={model.boundary}\nsections {sizes}\n")
+        for name in _SECTIONS:
+            counts = getattr(model, name)
+            keys = sorted(counts)
+            fh.write(f"[{name}]\n")
+            for start in range(0, len(keys), _BLOCK):
+                fh.write("".join([
+                    f"{key if isinstance(key, str) else ' '.join(key)}\t{counts[key]}\n"
+                    for key in keys[start:start + _BLOCK]
+                ]))
 
 
 def load_model(path, *, add_one_smoothing: bool = False) -> NgramModel:
@@ -311,33 +315,48 @@ def _saved_sections(body, declared):
     """A reader of each section's counts (``_read_counts``) by name if
     ``body``, a model file after its two header lines, is as
     ``save_model`` writes it: the four headers in order, each followed
-    by as many ``_COUNT_LINES`` as ``declared`` with key texts ascending
-    strictly (none repeats), and nothing after; else None."""
+    by as many count lines as ``declared`` with key texts ascending
+    strictly (none repeats), and nothing after; else None.
+
+    Each section is walked one ``_COUNT_LINES`` block at a time, its
+    keys compared within the block and with the previous block's last,
+    so the check holds at most one block's keys; its reader is given
+    the blocks."""
     sections, start = {}, 0
     for name in _SECTIONS:
         header = f"[{name}]\n"
         if not body.startswith(header, start):
             return None
         start += len(header)
-        end = _COUNT_LINES[name].match(body, start).end()
-        lines = body[start:end]
-        if lines.count("\n") != declared[name]:
+        blocks, size, last = [], 0, ()
+        while True:
+            end = _COUNT_LINES[name].match(body, start).end()
+            block = body[start:end]
+            lines = block.count("\n")
+            # each line holds one tab: keys and counts alternate
+            keys = [*last, *block.replace("\t", "\n").split("\n")[:-1:2]]
+            if not all(map(operator.lt, keys, islice(keys, 1, None))):
+                return None
+            blocks.append(block)
+            size += lines
+            last, start = keys[-1:], end
+            if lines < _BLOCK:
+                break
+        if size != declared[name]:
             return None
-        # each line holds one tab: keys and counts alternate
-        keys = lines.replace("\t", "\n").split("\n")[:-1:2]
-        if not all(map(operator.lt, keys, islice(keys, 1, None))):
-            return None
-        del keys  # before the next section's keys are split
-        sections[name] = partial(_read_counts, lines, _KEY_ARITY[name])
-        start = end
+        sections[name] = partial(_read_counts, blocks, _KEY_ARITY[name])
     return sections if start == len(body) else None
 
 
-def _read_counts(lines, arity):
-    """The counts of section ``lines`` that ``_saved_sections``
-    accepted.  A model holds few distinct key parts, so they are
-    interned: one string each instead of one per key."""
-    fields = lines.replace("\t", " ").replace("\n", " ").split(" ")
-    parts = [map(sys.intern, fields[i::arity + 1]) for i in range(arity)]
-    keys = parts[0] if arity == 1 else zip(*parts)
-    return dict(zip(keys, map(int, fields[arity::arity + 1])))
+def _read_counts(blocks, arity):
+    """The counts of a section whose ``blocks`` of lines
+    ``_saved_sections`` accepted, read into one dict a block at a time.
+    A model holds few distinct key parts, so they are interned: one
+    string each instead of one per key."""
+    counts = {}
+    for lines in blocks:
+        fields = lines.replace("\t", " ").replace("\n", " ").split(" ")
+        parts = [map(sys.intern, fields[i::arity + 1]) for i in range(arity)]
+        keys = parts[0] if arity == 1 else zip(*parts)
+        counts.update(zip(keys, map(int, fields[arity::arity + 1])))
+    return counts

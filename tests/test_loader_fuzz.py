@@ -146,6 +146,16 @@ def load_outcome(path):
         return type(err), str(err), err.path, err.line
 
 
+def load_both_ways(path):
+    """The outcomes of loading ``path`` with the saved-form check and
+    with the per-line loop alone."""
+    checked = load_outcome(path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training, "_saved_sections", lambda body, declared: None)
+        looped = load_outcome(path)
+    return checked, looped
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
     drawn=st.one_of(st.none(), drawn_models),
@@ -182,9 +192,64 @@ def test_saved_form_check_reads_as_the_loop_does(
         lines = declare_held_sizes(lines)
     text = "\n".join(mutate(lines, steps))
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
-    checked = load_outcome(path)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(training, "_saved_sections", lambda body, declared: None)
-        looped = load_outcome(path)
+    checked, looped = load_both_ways(path)
     # a model compares its trigram dict, built here if it was deferred
     assert checked == looped
+
+
+BLOCK = training._BLOCK
+
+
+def block_model(size):
+    """A model whose four sections each hold ``size`` count lines."""
+    keys = [f"k{i:05d}" for i in range(size)]
+    return NgramModel(
+        dict(zip(keys, range(size))),
+        {(key, "b"): i for i, key in enumerate(keys)},
+        {(key, "b", "c"): i for i, key in enumerate(keys)},
+        {(key, "t"): i for i, key in enumerate(keys)},
+    )
+
+
+def saved_form(path):
+    """``_saved_sections`` of the model file at ``path``."""
+    _, sizes, body = path.read_text(encoding="utf-8").split("\n", 2)
+    declared = (token.split("=") for token in sizes.split(" ")[1:])
+    return training._saved_sections(body, {name: int(size) for name, size in declared})
+
+
+# sections ending just before, at and after a block boundary, and one
+# line into a third block
+@pytest.mark.parametrize("size", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_saved_form_check_reads_blocks_as_the_loop_does(fuzz_dir, size):
+    path = fuzz_dir / "blocks.tsv"
+    save_model(block_model(size), path)
+    assert saved_form(path) is not None
+    checked, looped = load_both_ways(path)
+    assert checked == looped == block_model(size)
+
+
+# (edit of the trigram section, its line from the section's first, and
+# the loop's error there): a key repeated across the first block
+# boundary, a descending pair across it (which the loop reads), and a
+# count too long for int() in the second block
+@pytest.mark.parametrize("edit, bad_line, message", [
+    (("duplicate", "trigram", BLOCK - 1, 0), BLOCK, f"duplicate key 'k{BLOCK - 1:05d} b c'"),
+    (("swap", "trigram", BLOCK - 1, 0), None, None),
+    (("digits", "trigram", BLOCK + 5, LIMIT + 1), BLOCK + 5,
+     f"count of {LIMIT + 1} digits is too long to read"),
+])
+def test_edit_at_a_block_boundary_falls_back_to_the_loop(fuzz_dir, edit, bad_line, message):
+    path = fuzz_dir / "boundary.tsv"
+    save_model(block_model(2 * BLOCK + 1), path)
+    lines = declare_held_sizes(edit_sections(path.read_text(encoding="utf-8").split("\n"),
+                                             [edit]))
+    path.write_text("\n".join(lines), encoding="utf-8")
+    assert saved_form(path) is None
+    checked, looped = load_both_ways(path)
+    assert checked == looped
+    if message is None:
+        assert checked == block_model(2 * BLOCK + 1)
+    else:
+        line = lines.index("[trigram]") + 2 + bad_line
+        assert checked == (DataFormatError, f"{path}:{line}: {message}", path, line)

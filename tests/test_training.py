@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from itertools import count, islice, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -520,6 +522,29 @@ def test_large_synthetic_roundtrip(tmp_path):
     path = tmp_path / "big.tsv"
     save_model(model, path)
     assert load_model(path) == model
+
+
+def test_load_holds_about_one_block_beyond_the_model(tmp_path):
+    # a trigram section of 30,000 lines: the saved-form check and the
+    # deferred trigram read work a block of lines at a time, so neither
+    # holds state for the whole section (a check over all its lines at
+    # once peaks about 10 MiB above the model)
+    parts = [chr(0x915 + i) for i in range(32)]  # क onwards
+    keys = islice(product(parts, repeat=3), 30_000)
+    path = tmp_path / "model.tsv"
+    save_model(NgramModel(trigram=dict(zip(keys, count(1)))), path)
+    tracemalloc.start()
+    try:
+        model = load_model(path)
+        kept, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        model.trigram
+        read_kept, read_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(model.trigram) == 30_000
+    assert peak - kept < 4 * 2**20
+    assert read_peak - read_kept < 4 * 2**20
 
 
 def test_train_model_combines_counts(toy_inventory):
