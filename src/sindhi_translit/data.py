@@ -36,9 +36,9 @@ def read_rows(path, parse_row) -> list:
     every line that is neither blank nor a ``#`` comment, with the
     line's tab-separated fields and its number (from 1).
 
-    The inventory, mapping, aligned, gold and system files are row
-    files.  A DataFormatError that ``parse_row`` raises is raised again,
-    of the same class, naming ``path`` and the line.  Returns the
+    The inventory, mapping, aligned, gold, system and config files are
+    row files.  A DataFormatError that ``parse_row`` raises is raised
+    again, of the same class, naming ``path`` and the line.  Returns the
     parsed rows in file order.
     """
     rows = []

@@ -93,42 +93,41 @@ class EngineConfig(Record, frozen=True):
 
     @classmethod
     def from_file(cls, path) -> "EngineConfig":
-        """Parse a key=value config file; relative paths are taken
-        relative to the file itself."""
+        """Parse a key=value config file, a row file (``data.read_rows``)
+        whose tabs are part of a line; relative paths are taken relative
+        to the file itself."""
         values = {}
+        base = os.path.dirname(os.path.abspath(path))
+
+        def parse_row(fields, line_no):
+            key, sep, value = "\t".join(fields).partition("=")
+            key, value = key.strip(), value.strip()
+            if not sep or not key:
+                raise ConfigError(f"{path}:{line_no}: expected key=value")
+            if key not in cls._fields:
+                raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
+            if key in values:
+                raise ConfigError(f"{path}:{line_no}: duplicate key {key!r}")
+            if key == "smoothing":
+                flag = _BOOL_VALUES.get(value.lower())
+                if flag is None:
+                    raise ConfigError(
+                        f"{path}:{line_no}: smoothing must be true or false"
+                    )
+                values[key] = flag
+            elif key in ("inventory", "mapping", "model"):
+                if not value:
+                    raise ConfigError(f"{path}:{line_no}: {key} needs a path")
+                values[key] = os.path.join(base, value)
+            elif value not in _CHOICES[key][0]:  # a policy
+                raise ConfigError(f"{path}:{line_no}: unknown {_CHOICES[key][1]} {value!r}")
+            else:
+                values[key] = value
+
         try:
-            fh = shipped.open_text(path)
+            shipped.read_rows(path, parse_row)
         except (OSError, DataFormatError) as err:
             raise ConfigError(f"cannot read config file: {err}") from None
-        base = os.path.dirname(os.path.abspath(path))
-        with fh:
-            for line_no, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, sep, value = line.partition("=")
-                key, value = key.strip(), value.strip()
-                if not sep or not key:
-                    raise ConfigError(f"{path}:{line_no}: expected key=value")
-                if key not in cls._fields:
-                    raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
-                if key in values:
-                    raise ConfigError(f"{path}:{line_no}: duplicate key {key!r}")
-                if key == "smoothing":
-                    flag = _BOOL_VALUES.get(value.lower())
-                    if flag is None:
-                        raise ConfigError(
-                            f"{path}:{line_no}: smoothing must be true or false"
-                        )
-                    values[key] = flag
-                elif key in ("inventory", "mapping", "model"):
-                    if not value:
-                        raise ConfigError(f"{path}:{line_no}: {key} needs a path")
-                    values[key] = os.path.join(base, value)
-                elif value not in _CHOICES[key][0]:  # a policy
-                    raise ConfigError(f"{path}:{line_no}: unknown {_CHOICES[key][1]} {value!r}")
-                else:
-                    values[key] = value
         return cls(**values)
 
 
@@ -233,11 +232,21 @@ class Transliterator:
         return "".join(self._convert_line(line, False, False)[0])
 
     def _convert_line(self, line, collect_trace, build_units):
-        """:meth:`_convert_by_word` on the NFC form of ``line``, with an
+        """:meth:`_convert_by_word` on the NFC form of ``line``, and the
+        one route of its errors: the whole line converted again, its
         error's offset counted in code points of ``line`` as given."""
         text = normalize(line)
-        try:
-            return self._convert_by_word(text, collect_trace, build_units)
+        try:  # nested: a caught error kept in a local would form a cycle
+            try:
+                return self._convert_by_word(text, collect_trace, build_units)
+            except PipelineError as err:
+                # an error in a later word can take precedence (an orphan
+                # sign over an unmapped grapheme), so the whole line decides
+                self._convert(text)
+                raise PipelineError(
+                    f"internal error: {text!r} failed word by word ({err}) "
+                    "but not as a whole line"
+                ) from err
         except (OrphanMatraError, UnmappedGraphemeError, MissingModelError) as err:
             offset = err.offset
             if text != line:
@@ -256,48 +265,39 @@ class Transliterator:
         non-Other unit; every unit and record is a fresh object.  Without
         ``build_units`` (and untraced) the units are the words' output
         texts instead, each kept in its entry the first time it is read,
-        and a word in the memo builds no unit."""
+        and a word in the memo builds no unit; an error passes up as is."""
         units, trace = [], []
-        try:
-            for word in self.inventory.words(text):
-                entry = self._memo.get(word)
-                if entry is None:
-                    word_units = self._convert(word)
-                    entry = [
-                        [(u.source, u.candidates, u.resolved, u.resolution, u.unmapped)
-                         for u in word_units],
-                        None,
-                        None,
-                    ]
-                    if len(self._memo) >= WORD_MEMO_SIZE:
-                        self._memo.clear()
-                    self._memo[word] = entry
-                elif build_units:
-                    word_units = [MappedUnit(*f) for f in entry[0]]
-                if not build_units:
-                    output = entry[2]
-                    if output is None:
-                        output = entry[2] = "".join(f[2] for f in entry[0])
-                    units.append(output)
-                    continue
-                if collect_trace:
-                    rows = entry[1]
-                    if rows is None:
-                        rows = entry[1] = self._trace_rows(word_units)
-                    base = len(units)
-                    trace += [
-                        TraceRecord(base + i, source, candidates, scores, resolved, kind)
-                        for i, source, candidates, scores, resolved, kind in rows
-                    ]
-                units += word_units
-        except PipelineError as err:
-            # an error in a later word can take precedence (an orphan
-            # sign over an unmapped grapheme), so the whole line decides
-            self._convert(text)
-            raise PipelineError(
-                f"internal error: {text!r} failed word by word ({err}) "
-                "but not as a whole line"
-            ) from err
+        for word in self.inventory.words(text):
+            entry = self._memo.get(word)
+            if entry is None:
+                word_units = self._convert(word)
+                entry = [
+                    [(u.source, u.candidates, u.resolved, u.resolution, u.unmapped)
+                     for u in word_units],
+                    None,
+                    None,
+                ]
+                if len(self._memo) >= WORD_MEMO_SIZE:
+                    self._memo.clear()
+                self._memo[word] = entry
+            elif build_units:
+                word_units = [MappedUnit(*f) for f in entry[0]]
+            if not build_units:
+                output = entry[2]
+                if output is None:
+                    output = entry[2] = "".join(f[2] for f in entry[0])
+                units.append(output)
+                continue
+            if collect_trace:
+                rows = entry[1]
+                if rows is None:
+                    rows = entry[1] = self._trace_rows(word_units)
+                base = len(units)
+                trace += [
+                    TraceRecord(base + i, source, candidates, scores, resolved, kind)
+                    for i, source, candidates, scores, resolved, kind in rows
+                ]
+            units += word_units
         return units, trace
 
     def _context_keys(self, keys):

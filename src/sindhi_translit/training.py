@@ -95,36 +95,9 @@ def corpus_words(inventory: ScriptInventory, line: str) -> list[list[str]]:
 
 
 def count_ngrams(inventory: ScriptInventory, lines) -> NgramModel:
-    """Unigram/bigram/trigram counts over a corpus of raw text lines.
-
-    Each word is padded with one boundary symbol per edge before the
-    bigram and trigram tallies; unigrams count only real characters.
-    The result has no emission counts.
-
-    A key holding whitespace (a space or tab that a nukta follows joins
-    its word) could not be written to a model file and read back, so it
-    is rejected at the end of the line that first counts it, naming
-    that line (from 1).
-    """
-    return NgramModel(*_tally_ngrams(inventory, lines), {})
-
-
-def _tally_ngrams(inventory: ScriptInventory, lines):
-    """The unigram, bigram and trigram tallies of ``count_ngrams``."""
-    unigram, bigram, trigram = Counter(), Counter(), Counter()
-    for line_no, line in enumerate(lines, 1):
-        known = len(unigram)
-        words = corpus_words(inventory, line)
-        padded = [[BOUNDARY, *word, BOUNDARY] for word in words]
-        unigram.update(chain.from_iterable(words))
-        bigram.update(chain.from_iterable(zip(p, p[1:]) for p in padded))
-        trigram.update(chain.from_iterable(zip(p, p[1:], p[2:]) for p in padded))
-        # keys stay in the order first counted: the line's new ones last
-        new = len(unigram) - known
-        if new and _SPACE.search("".join(islice(reversed(unigram), new))):
-            key = next(k for k in islice(unigram, known, None) if _SPACE.search(k))
-            raise DataFormatError(f"corpus key {key!r} holds whitespace", line=line_no)
-    return unigram, bigram, trigram
+    """Unigram/bigram/trigram counts over a corpus of raw text lines:
+    ``train_model`` with no aligned rows, so no emission counts."""
+    return train_model(inventory, lines, ())
 
 
 def count_emissions(pairs) -> dict:
@@ -157,11 +130,31 @@ def count_emissions(pairs) -> dict:
 def train_model(inventory: ScriptInventory, corpus_lines, aligned_pairs) -> NgramModel:
     """Count a text corpus and an aligned corpus into one model.
 
+    Each corpus word is padded with one boundary symbol per edge before
+    the bigram and trigram tallies; unigrams count only real characters.
+    The aligned rows are counted (``count_emissions``) after the corpus.
     Smoothing is not part of a model's counts; it is chosen when the
     model is loaded.
+
+    A key holding whitespace (a space or tab that a nukta follows joins
+    its word) could not be written to a model file and read back, so it
+    is rejected at the end of the corpus line that first counts it,
+    naming that line (from 1).
     """
-    counts = _tally_ngrams(inventory, corpus_lines)
-    return NgramModel(*counts, count_emissions(aligned_pairs))
+    unigram, bigram, trigram = Counter(), Counter(), Counter()
+    for line_no, line in enumerate(corpus_lines, 1):
+        known = len(unigram)
+        words = corpus_words(inventory, line)
+        padded = [[BOUNDARY, *word, BOUNDARY] for word in words]
+        unigram.update(chain.from_iterable(words))
+        bigram.update(chain.from_iterable(zip(p, p[1:]) for p in padded))
+        trigram.update(chain.from_iterable(zip(p, p[1:], p[2:]) for p in padded))
+        # keys stay in the order first counted: the line's new ones last
+        new = len(unigram) - known
+        if new and _SPACE.search("".join(islice(reversed(unigram), new))):
+            key = next(k for k in islice(unigram, known, None) if _SPACE.search(k))
+            raise DataFormatError(f"corpus key {key!r} holds whitespace", line=line_no)
+    return NgramModel(unigram, bigram, trigram, count_emissions(aligned_pairs))
 
 
 def parse_aligned_row(fields, line_no: int | None) -> AlignedPair:
@@ -210,19 +203,21 @@ def load_model(path, *, add_one_smoothing: bool = False) -> NgramModel:
     """Read a model file back, validating header, counts and section sizes.
 
     Every section is checked here, so a bad file fails at load with its
-    path and line.  A file as ``save_model`` writes it (``_saved_sections``)
-    is read a section at a time, and its trigram dict is built on first
-    read, which bigram-mode conversion never does; any other file goes
-    through a per-line loop, the one place that names a faulty line.
+    path and line.  The sections are read one of two ways, chosen once:
+    a file as ``save_model`` writes it is read by ``_saved_sections``,
+    its trigram dict built on first read, which bigram-mode conversion
+    never does; any other file goes through a per-line loop, the one
+    place that names a faulty line.
     """
     with open_text(path) as fh:
         text = fh.read()
     if not text:
         raise DataFormatError("empty model file", path=path)
-    # split at "\n" only, the one line end universal newlines leave,
-    # as for every data file; splitlines also breaks at \f, U+0085...
-    head = text.split("\n", 2)
-    header = head[0].split(" ")
+    # the two header lines end at "\n" only, the one line end universal
+    # newlines leave, as for every data file (splitlines also breaks at
+    # \f, U+0085...); the body after them is read in place, not copied
+    head = re.match(r"([^\n]*)(?:\n([^\n]*)\n?)?", text)
+    header = head[1].split(" ")
     if len(header) != 3 or header[0] != _MAGIC:
         raise DataFormatError("not a model file (bad magic)", path=path, line=1)
     if header[1] != _VERSION:
@@ -232,10 +227,10 @@ def load_model(path, *, add_one_smoothing: bool = False) -> NgramModel:
     if not header[2].startswith("boundary=") or len(header[2]) <= len("boundary="):
         raise DataFormatError("missing boundary symbol", path=path, line=1)
     boundary = header[2][len("boundary="):]
-    if len(head) < 2 or not head[1].startswith("sections "):
+    if head[2] is None or not head[2].startswith("sections "):
         raise DataFormatError("missing sections line", path=path, line=2)
     declared = {}
-    for token in head[1].split(" ")[1:]:
+    for token in head[2].split(" ")[1:]:
         name, _, size = token.partition("=")
         if name not in _SECTIONS or not (size.isascii() and size.isdigit()):
             raise DataFormatError(
@@ -252,86 +247,87 @@ def load_model(path, *, add_one_smoothing: bool = False) -> NgramModel:
         raise DataFormatError("sections line must declare all four sections",
                               path=path, line=2)
 
-    saved = _saved_sections(head[2], declared) if len(head) > 2 else None
-    sections = {name: {} for name in _SECTIONS}
-    current = counts = arity = None
-    for line_no, line in enumerate(text.split("\n")[2:] if saved is None else (), 3):
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1]
-            if name not in _SECTIONS:
+    sections = _saved_sections(text, head.end(), declared)
+    if sections is None:
+        sections = {name: {} for name in _SECTIONS}
+        current = counts = arity = None
+        for line_no, line in enumerate(text.split("\n")[2:], 3):
+            if not line:
+                continue
+            if line.startswith("[") and line.endswith("]"):
+                name = line[1:-1]
+                if name not in _SECTIONS:
+                    raise DataFormatError(
+                        f"unknown section {name!r}", path=path, line=line_no
+                    )
+                current, counts, arity = name, sections[name], _KEY_ARITY[name]
+                continue
+            if current is None:
+                raise DataFormatError("counts before any section header",
+                                      path=path, line=line_no)
+            key_part, tab, count_part = line.partition("\t")
+            if not tab:
+                raise DataFormatError("expected <key>TAB<count>", path=path, line=line_no)
+            # save_model writes plain ASCII digits; int() alone would also
+            # take signs, spaces, underscores and non-ASCII digits
+            if not (count_part.isascii() and count_part.isdigit()):
                 raise DataFormatError(
-                    f"unknown section {name!r}", path=path, line=line_no
+                    f"count {count_part!r} is not a run of ASCII digits",
+                    path=path,
+                    line=line_no,
                 )
-            current, counts, arity = name, sections[name], _KEY_ARITY[name]
-            continue
-        if current is None:
-            raise DataFormatError("counts before any section header",
-                                  path=path, line=line_no)
-        key_part, tab, count_part = line.partition("\t")
-        if not tab:
-            raise DataFormatError("expected <key>TAB<count>", path=path, line=line_no)
-        # save_model writes plain ASCII digits; int() alone would also
-        # take signs, spaces, underscores and non-ASCII digits
-        if not (count_part.isascii() and count_part.isdigit()):
-            raise DataFormatError(
-                f"count {count_part!r} is not a run of ASCII digits",
-                path=path,
-                line=line_no,
-            )
-        try:
-            count = int(count_part)
-        except ValueError:  # more digits than int() converts
-            raise DataFormatError(f"count of {len(count_part)} digits is too long to read",
-                                  path=path, line=line_no) from None
-        parts = key_part.split(" ")
-        if len(parts) != arity:
-            raise DataFormatError(
-                f"{current} key needs {arity} part(s), got {len(parts)}",
-                path=path,
-                line=line_no,
-            )
-        key = parts[0] if arity == 1 else tuple(parts)
-        if key in counts:
-            raise DataFormatError(f"duplicate key {key_part!r}", path=path, line=line_no)
-        counts[key] = count
-
-    for name, counts in sections.items():  # sizes _saved_sections did not check
-        if saved is None and len(counts) != declared[name]:
-            raise DataFormatError(
-                f"section {name!r} declares {declared[name]} entries "
-                f"but holds {len(counts)} (truncated or corrupt file)",
-                path=path,
-            )
-    if saved is not None:  # the trigram counts become a dict on first read
-        sections = {name: read if name == "trigram" else read() for name, read in saved.items()}
+            try:
+                count = int(count_part)
+            except ValueError:  # more digits than int() converts
+                raise DataFormatError(f"count of {len(count_part)} digits is too long to read",
+                                      path=path, line=line_no) from None
+            parts = key_part.split(" ")
+            if len(parts) != arity:
+                raise DataFormatError(
+                    f"{current} key needs {arity} part(s), got {len(parts)}",
+                    path=path,
+                    line=line_no,
+                )
+            key = parts[0] if arity == 1 else tuple(parts)
+            if key in counts:
+                raise DataFormatError(f"duplicate key {key_part!r}", path=path, line=line_no)
+            counts[key] = count
+        for name, counts in sections.items():
+            if len(counts) != declared[name]:
+                raise DataFormatError(
+                    f"section {name!r} declares {declared[name]} entries "
+                    f"but holds {len(counts)} (truncated or corrupt file)",
+                    path=path,
+                )
+        sections = sections.values()
     return NgramModel(  # the sections in the constructor's order
-        *sections.values(), boundary=boundary, add_one_smoothing=add_one_smoothing
+        *sections, boundary=boundary, add_one_smoothing=add_one_smoothing
     )
 
 
-def _saved_sections(body, declared):
-    """A reader of each section's counts (``_read_counts``) by name if
-    ``body``, a model file after its two header lines, is as
+def _saved_sections(text, start, declared):
+    """The four sections of a model file in the constructor's order if
+    ``text`` from ``start``, the file after its two header lines, is as
     ``save_model`` writes it: the four headers in order, each followed
     by as many count lines as ``declared`` with key texts ascending
     strictly (none repeats), and nothing after; else None.
 
     Each section is walked one ``_COUNT_LINES`` block at a time, its
     keys compared within the block and with the previous block's last,
-    so the check holds at most one block's keys; its reader is given
-    the blocks."""
-    sections, start = {}, 0
+    so the check holds at most one block's keys.  Only once the whole
+    file has passed are the unigram, bigram and emission blocks read
+    into dicts (``_read_counts``); the trigram section comes back as
+    the reader of its blocks, to be called on first read."""
+    readers = []
     for name in _SECTIONS:
         header = f"[{name}]\n"
-        if not body.startswith(header, start):
+        if not text.startswith(header, start):
             return None
         start += len(header)
         blocks, size, last = [], 0, ()
         while True:
-            end = _COUNT_LINES[name].match(body, start).end()
-            block = body[start:end]
+            end = _COUNT_LINES[name].match(text, start).end()
+            block = text[start:end]
             lines = block.count("\n")
             # each line holds one tab: keys and counts alternate
             keys = [*last, *block.replace("\t", "\n").split("\n")[:-1:2]]
@@ -344,8 +340,10 @@ def _saved_sections(body, declared):
                 break
         if size != declared[name]:
             return None
-        sections[name] = partial(_read_counts, blocks, _KEY_ARITY[name])
-    return sections if start == len(body) else None
+        readers.append(partial(_read_counts, blocks, _KEY_ARITY[name]))
+    if start != len(text):
+        return None
+    return [read if name == "trigram" else read() for name, read in zip(_SECTIONS, readers)]
 
 
 def _read_counts(blocks, arity):

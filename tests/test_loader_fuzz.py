@@ -151,7 +151,7 @@ def load_both_ways(path):
     with the per-line loop alone."""
     checked = load_outcome(path)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(training, "_saved_sections", lambda body, declared: None)
+        patch.setattr(training, "_saved_sections", lambda text, start, declared: None)
         looped = load_outcome(path)
     return checked, looped
 
@@ -212,19 +212,40 @@ def block_model(size):
 
 
 def saved_form(path):
-    """``_saved_sections`` of the model file at ``path``."""
-    _, sizes, body = path.read_text(encoding="utf-8").split("\n", 2)
+    """``_saved_sections`` of the model file at ``path``, read with
+    universal newlines, after its two header lines."""
+    text = path.read_text(encoding="utf-8")
+    magic, sizes = text.split("\n", 2)[:2]
     declared = (token.split("=") for token in sizes.split(" ")[1:])
-    return training._saved_sections(body, {name: int(size) for name, size in declared})
+    return training._saved_sections(text, min(len(magic) + len(sizes) + 2, len(text)),
+                                    {name: int(size) for name, size in declared})
+
+
+def header_lines(text):
+    """The two header lines of a model file's ``text``."""
+    return "".join(text.splitlines(True)[:2])
 
 
 # sections ending just before, at and after a block boundary, and one
-# line into a third block
-@pytest.mark.parametrize("size", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
-def test_saved_form_check_reads_blocks_as_the_loop_does(fuzz_dir, size):
+# line into a third block; then each way of reading at its edge: a saved
+# file without its final line end, which the loop reads; the same file
+# with CRLF line ends, which universal newlines turn into the saved
+# form; and the two header lines alone, declaring empty sections, with
+# and without their final line end
+@pytest.mark.parametrize("size, edit, saved", [
+    *(pytest.param(size, lambda text: text, True, id=str(size))
+      for size in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1)),
+    pytest.param(3, lambda text: text[:-1], False, id="no-final-newline"),
+    pytest.param(3, lambda text: text.replace("\n", "\r\n"), True, id="crlf"),
+    pytest.param(0, header_lines, False, id="header-only"),
+    pytest.param(0, lambda text: header_lines(text)[:-1], False,
+                 id="header-only-no-final-newline"),
+])
+def test_saved_form_check_reads_blocks_as_the_loop_does(fuzz_dir, size, edit, saved):
     path = fuzz_dir / "blocks.tsv"
     save_model(block_model(size), path)
-    assert saved_form(path) is not None
+    path.write_bytes(edit(path.read_text(encoding="utf-8")).encode("utf-8"))
+    assert (saved_form(path) is not None) == saved
     checked, looped = load_both_ways(path)
     assert checked == looped == block_model(size)
 

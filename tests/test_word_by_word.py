@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from helpers import lines, word_context
 from sindhi_translit import data as shipped
 from sindhi_translit import pipeline
-from sindhi_translit.errors import MissingModelError, PipelineError
+from sindhi_translit.errors import MissingModelError, OrphanMatraError, PipelineError
 from sindhi_translit.mapping import UNMAPPED_PASS, MappedUnit, Resolution, map_phonemes
 from sindhi_translit.ngram import MODE_TRIGRAM, candidate_scores, choose
 from sindhi_translit.phonemes import ORPHAN_PASS, phonify
@@ -237,14 +237,26 @@ def test_word_memo_bounds_traced_lines(demo_model_path, monkeypatch):
         assert len(engine._memo) <= 2
 
 
-def test_word_split_the_whole_line_accepts_is_an_internal_error(demo_model_path, monkeypatch):
+# the text, units and traced paths, which share one error route
+CONVERSIONS = {
+    "text": lambda engine, line: engine._line_text(line),
+    "units": lambda engine, line: engine.transliterate_line(line),
+    "traced": lambda engine, line: engine.transliterate_line(line, collect_trace=True),
+}
+
+
+@pytest.mark.parametrize("path", CONVERSIONS)
+def test_word_split_the_whole_line_accepts_is_an_internal_error(
+    demo_model_path, monkeypatch, path
+):
     engine = Transliterator(EngineConfig(model=str(demo_model_path)))
     assert engine.transliterate_line("कि").output
     # a split that tears the vowel sign from its consonant
     monkeypatch.setattr(engine.inventory, "words", lambda text: ["क", "ि"])
     with pytest.raises(PipelineError, match="internal error") as excinfo:
-        engine.transliterate_line("कि")
+        CONVERSIONS[path](engine, "कि")
     assert type(excinfo.value) is PipelineError
+    assert type(excinfo.value.__cause__) is OrphanMatraError
 
 
 def error_fields(err):
