@@ -33,13 +33,11 @@ _HOME = {
         ("mapping", ("MappedUnit", "MappingTable", "Resolution", "Role", "load_mapping",
                      "map_phonemes")),
         ("ngram", ("BOUNDARY", "NgramModel", "Probability", "bigram_prob",
-                   "candidate_scores", "choose", "disambiguate", "emission_prob",
-                   "trigram_prob")),
+                   "candidate_scores", "disambiguate", "emission_prob", "trigram_prob")),
         ("phonemes", ("Phoneme", "PhonemePattern", "phonify", "phonify_graphemes")),
         ("pipeline", ("EngineConfig", "LineResult", "TraceRecord", "Transliterator")),
-        ("script", ("CharClass", "Grapheme", "ScriptInventory", "classify",
-                    "cluster_graphemes", "is_word_separator", "load_inventory",
-                    "normalize")),
+        ("script", ("CharClass", "Grapheme", "ScriptInventory", "cluster_graphemes",
+                    "is_word_separator", "load_inventory", "normalize")),
         ("training", ("AlignedPair", "count_emissions", "count_ngrams", "load_aligned",
                       "load_model", "save_model", "train_model")),
     )

@@ -197,8 +197,8 @@ def cmd_transliterate(args) -> int:
                 err.where = f"line {line_no}: "  # main() prefixes the report
                 raise
             fout.write(text + "\n")
-            for record in trace:
-                sys.stderr.write(f"{line_no}\t{_trace_line(record)}\n")
+            if trace:  # one write per line: stderr is line-buffered
+                sys.stderr.write("".join(f"{line_no}\t{_trace_line(r)}\n" for r in trace))
     return EXIT_OK
 
 

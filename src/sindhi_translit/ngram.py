@@ -9,8 +9,9 @@ makes tie handling deterministic and keeps log-space and linear-space
 rankings in agreement at any scale.
 
 :func:`disambiguate` is the one place an ambiguous unit is decided:
-the engine calls it for every unit the rules leave open, and scores
-are only built for traces, through :func:`candidate_scores`.
+the engine calls it for every unit the rules leave open.  Scores are
+only computed for traces, as the floats of :func:`candidate_scores`
+read straight from the counts (``_trace_scores``).
 """
 
 from __future__ import annotations
@@ -131,9 +132,11 @@ class NgramModel:
         sources.update(source for (_t, source) in self.emission)
         self._vocab = len(sources) + 1
         # (source text, candidates) -> (emission factors, resolved,
-        # resolution): each table row's emission ratios and the verdict
-        # taken over them, filled in by :func:`disambiguate` and
-        # :func:`candidate_scores`
+        # resolution, emission logs): each table row's emission ratios,
+        # the verdict taken over them, and each ratio's log_value (None
+        # for a zero ratio) for the scores a trace prints, filled in by
+        # :func:`disambiguate`, :func:`candidate_scores` and
+        # ``_trace_scores``
         self._verdicts = {}
 
     @cached_property
@@ -240,8 +243,38 @@ def candidate_scores(
     return [Probability.product((emission, left, right)) for emission in factors]
 
 
+def _trace_scores(model, c, candidates, c_prev, c_next, mode, c_prev2):
+    """The ``value`` of each score :func:`candidate_scores` gives for a
+    unit of source text ``c`` and ``candidates``, bit for bit, with no
+    :class:`Probability` built: the context counts are smoothed as by
+    ``_ratio`` and summed with the row's emission logs in the order of
+    :meth:`Probability.product`."""
+    (ln, ld), (rn, rd) = _context_counts(model, c, c_prev, c_next, mode, c_prev2)
+    if model.add_one_smoothing:
+        vocab = model._vocab
+        ln, ld, rn, rd = ln + 1, ld + vocab, rn + 1, rd + vocab
+    elif min(ln, ld, rn, rd) <= 0:
+        return (0.0,) * len(candidates)
+    left = math.log(ln) - math.log(ld)
+    right = math.log(rn) - math.log(rd)
+    scores = []
+    for e in _row(model, c, candidates)[3]:
+        if e is None:
+            scores.append(0.0)
+            continue
+        try:
+            scores.append(math.exp(((0.0 + e) + left) + right))
+        except OverflowError:
+            scores.append(math.inf)
+    return tuple(scores)
+
+
 def _argmax(scores):
-    """(index, resolution) of :func:`choose` over ``scores``."""
+    """(index, resolution) of the decision rule over ``scores``, one
+    score per candidate in table order: the first candidate attaining
+    the maximum exact score, Statistical only when that maximum is
+    positive and unique; a tie falls back to the first tied candidate,
+    all-zero scores to the leading candidate, and both are Fallback."""
     # exact ratios compared by cross-multiplying: denominators are >= 1
     index, tied = 0, False
     best = scores[0]
@@ -258,31 +291,20 @@ def _argmax(scores):
 
 
 def _row(model, c, candidates):
-    """The (emission factors, resolved, resolution) of the table row
-    ``candidates`` for source ``c``, read from the model's cache or
-    built and cached: its verdict is :func:`choose` over the emission
-    ratios alone."""
+    """The (emission factors, resolved, resolution, emission logs) of
+    the table row ``candidates`` for source ``c``, read from the model's
+    cache or built and cached: its verdict is :func:`_argmax` over the
+    emission ratios alone, and its logs are the ratios' ``log_value``,
+    None for a zero ratio."""
     row = model._verdicts.get((c, candidates))
     if row is None:
         factors = tuple(emission_prob(model, b, c) for b in candidates)
         index, resolution = _argmax(factors)
-        row = model._verdicts[c, candidates] = (factors, candidates[index], resolution)
+        logs = tuple(f.log_value if f.numerator else None for f in factors)
+        row = model._verdicts[c, candidates] = (
+            factors, candidates[index], resolution, logs
+        )
     return row
-
-
-def choose(unit: MappedUnit, scores) -> str:
-    """Pick a candidate from its scores and record it on the unit.
-
-    ``scores`` holds one score per candidate in table order, as
-    :func:`candidate_scores` returns them.  The choice is the first
-    candidate attaining the maximum exact score.  Resolution is
-    Statistical only when that maximum is positive and unique; a tie
-    falls back to the first tied candidate, all-zero scores to the
-    leading candidate, and both are marked Fallback.
-    """
-    index, unit.resolution = _argmax(scores)
-    unit.resolved = unit.candidates[index]
-    return unit.resolved
 
 
 def disambiguate(
@@ -294,13 +316,13 @@ def disambiguate(
     mode: str = MODE_BIGRAM,
     c_prev2: str = BOUNDARY,
 ) -> str:
-    """Decide an ambiguous unit in its context as :func:`choose` over
+    """Decide an ambiguous unit in its context as :func:`_argmax` over
     :func:`candidate_scores` would, recording it on the unit, without
     building a score.
 
     The context factors are shared by every candidate.  When both are
     positive (always, under add-one smoothing) the choice is the row's
-    verdict, :func:`choose` over the emission ratios alone, kept on the
+    verdict, :func:`_argmax` over the emission ratios alone, kept on the
     model per source text and candidates.  Otherwise every score is
     zero and the leading candidate is a Fallback.
     """
@@ -309,7 +331,7 @@ def disambiguate(
     c = unit.source.text
     left, right = _context_counts(model, c, c_prev, c_next, mode, c_prev2)
     if model.add_one_smoothing or min(*left, *right) > 0:
-        _, unit.resolved, unit.resolution = _row(model, c, unit.candidates)
+        _, unit.resolved, unit.resolution, _ = _row(model, c, unit.candidates)
     else:
         unit.resolved, unit.resolution = unit.candidates[0], Resolution.FALLBACK
     return unit.resolved

@@ -39,7 +39,7 @@ from .mapping import (
     load_mapping,
     map_graphemes,
 )
-from .ngram import MODE_BIGRAM, MODES, NgramModel, candidate_scores, disambiguate
+from .ngram import MODE_BIGRAM, MODES, NgramModel, _trace_scores, disambiguate
 from .records import Record
 from .script import CharClass, load_inventory, normalize
 from .training import load_model
@@ -53,6 +53,8 @@ from .training import load_model
 # benchmark's train-eval inputs), so a full traced memo holds about
 # 0.9 MiB; an output text adds about 85 bytes (sys.getsizeof, same words).
 WORD_MEMO_SIZE = 1024
+
+_OTHER = CharClass.OTHER
 
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False,
                 "yes": True, "no": False}
@@ -342,26 +344,22 @@ class Transliterator:
     def _trace_rows(self, units):
         """One row per non-Other unit of a word, in one walk: its
         index in the word, source text, candidates, float scores (None
-        for a unit the table resolved), resolved text and resolution."""
+        for a unit the table resolved; the values of
+        :func:`candidate_scores`, bit for bit, read from the counts by
+        ``ngram._trace_scores``), resolved text and resolution."""
         rows, keys = [], None
         for i, u in enumerate(units):
             source = u.source
-            if source.char_class is CharClass.OTHER:
+            if source.char_class is _OTHER:
                 continue
+            text, candidates = source.text, u.candidates
             scores = None
-            if len(u.candidates) > 1:
+            if len(candidates) > 1:
                 if keys is None:
                     keys = self._context_keys(v.source.text for v in units)
-                scores = tuple(
-                    s.value
-                    for s in candidate_scores(
-                        self.model,
-                        u,
-                        keys[i + 1],
-                        keys[i + 3],
-                        mode=self.config.mode,
-                        c_prev2=keys[i],
-                    )
+                scores = _trace_scores(
+                    self.model, text, candidates, keys[i + 1], keys[i + 3],
+                    self.config.mode, keys[i],
                 )
-            rows.append((i, source.text, u.candidates, scores, u.resolved, u.resolution))
+            rows.append((i, text, candidates, scores, u.resolved, u.resolution))
         return rows

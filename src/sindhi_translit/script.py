@@ -217,18 +217,14 @@ def _grapheme_regex(inventory: ScriptInventory) -> str:
     return "|".join(alternatives)
 
 
-def classify(inventory: ScriptInventory, text: str) -> CharClass:
-    """Class of a piece of text under the given inventory.
+def _class_of(class_by_key, text):
+    """Class of a piece of text under an inventory's table of key ->
+    class.
 
     The longest inventory prefix decides: a fused form like base+nukta
     that is not listed itself falls back to its base character's entry.
     Total: anything unlisted is OTHER.
     """
-    return _class_of(inventory._class_by_key, text)
-
-
-def _class_of(class_by_key, text):
-    """:func:`classify` over an inventory's table of key -> class."""
     text = normalize(text)
     for end in range(len(text), 0, -1):
         cls = class_by_key.get(text[:end])

@@ -5,15 +5,31 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from sindhi_translit import data as shipped
-from sindhi_translit.ngram import BOUNDARY
+from sindhi_translit.ngram import BOUNDARY, _argmax
 from sindhi_translit.script import (
     NUKTA,
     VIRAMA,
     ScriptInventory,
+    _class_of,
     cluster_graphemes,
     is_word_separator,
     load_inventory,
 )
+
+
+def choose(unit, scores):
+    """Pick a candidate from its scores, one per candidate in table
+    order, by the engine's rule (``ngram._argmax``), and record it on
+    the unit: the oracle the tests decide `candidate_scores` by."""
+    index, unit.resolution = _argmax(scores)
+    unit.resolved = unit.candidates[index]
+    return unit.resolved
+
+
+def classify(inventory, text):
+    """Class of a piece of text under the given inventory, by the rule
+    its interned graphemes take their class by."""
+    return _class_of(inventory._class_by_key, text)
 
 
 def word_context(graphemes, index, boundary=BOUNDARY):

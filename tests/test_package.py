@@ -26,7 +26,7 @@ EngineConfig EvaluationReport Grapheme LineResult MappedUnit MappingTable
 MissingModelError NgramModel OrphanMatraError Phoneme PhonemePattern
 PipelineError Probability Resolution Role ScriptInventory TraceRecord
 TransliterationError Transliterator UndefinedAccuracyError
-UnmappedGraphemeError accuracy bigram_prob candidate_scores choose classify
+UnmappedGraphemeError accuracy bigram_prob candidate_scores
 cluster_graphemes count_emissions count_ngrams disambiguate emission_prob
 evaluate format_report is_word_separator load_aligned load_inventory
 load_mapping load_model map_phonemes normalize normalize_target phonify

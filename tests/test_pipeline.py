@@ -186,16 +186,18 @@ def words_of(units):
 
 
 def counting_scores(monkeypatch):
-    """The (source, candidates) of every `candidate_scores` call."""
+    """The (source, candidates) of every call of the trace scorer,
+    `ngram._trace_scores`."""
     scored = []
+    trace_scores = ngram._trace_scores
 
-    def counting(model, unit, *args, **kwargs):
-        scored.append((unit.source.text, unit.candidates))
-        return candidate_scores(model, unit, *args, **kwargs)
+    def counting(model, c, candidates, *args):
+        scored.append((c, candidates))
+        return trace_scores(model, c, candidates, *args)
 
-    # both names, so a call routed through ngram.disambiguate counts too
+    # both names, so a call routed through ngram counts too
     for module in (pipeline, ngram):
-        monkeypatch.setattr(module, "candidate_scores", counting)
+        monkeypatch.setattr(module, "_trace_scores", counting)
     return scored
 
 

@@ -4,7 +4,7 @@ import unicodedata
 import pytest
 from hypothesis import example, given, settings
 
-from helpers import INVENTORY_NAMES, lines, make_inventory, rule_texts
+from helpers import INVENTORY_NAMES, classify, lines, make_inventory, rule_texts
 from sindhi_translit.errors import DataFormatError
 from sindhi_translit.script import (
     NUKTA,
@@ -12,7 +12,6 @@ from sindhi_translit.script import (
     CharClass,
     Grapheme,
     ScriptInventory,
-    classify,
     cluster_graphemes,
     is_word_separator,
     load_inventory,

@@ -1,14 +1,16 @@
 """The caches inside the staged functions never change an answer: the
 interned graphemes of `cluster_graphemes`, the lookup cache of
-`MappingTable` and the integer comparison in `choose`, each against an
-uncached test-local rule, also with bounds so small that the two
-`functools.lru_cache`s evict entries mid-line.  Neither cache holds
+`MappingTable` and the integer comparison in `ngram._argmax`, each
+against an uncached test-local rule, also with bounds so small that the
+two `functools.lru_cache`s evict entries mid-line.  Neither cache holds
 its owner, so a dropped engine is freed without the cycle collector.
 `disambiguate`, which keeps per-row verdicts on the model and gates
 them by context counts, decides as `choose` over `candidate_scores`
-does, in the engine and when one model serves many calls."""
+does, in the engine and when one model serves many calls, and a trace
+prints the floats of `candidate_scores`, bit for bit."""
 
 import gc
+import math
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -18,7 +20,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import INVENTORY_NAMES, make_inventory, rule_texts, word_context
+from helpers import (
+    INVENTORY_NAMES,
+    choose,
+    classify,
+    make_inventory,
+    rule_texts,
+    word_context,
+)
 from sindhi_translit import data as shipped
 from sindhi_translit import mapping, script
 from sindhi_translit.mapping import (
@@ -34,8 +43,9 @@ from sindhi_translit.ngram import (
     MODES,
     NgramModel,
     Probability,
+    _argmax,
+    _trace_scores,
     candidate_scores,
-    choose,
     disambiguate,
 )
 from sindhi_translit.pipeline import EngineConfig, Transliterator
@@ -44,7 +54,6 @@ from sindhi_translit.script import (
     VIRAMA,
     CharClass,
     Grapheme,
-    classify,
     cluster_graphemes,
     normalize,
 )
@@ -189,7 +198,7 @@ def test_dropped_engine_is_freed_without_the_cycle_collector(demo_model_path):
 
 
 # ---------------------------------------------------------------------
-# integer comparison in choose
+# integer comparison in _argmax
 
 def fraction_choice(scores):
     """The decision rule over exact Fractions: first maximum, Statistical
@@ -213,11 +222,7 @@ score = st.one_of(
 @SETTINGS
 @given(scores=st.lists(score, min_size=2, max_size=5))
 def test_choose_equals_fraction_rule(scores):
-    candidates = tuple(f"c{i}" for i in range(len(scores)))
-    unit = MappedUnit(Grapheme("क", CharClass.CONSONANT), candidates)
-    index, resolution = fraction_choice(scores)
-    assert choose(unit, scores) == candidates[index]
-    assert (unit.resolved, unit.resolution) == (candidates[index], resolution)
+    assert _argmax(scores) == fraction_choice(scores)
 
 
 # ---------------------------------------------------------------------
@@ -281,19 +286,62 @@ def test_verdicts_equal_choose_over_candidate_scores(case):
     engine = Transliterator(EngineConfig(mode=mode))
     engine.model = model
     for collect_trace in (False, True):
-        units = engine.transliterate_line(line, collect_trace=collect_trace).units
+        result = engine.transliterate_line(line, collect_trace=collect_trace)
+        units, printed = result.units, {r.index: r.scores for r in result.trace}
         graphemes = [u.source for u in units]
         for i, unit in enumerate(units):
             if unit.is_ambiguous:
                 c_prev2, c_prev, c_next = word_context(graphemes, i, model.boundary)
                 fresh = MappedUnit(unit.source, unit.candidates)
-                choose(fresh, candidate_scores(
+                scores = candidate_scores(
                     model, fresh, c_prev, c_next, mode=mode, c_prev2=c_prev2
-                ))
+                )
+                choose(fresh, scores)
                 assert (unit.resolved, unit.resolution) == (fresh.resolved, fresh.resolution)
+                if collect_trace:
+                    # compared as --trace prints them
+                    assert list(map(repr, printed[i])) == [repr(s.value) for s in scores]
     # one verdict per ambiguous table row, read with or without a virama
     rows = {(key, cands) for (key, _, _), cands in engine.table._entries.items()}
     assert {(c.replace(VIRAMA, ""), cands) for c, cands in model._verdicts} <= rows
+
+
+# a model whose counts do not agree: the n-grams after a context seen
+# once were counted 10**350 times, so every score of त in ता is too
+# large for a float, in both modes
+HUGE = 10**350
+HUGE_MODEL = {
+    "unigram": {"त": 1, "ा": 1},
+    "bigram": {("त", "ा"): HUGE, (BOUNDARY, "त"): HUGE, (BOUNDARY, BOUNDARY): 1},
+    "trigram": {(BOUNDARY, BOUNDARY, "त"): HUGE},
+    "emission": {("ت", "त"): 1, ("ط", "त"): 2},
+}
+# one where ط never stood for त, in contexts seen once
+ZERO_EMISSION_MODEL = {
+    "unigram": {"त": 1, "ा": 1},
+    "bigram": {(BOUNDARY, "त"): 1, ("त", "ा"): 1, ("ा", BOUNDARY): 1},
+    "emission": {("ت", "त"): 1},
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("counts, expected", [
+    (HUGE_MODEL, (math.inf, math.inf)),
+    (ZERO_EMISSION_MODEL, (1.0, 0.0)),
+])
+def test_trace_scores_of_huge_and_zero_counts(mode, counts, expected):
+    model = NgramModel(**counts)
+    candidates = ("ت", "ط")
+    scores = _trace_scores(model, "त", candidates, BOUNDARY, "ा", mode, BOUNDARY)
+    assert scores == expected
+    unit = MappedUnit(Grapheme("त", CharClass.CONSONANT), candidates)
+    exact = candidate_scores(model, unit, BOUNDARY, "ा", mode=mode, c_prev2=BOUNDARY)
+    assert list(map(repr, scores)) == [repr(s.value) for s in exact]
+    # and so the engine's trace, on a fresh model
+    engine = Transliterator(EngineConfig(mode=mode))
+    engine.model = NgramModel(**counts)
+    (record, _) = engine.transliterate_line("ता", collect_trace=True).trace
+    assert (record.candidates, record.scores) == (candidates, expected)
 
 
 SHARED_SOURCES = ["स", "त"]

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import lines, word_context
+from helpers import choose, lines, word_context
 from sindhi_translit import data as shipped
 from sindhi_translit import pipeline
 from sindhi_translit.errors import MissingModelError, OrphanMatraError, PipelineError
 from sindhi_translit.mapping import UNMAPPED_PASS, MappedUnit, Resolution, map_phonemes
-from sindhi_translit.ngram import MODE_TRIGRAM, candidate_scores, choose
+from sindhi_translit.ngram import MODE_TRIGRAM, candidate_scores
 from sindhi_translit.phonemes import ORPHAN_PASS, phonify
 from sindhi_translit.pipeline import EngineConfig, LineResult, TraceRecord, Transliterator
 from sindhi_translit.script import CharClass, normalize

@@ -1,0 +1,117 @@
+#!/usr/bin/env python3
+"""Append one benchmark run to a committed trajectory file.
+
+    python3 tools/bench_trajectory.py --label L --tree DIR --workload W --seed S --seconds N
+
+runs ``DIR/bench/run.py --workload W --seed S --seconds N --trace 0`` (the
+end-to-end metrics), and appends its result line to ``BENCH_<L>.json`` at
+the root of this checkout.  ``DIR`` may be another checkout, such as the
+parent commit's: alternating runs of two trees into two labels give paired
+runs, run ``i`` of one file against run ``i`` of the other.
+
+For each workload the file keeps every run (seed, seconds, correct,
+attempted, failed and each metric's value) and a summary: the median and
+the quartiles of each metric over the runs, the seeds, the totals of
+attempted and failed operations, the Python version and
+``os.cpu_count()``.  A run from another Python version or core count than
+the runs already in the file is refused, so a summary never mixes them.
+The exit status is run.py's, or 2 when no result line came back.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("convert-hot", "convert-cold", "train-eval")
+
+
+def summarise(runs, units):
+    """Median and quartiles of each metric (``units``: name -> unit)
+    over ``runs``, and what the runs share."""
+    metrics = {}
+    for name, unit in sorted(units.items()):
+        values = [run["metrics"][name] for run in runs if name in run["metrics"]]
+        q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                          if len(values) > 1 else values * 3)
+        metrics[name] = {"unit": unit, "median": median, "q1": q1, "q3": q3,
+                         "runs": len(values)}
+    return {
+        "runs": len(runs),
+        "seeds": sorted({run["seed"] for run in runs}),
+        "attempted": sum(run["attempted"] for run in runs),
+        "failed": sum(run["failed"] for run in runs),
+        "correct": all(run["correct"] for run in runs),
+        "python": runs[-1]["python"],
+        "cpu_count": runs[-1]["cpu_count"],
+        "metrics": metrics,
+    }
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
+    parser.add_argument("--tree", type=Path, default=ROOT,
+                        help="checkout whose bench/run.py runs (default: this one)")
+    parser.add_argument("--workload", choices=WORKLOADS, required=True)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=float, default=30)
+    args = parser.parse_args(argv)
+    if not args.label or any(c in args.label for c in "/\\"):
+        parser.error(f"--label {args.label!r} must be a plain file-name part")
+
+    cmd = [sys.executable, str(args.tree.resolve() / "bench" / "run.py"),
+           "--workload", args.workload, "--seed", str(args.seed),
+           "--seconds", f"{args.seconds:g}", "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=args.tree, stdin=subprocess.DEVNULL,
+                          stdout=subprocess.PIPE, text=True)
+    lines = proc.stdout.splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        print("\n".join(lines), file=sys.stderr)
+        print(f"bench_trajectory: run.py exited {proc.returncode} with no result line",
+              file=sys.stderr)
+        return 2
+    print("\n".join(lines[:-1]))
+
+    path = ROOT / f"BENCH_{args.label}.json"
+    trajectory = (json.loads(path.read_text(encoding="utf-8")) if path.exists()
+                  else {"label": args.label, "workloads": {}})
+    entry = trajectory["workloads"].setdefault(args.workload, {"runs": []})
+    run = {
+        "seed": args.seed,
+        "seconds": args.seconds,
+        "correct": result["correct"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
+        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+    }
+    for key in ("python", "cpu_count"):
+        if entry["runs"] and entry["runs"][-1][key] != run[key]:
+            print(f"bench_trajectory: {path.name} holds {args.workload} runs with "
+                  f"{key} {entry['runs'][-1][key]}, not {run[key]}", file=sys.stderr)
+            return 2
+    entry["runs"].append(run)
+    units = entry.setdefault("units", {})
+    units.update((name, m["unit"]) for name, m in result["metrics"].items())
+    entry["summary"] = summarise(entry["runs"], units)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(trajectory, indent=1) + "\n", encoding="utf-8")
+    os.replace(tmp, path)
+    print(f"# appended {args.workload} seed={args.seed} as run {len(entry['runs'])} "
+          f"to {path.name}: correct={run['correct']} failed={run['failed']}")
+    return proc.returncode
+
+
+if __name__ == "__main__":
+    sys.exit(main())
