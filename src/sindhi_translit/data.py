@@ -45,7 +45,8 @@ def read_rows(path, parse_row) -> list:
     with open_text(path) as fh:
         for line_no, raw in enumerate(fh, 1):
             line = raw.rstrip("\r\n")
-            if not line.strip() or line.lstrip().startswith("#"):
+            head = line.lstrip()
+            if not head or head[0] == "#":
                 continue
             try:
                 rows.append(parse_row(line.split("\t"), line_no))

@@ -54,6 +54,12 @@ from .training import load_model
 # 0.9 MiB; an output text adds about 85 bytes (sys.getsizeof, same words).
 WORD_MEMO_SIZE = 1024
 
+# longest word (in NFC code points) the memo keeps: a longer one is
+# converted as any other word but not stored, so unspaced input of many
+# long distinct words cannot fill the memo with entries that grow with
+# the word.  Real words are far shorter.
+WORD_MEMO_MAX_CHARS = 64
+
 _OTHER = CharClass.OTHER
 
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False,
@@ -263,7 +269,8 @@ class Transliterator:
 
     def _convert_by_word(self, text, collect_trace, build_units):
         """Units of NFC ``text``, each word taken from the memo or
-        converted and memoised, and with ``collect_trace`` one record per
+        converted and memoised (unless longer than
+        ``WORD_MEMO_MAX_CHARS``), and with ``collect_trace`` one record per
         non-Other unit; every unit and record is a fresh object.  Without
         ``build_units`` (and untraced) the units are the words' output
         texts instead, each kept in its entry the first time it is read,
@@ -279,9 +286,10 @@ class Transliterator:
                     None,
                     None,
                 ]
-                if len(self._memo) >= WORD_MEMO_SIZE:
-                    self._memo.clear()
-                self._memo[word] = entry
+                if len(word) <= WORD_MEMO_MAX_CHARS:
+                    if len(self._memo) >= WORD_MEMO_SIZE:
+                        self._memo.clear()
+                    self._memo[word] = entry
             elif build_units:
                 word_units = [MappedUnit(*f) for f in entry[0]]
             if not build_units:

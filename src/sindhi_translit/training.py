@@ -160,11 +160,16 @@ def train_model(inventory: ScriptInventory, corpus_lines, aligned_pairs) -> Ngra
 def parse_aligned_row(fields, line_no: int | None) -> AlignedPair:
     """One aligned row from its tab-separated fields: source graphemes,
     then as many target units (else AlignmentError), each
-    space-separated, read from line ``line_no`` of its file."""
+    space-separated, read from line ``line_no`` of its file.
+
+    Each field is normalised once and then split.  Whitespace is an NFC
+    barrier (no whitespace character composes or reorders with a
+    neighbour, and NFC keeps it whitespace), so the units are those of
+    normalising each unit on its own."""
     if len(fields) < 2:
         raise DataFormatError("expected <source units>TAB<target units>")
-    source = tuple(normalize(tok) for tok in fields[0].split())
-    target = tuple(normalize(tok) for tok in fields[1].split())
+    source = tuple(normalize(fields[0]).split())
+    target = tuple(normalize(fields[1]).split())
     if len(source) != len(target):
         raise AlignmentError(
             f"{len(source)} source units vs {len(target)} target units"

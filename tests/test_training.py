@@ -1,5 +1,7 @@
 import random
+import sys
 import tracemalloc
+import unicodedata
 from itertools import count, islice, product
 
 import pytest
@@ -11,6 +13,7 @@ from helpers import lines, separator_runs
 from sindhi_translit import cli
 from sindhi_translit.errors import AlignmentError, DataFormatError
 from sindhi_translit.ngram import BOUNDARY, NgramModel
+from sindhi_translit.script import normalize
 from sindhi_translit.training import (
     AlignedPair,
     corpus_words,
@@ -179,6 +182,47 @@ def test_count_emissions_agrees_with_reference():
 def test_parse_aligned_row():
     pair = parse_aligned_row(["क ा", "K AA"], None)
     assert pair == AlignedPair(("क", "ा"), ("K", "AA"))
+
+
+# every whitespace character an aligned field can hold: the row reader
+# splits lines at "\n" and "\r" and fields at tabs
+_FIELD_SPACES = [
+    chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace() and chr(c) not in "\t\n\r"
+]
+# letters, nukta, virama, spellings NFC rewrites (U+0958-U+095F, U+0929,
+# U+0931, U+0934, U+2000, U+2001), Latin and Devanagari combining marks
+# of different classes, and Hangul jamo, which NFC composes
+_FIELD_CHARS = (
+    list("कखगजडढफयरलवनळअआइ") + ["\u093c", "\u094d", "\u093e", "\u093f", "\u0902"]
+    + [chr(c) for c in range(0x0958, 0x0960)] + ["\u0929", "\u0931", "\u0934"]
+    + ["\u0301", "\u0323", "\u0327", "\u0951", "\u0952"]
+    + ["\u1100", "\u1161", "\u11a8", "\uac00", "a", "_"]
+    + _FIELD_SPACES
+)
+aligned_fields = st.text(alphabet=st.sampled_from(_FIELD_CHARS), max_size=24)
+
+
+def test_whitespace_is_an_nfc_barrier():
+    # what parse_aligned_row's one normalisation per field rests on
+    assert len(_FIELD_SPACES) >= 26
+    for space in _FIELD_SPACES:
+        assert unicodedata.combining(space) == 0
+        nfc = normalize(space)
+        assert len(nfc) == 1 and nfc.isspace()
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(source=aligned_fields, target=aligned_fields)
+@example(source="\u0958\u2000\u0915\u093c\u3000\u093e", target="K\u2000Q\u3000A")
+@example(source="\u0915\u0301\u2001\u093c", target="\u1100\u2029\u1161")
+def test_parse_aligned_row_equals_per_unit_normalisation(source, target):
+    units = [tuple(normalize(t) for t in field.split()) for field in (source, target)]
+    if len(units[0]) != len(units[1]):
+        with pytest.raises(AlignmentError):
+            parse_aligned_row([source, target], 3)
+        return
+    pair = parse_aligned_row([source, target], 3)
+    assert pair == AlignedPair(*units) and pair.line == 3
 
 
 def test_load_aligned(tmp_path):

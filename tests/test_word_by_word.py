@@ -1,6 +1,8 @@
 """The engine's word-by-word conversion against the public staged
 functions: same output, same units, same trace, same errors."""
 
+import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -178,6 +180,39 @@ def test_word_memo_is_bounded(demo_model_path, monkeypatch):
     for _ in range(2):
         assert [engine.transliterate_line(line) for line in sample] == expected
         assert len(engine._memo) <= 2
+
+
+def test_long_words_leave_the_memo_small(demo_model_path):
+    # 200 distinct unspaced words of about 1,000 characters, each joined
+    # from the demo sample's words; memoised, their traced entries would
+    # hold about 40 MiB
+    sample = Path(shipped.demo_sample_path()).read_text(encoding="utf-8").split()
+    rng = random.Random(7)
+    words = set()
+    while len(words) < 200:
+        parts = []
+        while sum(map(len, parts)) < 1000:
+            parts.append(rng.choice(sample))
+        words.add("".join(parts))
+    words = sorted(words)
+    assert min(map(len, words)) > pipeline.WORD_MEMO_MAX_CHARS
+    config = EngineConfig(model=str(demo_model_path))
+    engine = Transliterator(config)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for word in words:
+            engine.transliterate_line(word, collect_trace=True)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 1024 * 1024
+    fresh = Transliterator(config)
+    for word in words:
+        expected = fresh.transliterate_line(word, collect_trace=True)
+        assert engine.transliterate_line(word, collect_trace=True) == expected
+        assert engine._line_text(word) == expected.output
+    assert not engine._memo
 
 
 def test_trace_after_untraced_use_equals_fresh_trace(demo_model_path):

@@ -16,6 +16,16 @@ attempted and failed operations, the Python version and
 ``os.cpu_count()``.  A run from another Python version or core count than
 the runs already in the file is refused, so a summary never mixes them.
 The exit status is run.py's, or 2 when no result line came back.
+
+    python3 tools/bench_trajectory.py --compare PARENT CHANGE
+
+reads ``BENCH_PARENT.json`` and ``BENCH_CHANGE.json`` and prints, for each
+workload in both and each metric, the two medians, their ratio (change
+over parent) and the pairs the change won: run ``i`` of one file is
+paired with run ``i`` of the other, and a pair is won when the change's
+value is strictly better in the direction ``BENCHMARK.json`` gives the
+metric (``-`` for a metric it does not list).  The exit status is 2 when
+a file cannot be read or the files share no workload.
 """
 
 from __future__ import annotations
@@ -55,17 +65,79 @@ def summarise(runs, units):
     }
 
 
+def directions():
+    """Metric name -> "higher" or "lower", as ``BENCHMARK.json`` declares."""
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return {m["name"]: m["better"]
+            for group in ("end_to_end", "per_layer") for m in declared.get(group, [])}
+
+
+def compare(parent, change, better):
+    """Lines comparing trajectories ``parent`` and ``change`` (as read
+    from their files) metric by metric; ``better`` maps a metric name to
+    its direction."""
+    rows = [("workload", "metric", "unit", "parent", "change", "ratio", "won")]
+    for workload in WORKLOADS:
+        if workload not in parent["workloads"] or workload not in change["workloads"]:
+            continue
+        old, new = parent["workloads"][workload], change["workloads"][workload]
+        units = {**old.get("units", {}), **new.get("units", {})}
+        pairs = list(zip(old["runs"], new["runs"]))
+        for name in sorted(units):
+            medians = [entry["summary"]["metrics"].get(name, {}).get("median")
+                       for entry in (old, new)]
+            if None in medians:
+                continue
+            ratio = f"{medians[1] / medians[0]:.3f}" if medians[0] else "-"
+            won = "-"
+            if name in better:
+                sign = 1 if better[name] == "higher" else -1
+                values = [(a["metrics"][name], b["metrics"][name]) for a, b in pairs
+                          if name in a["metrics"] and name in b["metrics"]]
+                won = f"{sum(sign * (b - a) > 0 for a, b in values)}/{len(values)}"
+            rows.append((workload, name, units[name], f"{medians[0]:.6g}",
+                         f"{medians[1]:.6g}", ratio, won))
+    if len(rows) == 1:
+        return []
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    return ["  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
+            for row in rows]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
+    parser.add_argument("--label", help="writes BENCH_<label>.json")
     parser.add_argument("--tree", type=Path, default=ROOT,
                         help="checkout whose bench/run.py runs (default: this one)")
-    parser.add_argument("--workload", choices=WORKLOADS, required=True)
+    parser.add_argument("--workload", choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=30)
+    parser.add_argument("--compare", nargs=2, metavar=("PARENT", "CHANGE"),
+                        help="compare BENCH_PARENT.json with BENCH_CHANGE.json; runs nothing")
     args = parser.parse_args(argv)
-    if not args.label or any(c in args.label for c in "/\\"):
-        parser.error(f"--label {args.label!r} must be a plain file-name part")
+    if args.compare and (args.label or args.workload):
+        parser.error("--compare takes no --label or --workload")
+    if not args.compare and (args.label is None or args.workload is None):
+        parser.error("--label and --workload are required unless --compare is given")
+    labels = args.compare or [args.label]
+    for label in labels:
+        if not label or any(c in label for c in "/\\"):
+            parser.error(f"label {label!r} must be a plain file-name part")
+    if args.compare:
+        try:
+            parent, change = (
+                json.loads((ROOT / f"BENCH_{label}.json").read_text(encoding="utf-8"))
+                for label in labels
+            )
+        except (OSError, ValueError) as err:
+            print(f"bench_trajectory: {err}", file=sys.stderr)
+            return 2
+        lines = compare(parent, change, directions())
+        if not lines:
+            print("bench_trajectory: the two files share no workload", file=sys.stderr)
+            return 2
+        print("\n".join(lines))
+        return 0
 
     cmd = [sys.executable, str(args.tree.resolve() / "bench" / "run.py"),
            "--workload", args.workload, "--seed", str(args.seed),
