@@ -23,10 +23,12 @@ def open_text(path) -> io.StringIO:
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as err:
+        # a line ends at \n, \r\n or a lone \r, as universal newlines have it
+        head = raw[: err.start]
         raise DataFormatError(
             f"invalid UTF-8 byte 0x{raw[err.start]:02x}",
             path=path,
-            line=raw.count(b"\n", 0, err.start) + 1,
+            line=head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1,
         ) from None
     return io.StringIO(text, newline=None)
 

@@ -36,38 +36,42 @@ class PipelineError(TransliterationError):
     """Text could not be pushed through the conversion pipeline."""
 
 
-class OrphanMatraError(PipelineError):
-    """A dependent vowel sign appeared with no consonant to attach to."""
+class _GraphemeError(PipelineError):
+    """A failure at one grapheme, ``offset`` code points into its line;
+    each subclass holds only the template of its message.  Pickles by
+    the two fields (and any attribute set since), so it reaches a parent
+    process as itself."""
+
+    _template = ""
 
     def __init__(self, grapheme, offset):
         self.grapheme = grapheme
         self.offset = offset
-        super().__init__(
-            f"vowel symbol {grapheme!r} at offset {offset} has no preceding consonant"
-        )
+        super().__init__(self._template.format(grapheme=grapheme, offset=offset))
+
+    def __reduce__(self):
+        return type(self), (self.grapheme, self.offset), self.__dict__
 
 
-class UnmappedGraphemeError(PipelineError):
+class OrphanMatraError(_GraphemeError):
+    """A dependent vowel sign appeared with no consonant to attach to."""
+
+    _template = "vowel symbol {grapheme!r} at offset {offset} has no preceding consonant"
+
+
+class UnmappedGraphemeError(_GraphemeError):
     """An inventory grapheme has no row in the mapping table."""
 
-    def __init__(self, grapheme, offset=None):
-        self.grapheme = grapheme
-        self.offset = offset
-        where = f" at offset {offset}" if offset is not None else ""
-        super().__init__(f"no mapping for grapheme {grapheme!r}{where}")
+    _template = "no mapping for grapheme {grapheme!r} at offset {offset}"
 
 
-class MissingModelError(PipelineError):
+class MissingModelError(_GraphemeError):
     """Ambiguous mapping encountered but no statistical model is loaded."""
 
-    def __init__(self, grapheme, offset=None):
-        self.grapheme = grapheme
-        self.offset = offset
-        where = f" at offset {offset}" if offset is not None else ""
-        super().__init__(
-            f"grapheme {grapheme!r}{where} has multiple candidates "
-            "and no model is loaded to pick one"
-        )
+    _template = (
+        "grapheme {grapheme!r} at offset {offset} has multiple candidates "
+        "and no model is loaded to pick one"
+    )
 
 
 class UndefinedAccuracyError(TransliterationError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 
 from .errors import UndefinedAccuracyError
 from .mapping import Resolution
-from .training import WORD_GAP
+from .training import WORD_GAP, misalignment
 
 # the tally each resolution kind counts towards
 _BUCKET_OF = {
@@ -150,7 +150,7 @@ def _skip_reason(index, units, gold) -> str | None:
     unresolved unit in a row that lines up so far raises ValueError."""
     if isinstance(units, str):
         return units
-    if len(gold.source_units) != len(gold.target_units):
+    if misalignment(gold.source_units, gold.target_units) is not None:
         return "gold row is not positionally aligned"
     if len(units) != len(gold.source_units):
         return f"{len(units)} system units vs {len(gold.source_units)} gold units"
@@ -179,9 +179,10 @@ def evaluate(
     system file and an engine run over the gold rows both take this one
     route.  Each unit counts towards the bucket ``_BUCKET_OF`` gives its
     resolution kind, one ``[correct, total]`` pair per bucket.  A string
-    row is skipped with the string as the reason, and rows whose unit
-    count or source side disagrees with the gold row are skipped too;
-    each is reported, never silently dropped.
+    row is skipped with the string as the reason, and so is a gold row
+    that ``training.misalignment`` faults, or a row whose unit count or
+    source side disagrees with its gold row; each is reported, never
+    silently dropped.
     """
     if len(system_sentences) != len(gold_pairs):
         raise ValueError(

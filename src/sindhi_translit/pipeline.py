@@ -25,9 +25,8 @@ from .errors import (
     ConfigError,
     DataFormatError,
     MissingModelError,
-    OrphanMatraError,
     PipelineError,
-    UnmappedGraphemeError,
+    _GraphemeError,
 )
 from .mapping import (
     ORPHAN_POLICIES,
@@ -255,7 +254,7 @@ class Transliterator:
                     f"internal error: {text!r} failed word by word ({err}) "
                     "but not as a whole line"
                 ) from err
-        except (OrphanMatraError, UnmappedGraphemeError, MissingModelError) as err:
+        except _GraphemeError as err:
             offset = err.offset
             if text != line:
                 # the first raw prefix whose NFC form reaches past the

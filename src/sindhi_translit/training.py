@@ -100,30 +100,45 @@ def count_ngrams(inventory: ScriptInventory, lines) -> NgramModel:
     return train_model(inventory, lines, ())
 
 
+def misalignment(source, target) -> str | None:
+    """Why the unit tuples ``source`` and ``target`` of an aligned row do
+    not line up position by position, or None: the unit counts differ,
+    or a word gap stands opposite a unit (the first such position)."""
+    if len(source) != len(target):
+        return f"{len(source)} source units vs {len(target)} target units"
+    gaps = source.count(WORD_GAP)
+    if gaps == target.count(WORD_GAP):
+        # as many gaps a side: aligned when each source gap meets one
+        pos = -1
+        for _ in range(gaps):
+            pos = source.index(WORD_GAP, pos + 1)
+            if target[pos] != WORD_GAP:
+                break
+        else:
+            return None
+    pos = next(i for i, (c, b) in enumerate(zip(source, target))
+               if (c == WORD_GAP) != (b == WORD_GAP))
+    return f"one-sided word gap at position {pos}"
+
+
 def count_emissions(pairs) -> dict:
     """(target, source) pair counts over aligned rows.
 
-    Word-gap tokens are skipped; a length mismatch or a one-sided gap
-    is rejected with the offending pair's index, and with its line (the
-    error's ``line``) when the pair was read from a file.
+    Word-gap tokens are skipped; a row that ``misalignment`` faults is
+    rejected, named by its line (the error's ``line``) when the pair was
+    read from a file and by its index otherwise.
     """
     emission = {}
     for index, pair in enumerate(pairs):
         src, tgt = pair.source_units, pair.target_units
-        if len(src) != len(tgt):
-            raise AlignmentError(
-                f"pair {index}: {len(src)} source units vs {len(tgt)} target units",
-                line=pair.line,
-            )
-        for pos, (c, b) in enumerate(zip(src, tgt)):
-            if c == WORD_GAP or b == WORD_GAP:
-                if c != b:
-                    raise AlignmentError(
-                        f"pair {index}: one-sided word gap at position {pos}",
-                        line=pair.line,
-                    )
-                continue
-            emission[(b, c)] = emission.get((b, c), 0) + 1
+        reason = misalignment(src, tgt)
+        if reason is not None:
+            if pair.line is None:
+                reason = f"pair {index}: {reason}"
+            raise AlignmentError(reason, line=pair.line)
+        for c, b in zip(src, tgt):
+            if c != WORD_GAP:  # a gap stands opposite a gap
+                emission[(b, c)] = emission.get((b, c), 0) + 1
     return emission
 
 

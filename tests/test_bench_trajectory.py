@@ -1,6 +1,11 @@
-"""`tools/bench_trajectory.py --compare`: medians, ratios and pairs won."""
+"""`tools/bench_trajectory.py --compare`: medians, ratios and pairs won,
+and a quiet end when its reader stops early."""
 
 import importlib.util
+import json
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_trajectory.py"
@@ -52,3 +57,29 @@ def test_directions_follow_the_declared_metrics():
     better = bench_trajectory.directions()
     assert better["setup_s"] == "lower"
     assert better["convert_kchar_per_s"] == "higher"
+
+
+def test_compare_piped_into_a_reader_that_stops_early_ends_quietly(tmp_path):
+    # a checkout of the tool alone, comparing two files whose table is
+    # far larger than a pipe holds, so the tool is mid-write when the
+    # reader closes
+    (tmp_path / "tools").mkdir()
+    shutil.copy(_PATH, tmp_path / "tools")
+    shutil.copy(_PATH.parent.parent / "BENCHMARK.json", tmp_path)
+    units = {f"metric_{i:05}": "count" for i in range(5000)}
+    runs = [{"seed": 1, "attempted": 1, "failed": 0, "correct": True, "python": "3",
+             "cpu_count": 1, "metrics": dict.fromkeys(units, 1.0)}]
+    entry = {"runs": runs, "units": units,
+             "summary": bench_trajectory.summarise(runs, units)}
+    text = json.dumps({"label": "x", "workloads": {"train-eval": entry}})
+    for label in ("a", "b"):
+        (tmp_path / f"BENCH_{label}.json").write_text(text, encoding="utf-8")
+    proc = subprocess.Popen(
+        [sys.executable, str(tmp_path / "tools" / _PATH.name), "--compare", "a", "b"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().split()[0] == b"workload"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (1, b"")

@@ -406,7 +406,7 @@ def test_train_names_aligned_line_of_one_sided_word_gap(tmp_path, capsys):
     assert code == EXIT_DATA
     assert out == ""
     assert err == (
-        f"translit: data error: {aligned}:3: pair 1: one-sided word gap at "
+        f"translit: data error: {aligned}:3: one-sided word gap at "
         "position 1\n"
     )
     assert not out_path.exists()
@@ -789,6 +789,15 @@ def test_evaluate_with_every_row_skipped_exits_data(tmp_path, capsys, demo_model
     assert not report.exists()
 
 
+def test_evaluate_skips_gold_row_with_one_sided_word_gap(tmp_path, capsys):
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("# head\nक _ ख\tڪ ب _\n", encoding="utf-8")
+    code, out, err = run(["evaluate", "--gold", str(gold), "--system", str(gold)], capsys)
+    assert code == EXIT_DATA
+    assert out == "Skipped rows: 1\n  row 2: gold row is not positionally aligned\n"
+    assert err == f"translit: data error: {gold}: nothing to score (1 of 1 rows skipped)\n"
+
+
 def test_evaluate_end_to_end_missing_model_names_gold_row(tmp_path, capsys):
     gold = tmp_path / "gold.tsv"
     gold.write_text("# comment\nक म ल\tڪ م ل\nआ त\tآ ت\n", encoding="utf-8")
@@ -900,26 +909,29 @@ def test_invalid_utf8_in_data_file_exits_data(
         "system": shipped.demo_gold_path(),
     }
     good = Path(files[kind]).read_bytes()
-    bad = tmp_path / f"{kind}.tsv"
-    bad.write_bytes(good + b"\xff\n")
-    files[kind] = str(bad)
-    if kind in ("inventory", "mapping", "model"):
-        monkeypatch.setattr(sys, "stdin", io.StringIO("क\n"))
-        argv = ["transliterate", f"--{kind}", files[kind]]
-    elif kind in ("corpus", "aligned"):
-        argv = [
-            "train",
-            "--inventory", files["inventory"],
-            "--corpus", files["corpus"],
-            "--aligned", files["aligned"],
-            "-o", str(tmp_path / "model.tsv"),
-        ]
-    else:
-        argv = ["evaluate", "--gold", files["gold"], "--system", files["system"]]
-    code, _, err = run(argv, capsys)
-    assert code == EXIT_DATA
+    assert b"\r" not in good
     line = good.count(b"\n") + 1
-    assert err == f"translit: data error: {bad}:{line}: invalid UTF-8 byte 0xff\n"
+    # the line is counted alike whichever way the file's lines end
+    for ending in (b"\n", b"\r\n", b"\r"):
+        bad = tmp_path / f"{kind}.tsv"
+        bad.write_bytes(good.replace(b"\n", ending) + b"\xff" + ending)
+        files[kind] = str(bad)
+        if kind in ("inventory", "mapping", "model"):
+            monkeypatch.setattr(sys, "stdin", io.StringIO("क\n"))
+            argv = ["transliterate", f"--{kind}", files[kind]]
+        elif kind in ("corpus", "aligned"):
+            argv = [
+                "train",
+                "--inventory", files["inventory"],
+                "--corpus", files["corpus"],
+                "--aligned", files["aligned"],
+                "-o", str(tmp_path / "model.tsv"),
+            ]
+        else:
+            argv = ["evaluate", "--gold", files["gold"], "--system", files["system"]]
+        code, _, err = run(argv, capsys)
+        assert code == EXIT_DATA
+        assert err == f"translit: data error: {bad}:{line}: invalid UTF-8 byte 0xff\n"
 
 
 def test_invalid_utf8_in_config_exits_config(tmp_path, capsys):

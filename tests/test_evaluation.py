@@ -273,6 +273,14 @@ def test_misaligned_rows_skipped_with_reason():
     assert "mismatch" in report.skipped[1][1]
 
 
+def test_gold_row_with_a_one_sided_gap_is_skipped():
+    gold = [AlignedPair(("क", "_", "ख"), ("K", "X", "_")), AlignedPair(("क",), ("K",))]
+    system = [row(pair.source_units, pair.target_units) for pair in gold]
+    report = evaluate(system, gold)
+    assert report.skipped == ((0, "gold row is not positionally aligned"),)
+    assert (report.total_sentences, report.total_characters) == (1, 1)
+
+
 def test_string_row_is_skipped_with_its_own_reason():
     gold = [
         AlignedPair(("क",), ("K",)),
@@ -323,7 +331,9 @@ def per_unit_report(system, gold, include_passthrough):
     skipped = []
     for index, (units, pair) in enumerate(zip(system, gold)):
         sources = [" " if src == "_" else src for src in pair.source_units]
-        if len(pair.source_units) != len(pair.target_units):
+        if len(pair.source_units) != len(pair.target_units) or any(
+            (src == "_") != (tgt == "_") for src, tgt in zip(pair.source_units, pair.target_units)
+        ):
             skipped.append((index, "gold row is not positionally aligned"))
             continue
         if len(units) != len(sources):
@@ -373,13 +383,13 @@ def per_unit_report(system, gold, include_passthrough):
 # plain spellings, the presentation forms that fold to them, and a
 # madda that composes
 TARGET_SPELLINGS = ["ك", "ﻛ", "ﻙ", "ا", "ﺍ", "آ", "ﺁ", "ا\u0653", "ب", "ﺑ", "x"]
-SKIP_REASONS = [None, "gold", "count", "source"]
+SKIP_REASONS = [None, "gold", "gap", "count", "source"]
 
 
 @st.composite
 def scored_row(draw):
     """A gold row and its system units: word gaps, all four resolution
-    kinds, shaped and plain targets, and one of the three skip reasons
+    kinds, shaped and plain targets, and one of the four skip reasons
     (or none)."""
     sources, targets, units = [], [], []
     for _ in range(draw(st.integers(1, 6))):
@@ -395,6 +405,9 @@ def scored_row(draw):
     reason = draw(st.sampled_from(SKIP_REASONS))
     if reason == "gold":
         targets.append(draw(st.sampled_from(TARGET_SPELLINGS)))
+    elif reason == "gap":  # a word gap opposite a unit
+        pos = draw(st.integers(0, len(targets) - 1))
+        targets[pos] = draw(st.sampled_from(TARGET_SPELLINGS)) if sources[pos] == "_" else "_"
     elif reason == "count":
         units.pop()
     elif reason == "source":

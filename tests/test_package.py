@@ -1,8 +1,9 @@
-"""The package namespace, whose names resolve on first use, and the
+"""The package namespace, whose names resolve on first use, the
 record classes, which keep the equality, hash, repr and immutability
-they had as dataclasses."""
+they had as dataclasses, and the exceptions, which pickle."""
 
 import copy
+import inspect
 import os
 import pickle
 import subprocess
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import sindhi_translit
+from sindhi_translit import errors
 from sindhi_translit.mapping import MappedUnit, Resolution
 from sindhi_translit.ngram import Probability
 from sindhi_translit.phonemes import Phoneme, PhonemePattern
@@ -172,6 +174,25 @@ def test_record_keeps_its_dataclass_behaviour(name):
         assert getattr(record, field) is None
     with pytest.raises(AttributeError):
         record.extra = 1
+
+
+ERRORS = [
+    cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+    if issubclass(cls, Exception) and cls.__module__ == errors.__name__
+]
+
+
+@pytest.mark.parametrize("cls", ERRORS, ids=lambda cls: cls.__name__)
+def test_error_survives_pickle_and_copy(cls):
+    if issubclass(cls, errors._GraphemeError):
+        err, fields = cls("ि", 4), ("grapheme", "offset")
+    elif issubclass(cls, errors.DataFormatError):
+        err, fields = cls("bad row", path="rows.tsv", line=3), ("path", "line")
+    else:
+        err, fields = cls("failed"), ()
+    for back in (pickle.loads(pickle.dumps(err)), copy.copy(err)):
+        assert type(back) is cls and str(back) == str(err)
+        assert [getattr(back, f) for f in fields] == [getattr(err, f) for f in fields]
 
 
 def test_aligned_pair_compares_without_its_line():

@@ -21,6 +21,7 @@ from sindhi_translit.training import (
     count_ngrams,
     load_aligned,
     load_model,
+    misalignment,
     parse_aligned_row,
     save_model,
     train_model,
@@ -160,6 +161,35 @@ def test_count_emissions_one_sided_gap():
     pairs = [AlignedPair(("क", "_"), ("K", "X"))]
     with pytest.raises(AlignmentError):
         count_emissions(pairs)
+
+
+def test_count_emissions_names_a_read_pair_by_its_line_alone():
+    pairs = [AlignedPair(("क",), ("K",), 2), AlignedPair(("क", "_"), ("K", "X"), 4)]
+    with pytest.raises(AlignmentError) as excinfo:
+        count_emissions(pairs)
+    assert str(excinfo.value) == "one-sided word gap at position 1"
+    assert excinfo.value.line == 4
+    with pytest.raises(AlignmentError, match=r"^pair 0: one-sided word gap at position 0$"):
+        count_emissions([AlignedPair(("_",), ("K",))])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    units=st.lists(st.tuples(st.sampled_from(["_", "क"]), st.sampled_from(["_", "K"])),
+                   max_size=8),
+    extra=st.sampled_from([(), ("_",), ("क",)]),
+)
+def test_misalignment_equals_per_unit_rule(units, extra):
+    source = tuple(c for c, _ in units) + extra
+    target = tuple(b for _, b in units)
+    one_sided = [pos for pos, (c, b) in enumerate(units) if (c == "_") != (b == "_")]
+    if extra:
+        expected = f"{len(source)} source units vs {len(target)} target units"
+    elif one_sided:
+        expected = f"one-sided word gap at position {one_sided[0]}"
+    else:
+        expected = None
+    assert misalignment(source, target) == expected
 
 
 def test_count_emissions_agrees_with_reference():

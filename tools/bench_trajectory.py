@@ -26,6 +26,9 @@ paired with run ``i`` of the other, and a pair is won when the change's
 value is strictly better in the direction ``BENCHMARK.json`` gives the
 metric (``-`` for a metric it does not list).  The exit status is 2 when
 a file cannot be read or the files share no workload.
+
+Either way, a reader that closes the output early (``| head``) ends the
+run with status 1 and no traceback.
 """
 
 from __future__ import annotations
@@ -186,4 +189,11 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``): stop quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)
