@@ -29,7 +29,8 @@ from .mapping import ORPHAN_POLICIES, UNMAPPED_POLICIES, MappedUnit, Resolution
 from .ngram import MODES
 from .pipeline import EngineConfig, Transliterator
 from .script import CharClass, Grapheme, load_inventory
-from .training import WORD_GAP, load_aligned, parse_aligned_row, save_model, train_model
+from .training import (WORD_GAP, load_aligned, misalignment, parse_aligned_row, save_model,
+                       train_model)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -247,13 +248,17 @@ def _check_source_units(inventory, pairs, path):
 
 def _load_system_rows(path):
     """System output in aligned-row format, read as ``load_aligned``
-    reads rows, with an optional third column of per-unit resolution
-    codes (R, S, F or P); absent codes default to Rule.  The unit class
-    is irrelevant to scoring, so placeholder graphemes are used."""
+    reads rows, each positionally aligned (``training.misalignment``),
+    with an optional third column of per-unit resolution codes (R, S, F
+    or P); absent codes default to Rule.  The unit class is irrelevant
+    to scoring, so placeholder graphemes are used."""
 
     def parse_row(fields, line_no):
         pair = parse_aligned_row(fields, line_no)
         sources, targets = pair.source_units, pair.target_units
+        reason = misalignment(sources, targets)
+        if reason is not None:
+            raise AlignmentError(reason)
         codes = fields[2].split() if len(fields) > 2 else []
         if codes and len(codes) != len(sources):
             raise DataFormatError("resolution column length differs from unit count")

@@ -6,9 +6,10 @@ or more mark the grapheme as ambiguous and leave the choice to the
 statistical layer.  Candidate order matters: the first entry is the
 deterministic fallback when statistics cannot decide.
 
-The role each grapheme is looked up under is decided once, by the walk
-:func:`roles`, which :func:`map_graphemes` runs before the mapping walk
-and the phoneme functions are adapters over.
+The role rule (``_role``) and the row-to-unit rule (``_unit``) are each
+written once: :func:`map_graphemes` runs the role walk :func:`roles`,
+which the phoneme functions are adapters over, and then the mapping
+walk, and the engine's step table calls the same two rules.
 
 Each table caches its lookups in an ``lru_cache`` of the
 ``LOOKUP_MEMO_SIZE`` most recently used, which the mapping walk calls.
@@ -20,7 +21,7 @@ import enum
 from functools import lru_cache, partial
 
 from .data import read_rows
-from .errors import DataFormatError, OrphanMatraError, UnmappedGraphemeError
+from .errors import DataFormatError, OrphanMatraError, PipelineError, UnmappedGraphemeError
 from .records import Record
 from .script import VIRAMA, CharClass, Grapheme, is_word_separator, normalize
 
@@ -75,6 +76,8 @@ _CONSONANT = CharClass.CONSONANT
 _INDEPENDENT_VOWEL = CharClass.INDEPENDENT_VOWEL
 _SIGN = CharClass.VOWEL_SYMBOL
 _ROLE_BY_VALUE = {r.value: r for r in Role}
+# the role rule's answer for an orphan vowel sign under the reject policy
+_ORPHAN = object()
 
 
 class MappedUnit(Record):
@@ -207,29 +210,36 @@ def load_mapping(path) -> MappingTable:
 
 
 def roles(graphemes, *, orphan_policy: str = ORPHAN_REJECT) -> list[Role | None]:
-    """The role rule as one walk over clustered graphemes: a consonant
-    is any role (A rows), an independent vowel a vowel, a vowel sign
-    right after a consonant a matra.  Any other vowel sign is an orphan,
-    which the reject policy raises as :class:`OrphanMatraError` at its
-    offset; it and anything else get None and pass through."""
+    """The role rule (:func:`_role`) as one walk over clustered
+    graphemes; the reject policy raises the first orphan vowel sign as
+    :class:`OrphanMatraError` at its offset."""
     if orphan_policy not in ORPHAN_POLICIES:
         raise ValueError(f"unknown orphan policy {orphan_policy!r}")
+    reject = orphan_policy == ORPHAN_REJECT
     out = []
     prev = None
     for i, g in enumerate(graphemes):
         cls = g.char_class
-        if cls is _CONSONANT:
-            out.append(_ANY)
-        elif cls is _INDEPENDENT_VOWEL:
-            out.append(_VOWEL)
-        elif cls is _SIGN and prev is _CONSONANT:
-            out.append(_MATRA)
-        elif cls is _SIGN and orphan_policy == ORPHAN_REJECT:
+        role = _role(cls, prev is _CONSONANT, reject)
+        if role is _ORPHAN:
             raise OrphanMatraError(g.text, sum(len(x.text) for x in graphemes[:i]))
-        else:
-            out.append(None)
+        out.append(role)
         prev = cls
     return out
+
+
+def _role(char_class, after_consonant, reject_orphans):
+    """The role rule for one grapheme: a consonant is any role (A rows),
+    an independent vowel a vowel, a vowel sign right after a consonant a
+    matra.  Any other vowel sign is an orphan, ``_ORPHAN`` under the
+    reject policy; it and anything else get None and pass through."""
+    if char_class is _CONSONANT:
+        return _ANY
+    if char_class is _INDEPENDENT_VOWEL:
+        return _VOWEL
+    if char_class is _SIGN:
+        return _MATRA if after_consonant else _ORPHAN if reject_orphans else None
+    return None
 
 
 def map_graphemes(
@@ -287,27 +297,48 @@ def _map(table, graphemes, roles, unmapped_policy):
     find = table._find
     last = len(graphemes) - 1
     for i, g in enumerate(graphemes):
-        role = roles[i]
-        if role is None:
-            units.append(MappedUnit(g, (), g.text, _PASS_THROUGH))
-            continue
         # a unit is at a word edge where the text ends or a separator
         # grapheme is next to it; a neighbour with a role is a letter,
-        # never a separator.  The cache is called by position, with the
-        # role's value: its key is then the argument tuple itself
-        candidates = find(
-            g.text,
-            role._value_,
+        # never a separator
+        fields = _unit(
+            find, g, roles[i],
             i == 0 or (roles[i - 1] is None and is_word_separator(graphemes[i - 1])),
             i == last or (roles[i + 1] is None and is_word_separator(graphemes[i + 1])),
+            unmapped_policy,
         )
-        if candidates is None:
-            if unmapped_policy == UNMAPPED_ERROR:
-                offset = sum(len(x.text) for x in graphemes[:i])
-                raise UnmappedGraphemeError(g.text, offset)
-            units.append(MappedUnit(g, (), g.text, _PASS_THROUGH, True))
-        elif len(candidates) == 1:
-            units.append(MappedUnit(g, candidates, candidates[0], _RULE))
-        else:
-            units.append(MappedUnit(g, candidates))
+        if fields is None:
+            raise UnmappedGraphemeError(g.text, sum(len(x.text) for x in graphemes[:i]))
+        units.append(MappedUnit(*fields))
     return units
+
+
+def _unit(find, g, role, initial, final, unmapped_policy):
+    """The row-to-unit rule: the unit fields of ``g`` in ``role`` at the
+    word edges given, by a table's ``_find`` (called by position: its key
+    is the argument tuple), or None for no row under the error policy."""
+    if role is None:
+        return g, (), g.text, _PASS_THROUGH, False
+    candidates = find(g.text, role._value_, initial, final)
+    if candidates is None:
+        if unmapped_policy == UNMAPPED_ERROR:
+            return None
+        return g, (), g.text, _PASS_THROUGH, True
+    if len(candidates) == 1:
+        return g, candidates, candidates[0], _RULE, False
+    return g, candidates, None, None, False
+
+
+class _NoStep(PipelineError):
+    """A step whose unit would raise, which a step table does not keep."""
+
+
+def _step(grapheme, find, reject_orphans, unmapped_policy, key, after_consonant, initial,
+          final):
+    """One step of an engine's word walk: the unit fields of grapheme
+    ``key`` in its place in a word, and whether it is a consonant."""
+    g = grapheme(key)
+    role = _role(g.char_class, after_consonant, reject_orphans)
+    fields = None if role is _ORPHAN else _unit(find, g, role, initial, final, unmapped_policy)
+    if fields is None:
+        raise _NoStep
+    return fields, g.char_class is _CONSONANT

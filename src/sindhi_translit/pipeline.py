@@ -2,23 +2,24 @@
 
 The engine is configured once (inventory, mapping table, optional model,
 policies) and then converts lines independently: same input, same
-output.  A new word goes through the rule walks and nothing else: one
-split into grapheme keys (``ScriptInventory.grapheme_keys``, interned
-as graphemes), ``mapping.map_graphemes`` (the role walk
-``mapping.roles``, then the mapping walk), then ``ngram.disambiguate``
-for each unit the rules leave ambiguous, in a context of the
-neighbouring grapheme keys within the word; word edges contribute the
-boundary symbol.  The staged functions (``phonify``, ``map_phonemes``)
-are adapters over the same walks that only add the ``Phoneme``
-objects, which the engine never builds.  Every decision is therefore
-local to a word, and the engine converts a line word by word, each
-distinct word once, traced or not.
+output.  A new word is one split into grapheme keys
+(``ScriptInventory.grapheme_keys``) and one step per grapheme from a
+bounded step table, each step built by the role and row-to-unit rules
+``mapping.map_graphemes`` runs; ``ngram.disambiguate`` decides each
+ambiguous unit in a context of the neighbouring grapheme keys within
+the word, word edges contributing the boundary symbol.  Errors are
+raised by ``map_graphemes`` itself.  The staged functions (``phonify``,
+``map_phonemes``) are adapters over the same rules that only add the
+``Phoneme`` objects, which the engine never builds.  Every decision is
+therefore local to a word, and the engine converts a line word by
+word, each distinct word once, traced or not.
 """
 
 from __future__ import annotations
 
 import bisect
 import os
+from functools import lru_cache, partial
 
 from . import data as shipped
 from .errors import (
@@ -29,12 +30,15 @@ from .errors import (
     _GraphemeError,
 )
 from .mapping import (
+    LOOKUP_MEMO_SIZE,
     ORPHAN_POLICIES,
     ORPHAN_REJECT,
     UNMAPPED_ERROR,
     UNMAPPED_POLICIES,
     MappedUnit,
     Resolution,
+    _NoStep,
+    _step,
     load_mapping,
     map_graphemes,
 )
@@ -187,15 +191,15 @@ class Transliterator:
 
     Every decision is local to a word, so a line is converted word by
     word, with the words split by ``ScriptInventory.words`` (the rule
-    training counts by), and each distinct word only once, through the
-    role and mapping walks the staged functions share: its unit
-    fields are kept in a bounded memo, from which every later result
-    gets fresh units.  A traced line also gets fresh records, built
-    from the word's trace rows, which are computed, scores included,
-    when a trace first reads the word's entry and kept there.  The
-    untraced command line reads only the output text, which an entry
-    keeps the same way, so a word it has seen builds no unit.  The
-    memo fills on demand and never changes an output or a trace.
+    training counts by), and each distinct word only once, one step
+    per grapheme: its unit fields are kept in a bounded memo, from which
+    every result gets fresh units.  A traced line also gets fresh
+    records, built from the word's trace rows, which are computed,
+    scores included, when a trace first reads the word's entry and kept
+    there.  The untraced command line reads only the output text, which
+    an entry keeps the same way, so it builds a unit only to decide an
+    ambiguous grapheme.  The memo and the step table fill on demand and
+    never change an output, a trace or an error.
     """
 
     def __init__(self, config: EngineConfig | None = None):
@@ -222,6 +226,11 @@ class Transliterator:
             self.model = load_model(config.model, add_one_smoothing=config.smoothing)
         # NFC word -> [unit fields, trace rows or None, output text or None]
         self._memo = {}
+        # (grapheme key, after a consonant, word-initial, word-final) ->
+        # ``mapping._step``; it holds the caches it calls, not the engine
+        self._step = lru_cache(maxsize=LOOKUP_MEMO_SIZE)(partial(
+            _step, self.inventory.grapheme, self.table._find,
+            config.orphan_matra == ORPHAN_REJECT, config.unmapped))
 
     def transliterate_line(self, line: str, *, collect_trace: bool = False) -> LineResult:
         """Convert one line of Devanagari text; line breaks are not part
@@ -230,12 +239,13 @@ class Transliterator:
         Error offsets count code points of ``line`` as given.
         """
         units, trace = self._convert_line(line, collect_trace, True)
-        return LineResult("".join(u.resolved for u in units), units, trace)
+        return LineResult("".join([u.resolved for u in units]), units, trace)
 
     def _line_text(self, line):
         """``transliterate_line(line).output``, errors included, joined
-        from the words' output texts in the memo with no unit built: the
-        untraced command line prints nothing else."""
+        from the words' output texts in the memo, building a unit only to
+        decide an ambiguous grapheme: the untraced command line prints
+        nothing else."""
         return "".join(self._convert_line(line, False, False)[0])
 
     def _convert_line(self, line, collect_trace, build_units):
@@ -248,8 +258,9 @@ class Transliterator:
                 return self._convert_by_word(text, collect_trace, build_units)
             except PipelineError as err:
                 # an error in a later word can take precedence (an orphan
-                # sign over an unmapped grapheme), so the whole line decides
-                self._convert(text)
+                # sign over an unmapped grapheme), so the whole line decides,
+                # by the staged route: the step walk's edges hold in a word
+                self._raise_error(text)
                 raise PipelineError(
                     f"internal error: {text!r} failed word by word ({err}) "
                     "but not as a whole line"
@@ -267,47 +278,66 @@ class Transliterator:
             raise type(err)(err.grapheme, offset) from None
 
     def _convert_by_word(self, text, collect_trace, build_units):
-        """Units of NFC ``text``, each word taken from the memo or
-        converted and memoised (unless longer than
-        ``WORD_MEMO_MAX_CHARS``), and with ``collect_trace`` one record per
-        non-Other unit; every unit and record is a fresh object.  Without
-        ``build_units`` (and untraced) the units are the words' output
-        texts instead, each kept in its entry the first time it is read,
-        and a word in the memo builds no unit; an error passes up as is."""
+        """Units of NFC ``text``, each word's unit fields taken from the
+        memo or from :meth:`_word_fields` and memoised (unless longer
+        than ``WORD_MEMO_MAX_CHARS``), and with ``collect_trace`` one
+        record per non-Other unit; every unit and record is a fresh
+        object.  Without ``build_units`` (and untraced) the units are the
+        words' output texts instead, each kept in its entry the first
+        time it is read; an error passes up as is."""
         units, trace = [], []
         for word in self.inventory.words(text):
             entry = self._memo.get(word)
             if entry is None:
-                word_units = self._convert(word)
-                entry = [
-                    [(u.source, u.candidates, u.resolved, u.resolution, u.unmapped)
-                     for u in word_units],
-                    None,
-                    None,
-                ]
+                entry = [self._word_fields(word), None, None]
                 if len(word) <= WORD_MEMO_MAX_CHARS:
                     if len(self._memo) >= WORD_MEMO_SIZE:
                         self._memo.clear()
                     self._memo[word] = entry
-            elif build_units:
-                word_units = [MappedUnit(*f) for f in entry[0]]
             if not build_units:
                 output = entry[2]
                 if output is None:
-                    output = entry[2] = "".join(f[2] for f in entry[0])
+                    output = entry[2] = "".join([f[2] for f in entry[0]])
                 units.append(output)
                 continue
+            fields = entry[0]
             if collect_trace:
                 rows = entry[1]
                 if rows is None:
-                    rows = entry[1] = self._trace_rows(word_units)
+                    rows = entry[1] = self._trace_rows(fields)
                 base = len(units)
                 trace += [
                     TraceRecord(base + i, source, candidates, scores, resolved, kind)
                     for i, source, candidates, scores, resolved, kind in rows
                 ]
-            units += word_units
+            units += [MappedUnit(*f) for f in fields]
         return units, trace
+
+    def _word_fields(self, word):
+        """The unit fields of NFC ``word``: one step per grapheme key, a
+        rule unit's fields its step's tuple, and each ambiguous unit
+        decided by :func:`disambiguate` in its word-local context.  A
+        word that would raise goes to :meth:`_raise_error`."""
+        keys = self.inventory.grapheme_keys(word)
+        step, last = self._step, len(keys) - 1
+        fields, after_consonant, ctx = [], False, None
+        try:
+            for i, key in enumerate(keys):
+                unit, after_consonant = step(key, after_consonant, i == 0, i == last)
+                if unit[2] is None:
+                    if ctx is None:
+                        if self.model is None:
+                            raise _NoStep
+                        ctx = self._context_keys(keys)
+                    u = MappedUnit(*unit)
+                    disambiguate(self.model, u, ctx[i + 1], ctx[i + 3],
+                                 mode=self.config.mode, c_prev2=ctx[i])
+                    unit = u.source, u.candidates, u.resolved, u.resolution, u.unmapped
+                fields.append(unit)
+        except _NoStep:
+            self._raise_error(word)
+            raise
+        return fields
 
     def _context_keys(self, keys):
         """The word's grapheme keys (texts, not Graphemes) padded with
@@ -317,56 +347,36 @@ class Transliterator:
         edge = self.model.boundary
         return [edge, edge, *keys, edge]
 
-    def _convert(self, word):
-        """The resolved units of NFC ``word`` (a slice of the NFC line,
-        or on the error path the whole line), each ambiguous unit
-        decided by :func:`disambiguate` in its word-local context.  The
-        word is split into grapheme keys once, with no second
-        normalisation; the keys are interned for the walks and read as
-        they are for the context.  The role walk covers the whole text
-        before mapping starts, so an orphan sign is reported before an
-        unmapped grapheme, as in the staged functions."""
-        config = self.config
-        keys = self.inventory.grapheme_keys(word)
-        graphemes = list(map(self.inventory.grapheme, keys))
-        units = map_graphemes(
-            self.table,
-            graphemes,
-            orphan_policy=config.orphan_matra,
-            unmapped_policy=config.unmapped,
-        )
-        model, ctx = self.model, None
+    def _raise_error(self, text):
+        """Raise the error of NFC ``text`` (a word, or the whole line,
+        whose word edges only this staged route finds): the first orphan
+        sign, else the first unmapped grapheme, both from
+        ``map_graphemes``, else the first ambiguous one with no model."""
+        graphemes = list(map(self.inventory.grapheme, self.inventory.grapheme_keys(text)))
+        units = map_graphemes(self.table, graphemes, orphan_policy=self.config.orphan_matra,
+                              unmapped_policy=self.config.unmapped)
         for i, unit in enumerate(units):
-            if unit.resolved is None:
-                if model is None:
-                    offset = sum(len(u.source.text) for u in units[:i])
-                    raise MissingModelError(unit.source.text, offset)
-                if ctx is None:
-                    ctx = self._context_keys(keys)
-                disambiguate(
-                    model, unit, ctx[i + 1], ctx[i + 3], mode=config.mode, c_prev2=ctx[i]
-                )
-        return units
+            if unit.resolved is None and self.model is None:
+                raise MissingModelError(unit.source.text, sum(len(g.text) for g in graphemes[:i]))
 
-    def _trace_rows(self, units):
-        """One row per non-Other unit of a word, in one walk: its
-        index in the word, source text, candidates, float scores (None
-        for a unit the table resolved; the values of
+    def _trace_rows(self, fields):
+        """One row per non-Other unit of a word, from its unit fields, in
+        one walk: its index in the word, source text, candidates, float
+        scores (None for a unit the table resolved; the values of
         :func:`candidate_scores`, bit for bit, read from the counts by
         ``ngram._trace_scores``), resolved text and resolution."""
         rows, keys = [], None
-        for i, u in enumerate(units):
-            source = u.source
+        for i, (source, candidates, resolved, resolution, _) in enumerate(fields):
             if source.char_class is _OTHER:
                 continue
-            text, candidates = source.text, u.candidates
+            text = source.text
             scores = None
             if len(candidates) > 1:
                 if keys is None:
-                    keys = self._context_keys(v.source.text for v in units)
+                    keys = self._context_keys(f[0].text for f in fields)
                 scores = _trace_scores(
                     self.model, text, candidates, keys[i + 1], keys[i + 3],
                     self.config.mode, keys[i],
                 )
-            rows.append((i, text, candidates, scores, u.resolved, u.resolution))
+            rows.append((i, text, candidates, scores, resolved, resolution))
         return rows

@@ -548,6 +548,18 @@ def test_evaluate_unaligned_system_row_exits_data(tmp_path, capsys):
     assert f"{system}:3: 3 source units vs 2 target units" in err
 
 
+def test_evaluate_system_row_with_one_sided_word_gap_exits_data(tmp_path, capsys):
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("क _ ख\tڪ _ ک\nक\tڪ\n", encoding="utf-8")
+    system = tmp_path / "system.tsv"
+    system.write_text("# system\nक _ ख\tڪ ب _\nक\tڪ\n", encoding="utf-8")
+    code, out, err = run(
+        ["evaluate", "--gold", str(gold), "--system", str(system)], capsys
+    )
+    assert (code, out) == (EXIT_DATA, "")
+    assert err == f"translit: data error: {system}:2: one-sided word gap at position 1\n"
+
+
 def test_evaluate_unknown_code_at_word_gap_exits_data(tmp_path, capsys):
     # every code is checked, also the one at a word gap
     gold = tmp_path / "gold.tsv"
@@ -792,7 +804,9 @@ def test_evaluate_with_every_row_skipped_exits_data(tmp_path, capsys, demo_model
 def test_evaluate_skips_gold_row_with_one_sided_word_gap(tmp_path, capsys):
     gold = tmp_path / "gold.tsv"
     gold.write_text("# head\nक _ ख\tڪ ب _\n", encoding="utf-8")
-    code, out, err = run(["evaluate", "--gold", str(gold), "--system", str(gold)], capsys)
+    system = tmp_path / "system.tsv"
+    system.write_text("क _ ख\tڪ _ ک\n", encoding="utf-8")
+    code, out, err = run(["evaluate", "--gold", str(gold), "--system", str(system)], capsys)
     assert code == EXIT_DATA
     assert out == "Skipped rows: 1\n  row 2: gold row is not positionally aligned\n"
     assert err == f"translit: data error: {gold}: nothing to score (1 of 1 rows skipped)\n"

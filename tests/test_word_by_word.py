@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import choose, lines, word_context
 from sindhi_translit import data as shipped
-from sindhi_translit import pipeline
+from sindhi_translit import mapping, pipeline
 from sindhi_translit.errors import MissingModelError, OrphanMatraError, PipelineError
 from sindhi_translit.mapping import UNMAPPED_PASS, MappedUnit, Resolution, map_phonemes
 from sindhi_translit.ngram import MODE_TRIGRAM, candidate_scores
@@ -356,3 +356,78 @@ def test_text_path_builds_no_units_for_memoised_words(demo_model_path, monkeypat
     assert built == []
     assert engine.transliterate_line(line).output == expected
     assert len(built) == len(normalize(line))  # one unit per code point here
+
+
+# A line that fails is converted again as a whole by the staged route,
+# never by the step walk, whose word edges hold only inside a word.  The
+# words of FAILING_LINES end in क, which has a word-final row under
+# "positional", next to spaces; after those lines, NEW_WORDS convert as
+# on a fresh engine.  STEP_CONFIGS gives how many of FAILING_LINES each
+# configuration rejects: orphan signs under the reject policy, an
+# ambiguous त with no model.
+FAILING_LINES = ["बदक कमक िक", "मक बदक ि", "बदक, कमक  ाक", "कमक बदक तक", "बदक तक ि"]
+NEW_WORDS = ["बदकक", "बदक", "कमक", "मकक", "कबदक", "तक", "ककक"]
+STEP_CONFIGS = {
+    "reject": ({"model": True}, 4),
+    "pass": ({"model": True, "orphan_matra": ORPHAN_PASS, "unmapped": UNMAPPED_PASS}, 0),
+    "reject-no-model": ({}, 5),
+    "pass-no-model": ({"orphan_matra": ORPHAN_PASS, "unmapped": UNMAPPED_PASS}, 2),
+}
+
+
+@pytest.mark.parametrize("name", STEP_CONFIGS)
+def test_failed_lines_leave_the_step_table_as_a_fresh_engine_builds_it(
+    demo_model_path, mapping_paths, name
+):
+    cfg, failing = STEP_CONFIGS[name]
+    cfg = {**cfg, "mapping": str(mapping_paths["positional"])}
+    if cfg.pop("model", False):
+        cfg["model"] = str(demo_model_path)
+    config = EngineConfig(**cfg)
+    engine = Transliterator(config)
+    failed = 0
+    for line in FAILING_LINES:
+        result = converted(engine, line, False)
+        failed += isinstance(result, PipelineError)
+        assert outcome(result) == outcome(converted(Transliterator(config), line, False))
+    assert failed == failing
+    for word in NEW_WORDS:
+        for collect_trace in (False, True):
+            expected = converted(Transliterator(config), word, collect_trace)
+            assert outcome(converted(engine, word, collect_trace)) == outcome(expected)
+        if not isinstance(expected, PipelineError):
+            assert engine._line_text(word) == expected.output
+
+
+def test_step_table_is_bounded_over_many_unlisted_letters(demo_model_path):
+    # CJK ideographs are letters no inventory lists: Other graphemes,
+    # passed through, each a step of its own
+    letters = [chr(0x4E00 + i) for i in range(3000)]
+    config = EngineConfig(model=str(demo_model_path))
+    engine = Transliterator(config)
+    for i in range(0, len(letters), 10):
+        line = " ".join(letters[i : i + 10]) + " तारो " + "".join(letters[i : i + 10])
+        result = engine.transliterate_line(line, collect_trace=True)
+        assert engine._step.cache_info().currsize <= mapping.LOOKUP_MEMO_SIZE
+        assert result == Transliterator(config).transliterate_line(line, collect_trace=True)
+        assert result.output.startswith(" ".join(letters[i : i + 10]) + " تآرا ")
+    assert engine._step.cache_info().currsize == mapping.LOOKUP_MEMO_SIZE
+
+
+@pytest.mark.parametrize("word, ambiguous", [("कमल", 0), ("तमल", 1), ("तरस", 2)])
+def test_text_path_builds_units_only_to_decide_a_new_word(
+    demo_model_path, monkeypatch, word, ambiguous
+):
+    engine = Transliterator(EngineConfig(model=str(demo_model_path)))
+    expected = Transliterator(engine.config).transliterate_line(word)
+    assert sum(u.is_ambiguous for u in expected.units) == ambiguous
+    built = []
+
+    def counted(*fields):
+        built.append(fields)
+        return MappedUnit(*fields)
+
+    monkeypatch.setattr(pipeline, "MappedUnit", counted)
+    monkeypatch.setattr(mapping, "MappedUnit", counted)
+    assert engine._line_text(word) == expected.output
+    assert len(built) == ambiguous
