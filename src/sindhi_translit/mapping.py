@@ -9,16 +9,14 @@ deterministic fallback when statistics cannot decide.
 The role rule (``_role``) and the row-to-unit rule (``_unit``) are each
 written once: :func:`map_graphemes` runs the role walk :func:`roles`,
 which the phoneme functions are adapters over, and then the mapping
-walk, and the engine's step table calls the same two rules.
-
-Each table caches its lookups in an ``lru_cache`` of the
-``LOOKUP_MEMO_SIZE`` most recently used, which the mapping walk calls.
+walk, and the engine's step table calls the same two rules.  Both
+walks and the lookup search the table's rows (``_search``) directly:
+the engine's step table is the one cache in front of them.
 """
 
 from __future__ import annotations
 
 import enum
-from functools import lru_cache, partial
 
 from .data import read_rows
 from .errors import DataFormatError, OrphanMatraError, PipelineError, UnmappedGraphemeError
@@ -34,10 +32,6 @@ ORPHAN_POLICIES = (ORPHAN_REJECT, ORPHAN_PASS)
 UNMAPPED_ERROR = "error"
 UNMAPPED_PASS = "pass"
 UNMAPPED_POLICIES = (UNMAPPED_ERROR, UNMAPPED_PASS)
-
-# (key, role, position flags) lookups a table keeps answered; the
-# cache evicts the least recently used
-LOOKUP_MEMO_SIZE = 1024
 
 
 class Role(enum.Enum):
@@ -117,9 +111,6 @@ class MappingTable:
                 raise ValueError(f"empty candidate list for {key!r}")
             if len(set(cands)) != len(cands):
                 raise ValueError(f"duplicate candidates for {key!r}")
-        # (key, role value, initial, final) -> answer, called by position;
-        # it holds the rows, not ``self``: no reference cycle
-        self._find = lru_cache(maxsize=LOOKUP_MEMO_SIZE)(partial(_search, self._entries))
 
     def __len__(self):
         return len(self._entries)
@@ -138,11 +129,9 @@ class MappingTable:
         variants (word-initial, then word-final) before the plain row.
         A key that misses entirely is retried with any virama stripped,
         since the vowel killer has no letter of its own in the target
-        script.  Answers, misses included, are cached per key, role and
-        position flags; the cache keeps the ``LOOKUP_MEMO_SIZE`` most
-        recently used.
+        script.  Nothing is cached: each call searches the rows.
         """
-        return self._find(key, role._value_, word_initial, word_final)
+        return _search(self._entries, key, role, word_initial, word_final)
 
     def ambiguous_keys(self) -> set[str]:
         return {
@@ -151,10 +140,9 @@ class MappingTable:
 
 
 def _search(entries, key, role, initial, final):
-    """The rows' answer to :meth:`MappingTable.lookup` for ``role``, a
-    Role's value (hashing an enum member for the cache runs Python code)."""
-    member = _ROLE_BY_VALUE[role]
-    for r in (member,) if member is Role.ANY else (member, Role.ANY):
+    """The answer of the rows ``entries`` to :meth:`MappingTable.lookup`
+    for ``key`` in Role ``role`` at the word edges given."""
+    for r in (role,) if role is _ANY else (role, _ANY):
         for position, wanted in (
             (Position.WORD_INITIAL, initial), (Position.WORD_FINAL, final), (Position.ANY, True)
         ):
@@ -294,14 +282,14 @@ def map_phonemes(
 def _map(table, graphemes, roles, unmapped_policy):
     """The walk: ``roles[i]`` is the role of ``graphemes[i]``, or None."""
     units = []
-    find = table._find
+    entries = table._entries
     last = len(graphemes) - 1
     for i, g in enumerate(graphemes):
         # a unit is at a word edge where the text ends or a separator
         # grapheme is next to it; a neighbour with a role is a letter,
         # never a separator
         fields = _unit(
-            find, g, roles[i],
+            entries, g, roles[i],
             i == 0 or (roles[i - 1] is None and is_word_separator(graphemes[i - 1])),
             i == last or (roles[i + 1] is None and is_word_separator(graphemes[i + 1])),
             unmapped_policy,
@@ -312,13 +300,13 @@ def _map(table, graphemes, roles, unmapped_policy):
     return units
 
 
-def _unit(find, g, role, initial, final, unmapped_policy):
+def _unit(entries, g, role, initial, final, unmapped_policy):
     """The row-to-unit rule: the unit fields of ``g`` in ``role`` at the
-    word edges given, by a table's ``_find`` (called by position: its key
-    is the argument tuple), or None for no row under the error policy."""
+    word edges given, searched in a table's rows ``entries``, or None for
+    no row under the error policy."""
     if role is None:
         return g, (), g.text, _PASS_THROUGH, False
-    candidates = find(g.text, role._value_, initial, final)
+    candidates = _search(entries, g.text, role, initial, final)
     if candidates is None:
         if unmapped_policy == UNMAPPED_ERROR:
             return None
@@ -332,13 +320,14 @@ class _NoStep(PipelineError):
     """A step whose unit would raise, which a step table does not keep."""
 
 
-def _step(grapheme, find, reject_orphans, unmapped_policy, key, after_consonant, initial,
+def _step(grapheme, entries, reject_orphans, unmapped_policy, key, after_consonant, initial,
           final):
     """One step of an engine's word walk: the unit fields of grapheme
     ``key`` in its place in a word, and whether it is a consonant."""
     g = grapheme(key)
     role = _role(g.char_class, after_consonant, reject_orphans)
-    fields = None if role is _ORPHAN else _unit(find, g, role, initial, final, unmapped_policy)
+    fields = (None if role is _ORPHAN
+              else _unit(entries, g, role, initial, final, unmapped_policy))
     if fields is None:
         raise _NoStep
     return fields, g.char_class is _CONSONANT

@@ -5,7 +5,9 @@ policies) and then converts lines independently: same input, same
 output.  A new word is one split into grapheme keys
 (``ScriptInventory.grapheme_keys``) and one step per grapheme from a
 bounded step table, each step built by the role and row-to-unit rules
-``mapping.map_graphemes`` runs; ``ngram.disambiguate`` decides each
+``mapping.map_graphemes`` runs.  The step table is the engine's one
+per-grapheme cache: only a step it misses classifies its key and
+searches the mapping rows.  ``ngram.disambiguate`` decides each
 ambiguous unit in a context of the neighbouring grapheme keys within
 the word, word edges contributing the boundary symbol.  Errors are
 raised by ``map_graphemes`` itself.  The staged functions (``phonify``,
@@ -30,7 +32,6 @@ from .errors import (
     _GraphemeError,
 )
 from .mapping import (
-    LOOKUP_MEMO_SIZE,
     ORPHAN_POLICIES,
     ORPHAN_REJECT,
     UNMAPPED_ERROR,
@@ -50,12 +51,17 @@ from .training import load_model
 # distinct words an engine keeps converted; the memo empties when full.
 # An entry holds its unit fields, its trace rows once a trace has read
 # it, and its output text once the text path (the untraced command
-# line) has read it, and shares the inventory's interned graphemes: for
-# a random word about 0.45 KiB untraced and 0.85 KiB traced on average,
-# 99% of traced entries under 2.2 KiB (tracemalloc, 1,000 words of the
-# benchmark's train-eval inputs), so a full traced memo holds about
-# 0.9 MiB; an output text adds about 85 bytes (sys.getsizeof, same words).
+# line) has read it, and shares its steps' graphemes (and a rule
+# unit's whole field tuple) with the step table: for a random word about
+# 0.45 KiB untraced and 0.85 KiB traced on average, 99% of traced
+# entries under 2.2 KiB (tracemalloc, 1,000 words of the benchmark's
+# train-eval inputs), so a full traced memo holds about 0.9 MiB; an
+# output text adds about 85 bytes (sys.getsizeof, same words).
 WORD_MEMO_SIZE = 1024
+
+# (grapheme key, after a consonant, word-initial, word-final) steps an
+# engine keeps built; the step table evicts the least recently used
+STEP_TABLE_SIZE = 1024
 
 # longest word (in NFC code points) the memo keeps: a longer one is
 # converted as any other word but not stored, so unspaced input of many
@@ -221,16 +227,28 @@ class Transliterator:
         self.config = config
         self.inventory = load_inventory(inventory_file)
         self.table = load_mapping(mapping_file)
-        self.model: NgramModel | None = None
+        self._model: NgramModel | None = None
         if config.model is not None:
-            self.model = load_model(config.model, add_one_smoothing=config.smoothing)
+            self._model = load_model(config.model, add_one_smoothing=config.smoothing)
         # NFC word -> [unit fields, trace rows or None, output text or None]
         self._memo = {}
         # (grapheme key, after a consonant, word-initial, word-final) ->
-        # ``mapping._step``; it holds the caches it calls, not the engine
-        self._step = lru_cache(maxsize=LOOKUP_MEMO_SIZE)(partial(
-            _step, self.inventory.grapheme, self.table._find,
+        # ``mapping._step``; it holds the inventory and the rows, not the
+        # engine, and, as a step does not read the model, outlives a new one
+        self._step = lru_cache(maxsize=STEP_TABLE_SIZE)(partial(
+            _step, self.inventory.grapheme, self.table._entries,
             config.orphan_matra == ORPHAN_REJECT, config.unmapped))
+
+    @property
+    def model(self) -> NgramModel | None:
+        """The n-gram model, or None for rule-only conversion; setting
+        it empties the word memo, whose entries it decided."""
+        return self._model
+
+    @model.setter
+    def model(self, model: NgramModel | None):
+        self._model = model
+        self._memo.clear()
 
     def transliterate_line(self, line: str, *, collect_trace: bool = False) -> LineResult:
         """Convert one line of Devanagari text; line breaks are not part
@@ -326,11 +344,11 @@ class Transliterator:
                 unit, after_consonant = step(key, after_consonant, i == 0, i == last)
                 if unit[2] is None:
                     if ctx is None:
-                        if self.model is None:
+                        if self._model is None:
                             raise _NoStep
                         ctx = self._context_keys(keys)
                     u = MappedUnit(*unit)
-                    disambiguate(self.model, u, ctx[i + 1], ctx[i + 3],
+                    disambiguate(self._model, u, ctx[i + 1], ctx[i + 3],
                                  mode=self.config.mode, c_prev2=ctx[i])
                     unit = u.source, u.candidates, u.resolved, u.resolution, u.unmapped
                 fields.append(unit)
@@ -344,7 +362,7 @@ class Transliterator:
         two boundary symbols on the left and one on the right: unit
         ``i`` has ``ctx[i]`` and ``ctx[i + 1]`` of the result ``ctx``
         before it and ``ctx[i + 3]`` after it."""
-        edge = self.model.boundary
+        edge = self._model.boundary
         return [edge, edge, *keys, edge]
 
     def _raise_error(self, text):
@@ -356,7 +374,7 @@ class Transliterator:
         units = map_graphemes(self.table, graphemes, orphan_policy=self.config.orphan_matra,
                               unmapped_policy=self.config.unmapped)
         for i, unit in enumerate(units):
-            if unit.resolved is None and self.model is None:
+            if unit.resolved is None and self._model is None:
                 raise MissingModelError(unit.source.text, sum(len(g.text) for g in graphemes[:i]))
 
     def _trace_rows(self, fields):
@@ -375,7 +393,7 @@ class Transliterator:
                 if keys is None:
                     keys = self._context_keys(f[0].text for f in fields)
                 scores = _trace_scores(
-                    self.model, text, candidates, keys[i + 1], keys[i + 3],
+                    self._model, text, candidates, keys[i + 1], keys[i + 3],
                     self.config.mode, keys[i],
                 )
             rows.append((i, text, candidates, scores, resolved, resolution))

@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 import re
 import unicodedata
-from functools import lru_cache
 
 from .data import read_rows
 from .errors import DataFormatError
@@ -26,10 +25,6 @@ from .records import Record
 
 NUKTA = "़"
 VIRAMA = "्"
-
-# distinct pieces of text an inventory keeps classified; the cache
-# evicts the least recently used
-GRAPHEME_CACHE_SIZE = 1024
 
 # whitespace as str.isspace defines it: for str patterns re's \s
 # matches exactly the code points that str.isspace accepts
@@ -100,10 +95,9 @@ class ScriptInventory:
     them longest-first.  ``words`` holds the word rule and
     ``grapheme_keys`` the grapheme rule, which the engine, training and
     :func:`cluster_graphemes` share: NFC text is split into keys once,
-    and the engine interns them as Graphemes (``grapheme``, an
-    ``lru_cache`` of the ``GRAPHEME_CACHE_SIZE`` most recently used)
-    while training counts the key strings.  The two rules and the cache
-    are built here, once per inventory.
+    and the engine classifies each key as a Grapheme (``grapheme``) once
+    per step of its step table, while training counts the key strings.
+    The two rules are compiled here, once per inventory.
     """
 
     def __init__(self, consonants, independent_vowels, vowel_symbols):
@@ -126,7 +120,7 @@ class ScriptInventory:
                 "grapheme(s) listed under more than one class: "
                 + ", ".join(repr(k) for k in sorted(overlap))
             )
-        self._class_by_key = classes = {
+        self._class_by_key = {
             **dict.fromkeys(self.consonants, CharClass.CONSONANT),
             **dict.fromkeys(self.independent_vowels, CharClass.INDEPENDENT_VOWEL),
             **dict.fromkeys(self.vowel_symbols, CharClass.VOWEL_SYMBOL),
@@ -141,13 +135,9 @@ class ScriptInventory:
         )
         self._grapheme_pattern = re.compile(_grapheme_regex(self), re.DOTALL)
 
-        # it holds the class table, not ``self``: no reference cycle
-        @lru_cache(maxsize=GRAPHEME_CACHE_SIZE)
-        def grapheme(piece: str) -> Grapheme:
-            """The classified Grapheme for ``piece``, shared while cached."""
-            return Grapheme(piece, _class_of(classes, piece))
-
-        self.grapheme = grapheme
+    def grapheme(self, piece: str) -> Grapheme:
+        """The classified Grapheme for ``piece``."""
+        return Grapheme(piece, _class_of(self._class_by_key, piece))
 
     def grapheme_keys(self, text: str) -> list[str]:
         """The keys (texts) of the graphemes of NFC ``text``, in order:
@@ -235,7 +225,7 @@ def _class_of(class_by_key, text):
 
 def cluster_graphemes(inventory: ScriptInventory, text: str) -> list[Grapheme]:
     """Split text into classified graphemes: the inventory's keys of
-    the normalised text (``ScriptInventory.grapheme_keys``), interned.
+    the normalised text (``ScriptInventory.grapheme_keys``), classified.
 
     Joining the results reproduces the normalised input exactly; nothing
     is dropped or invented.  A nukta always fuses with the character

@@ -20,7 +20,7 @@ from .data import open_text, read_rows
 from .errors import AlignmentError, DataFormatError
 from .ngram import BOUNDARY, NgramModel
 from .records import Record
-from .script import ScriptInventory, is_word_separator, normalize
+from .script import ScriptInventory, _letter_or_mark, normalize
 
 # reserved token marking a word gap inside an aligned row, so a row can
 # hold a whole sentence; real text never produces it as a grapheme
@@ -89,8 +89,8 @@ def corpus_words(inventory: ScriptInventory, line: str) -> list[list[str]]:
         # once, and save_model's sort compares them by identity
         list(map(sys.intern, inventory.grapheme_keys(piece)))
         for piece in inventory.words(normalize(line))
-        # a separator piece is one character
-        if len(piece) > 1 or not is_word_separator(inventory.grapheme(piece))
+        # a separator piece is one unlisted character, not a letter or mark
+        if len(piece) > 1 or piece in inventory._class_by_key or _letter_or_mark(piece)
     ]
 
 

@@ -5,8 +5,10 @@ with the demo model and compares its stdout and stderr with the files
 under ``tests/golden/``: the demo sample in bigram and trigram mode and
 under add-one smoothing (set by ``smoothed.conf``), and edge lines
 under ``--orphan-matra pass`` (an orphan vowel sign, a nukta after
-punctuation, conjuncts, unlisted letters, both digit scripts).  A
-change meant to alter output regenerates the files with
+punctuation, conjuncts, unlisted letters, both digit scripts).  The
+demo model itself is pinned too: ``translit train`` on the shipped demo
+files writes ``demo.model`` byte for byte.  A change meant to alter
+output or the model regenerates the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and commits the
 difference.
 """
@@ -14,11 +16,11 @@ difference.
 import os
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 import pytest
 
+from sindhi_translit import cli
 from sindhi_translit import data as shipped
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,6 +66,16 @@ def test_untraced_output_matches_golden_files(case, demo_model_path):
     )
 
 
+def test_train_writes_the_golden_demo_model(tmp_path):
+    model_path = tmp_path / "demo.model"
+    assert cli.main([
+        "train", "--inventory", shipped.inventory_path(),
+        "--corpus", shipped.demo_corpus_path(), "--aligned", shipped.demo_aligned_path(),
+        "-o", str(model_path),
+    ]) == 0
+    assert model_path.read_bytes() == (GOLDEN / "demo.model").read_bytes()
+
+
 if __name__ == "__main__":
     from sindhi_translit.script import load_inventory
     from sindhi_translit.training import load_aligned, save_model, train_model
@@ -74,10 +86,9 @@ if __name__ == "__main__":
         corpus,
         load_aligned(shipped.demo_aligned_path()),
     )
-    with tempfile.TemporaryDirectory() as tmp:
-        model_path = Path(tmp) / "demo.tsv"
-        save_model(model, model_path)
-        for name in CASES:
-            out, trace = transliterate(name, model_path)
-            (GOLDEN / f"{name}.out").write_bytes(out)
-            (GOLDEN / f"{name}.trace").write_bytes(trace)
+    model_path = GOLDEN / "demo.model"
+    save_model(model, model_path)
+    for name in CASES:
+        out, trace = transliterate(name, model_path)
+        (GOLDEN / f"{name}.out").write_bytes(out)
+        (GOLDEN / f"{name}.trace").write_bytes(trace)

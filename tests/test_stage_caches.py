@@ -1,20 +1,18 @@
-"""The caches inside the staged functions never change an answer: the
-interned graphemes of `cluster_graphemes`, the lookup cache of
-`MappingTable` and the integer comparison in `ngram._argmax`, each
-against an uncached test-local rule, also with bounds so small that the
-two `functools.lru_cache`s evict entries mid-line.  Neither cache holds
-its owner, so a dropped engine is freed without the cycle collector.
-`disambiguate`, which keeps per-row verdicts on the model and gates
-them by context counts, decides as `choose` over `candidate_scores`
-does, in the engine and when one model serves many calls, and a trace
-prints the floats of `candidate_scores`, bit for bit."""
+"""The staged functions answer as test-local rules do: the graphemes of
+`cluster_graphemes`, the lookups of `MappingTable` and the integer
+comparison in `ngram._argmax`, each against a direct test-local rule.
+The engine's step table holds neither the engine nor its model, so a
+dropped engine is freed without the cycle collector.  `disambiguate`,
+which keeps per-row verdicts on the model and gates them by context
+counts, decides as `choose` over `candidate_scores` does, in the engine
+and when one model serves many calls, and a trace prints the floats of
+`candidate_scores`, bit for bit."""
 
 import gc
 import math
 import weakref
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +27,6 @@ from helpers import (
     word_context,
 )
 from sindhi_translit import data as shipped
-from sindhi_translit import mapping, script
 from sindhi_translit.mapping import (
     MappedUnit,
     MappingTable,
@@ -59,7 +56,6 @@ from sindhi_translit.script import (
 )
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
-BOUNDS = [None, 2]  # None keeps the shipped bound
 
 MAPPING_KEYS = sorted({
     normalize(row.split("\t")[0])
@@ -68,13 +64,8 @@ MAPPING_KEYS = sorted({
 })
 
 
-def bounded(module, name, bound):
-    """Patch a cache bound (None: the shipped one) for a ``with`` block."""
-    return mock.patch.object(module, name, bound or getattr(module, name))
-
-
 # ---------------------------------------------------------------------
-# interned graphemes
+# clustered graphemes
 
 def uncached_cluster(inventory, text):
     """The clustering rule with `classify` and a fresh Grapheme per piece;
@@ -98,22 +89,17 @@ def uncached_cluster(inventory, text):
     return out
 
 
-@pytest.mark.parametrize("bound", BOUNDS)
 @SETTINGS
 @given(lines=st.lists(rule_texts, min_size=1, max_size=4))
-def test_cluster_graphemes_equals_uncached_rule(bound, lines):
-    with bounded(script, "GRAPHEME_CACHE_SIZE", bound):
-        for name in INVENTORY_NAMES:  # shipped, constructed and empty
-            inventory = make_inventory(name)
-            for line in lines:  # the cache carries over from line to line
-                assert cluster_graphemes(inventory, line) == uncached_cluster(
-                    inventory, line
-                )
-                assert inventory.grapheme.cache_info().currsize <= script.GRAPHEME_CACHE_SIZE
+def test_cluster_graphemes_equals_uncached_rule(lines):
+    for name in INVENTORY_NAMES:  # shipped, constructed and empty
+        inventory = make_inventory(name)
+        for line in lines:
+            assert cluster_graphemes(inventory, line) == uncached_cluster(inventory, line)
 
 
 # ---------------------------------------------------------------------
-# lookup memo
+# lookups
 
 def direct_lookup(entries, key, role, word_initial, word_final):
     """Search the rows themselves in precedence order."""
@@ -159,15 +145,12 @@ def check_lookups(table, entries, asked):
         expected = direct_lookup(entries, key, role, initial, final)
         got = table.lookup(key, role, word_initial=initial, word_final=final)
         assert got == expected, (key, role, initial, final)
-        assert table._find.cache_info().currsize <= mapping.LOOKUP_MEMO_SIZE
 
 
-@pytest.mark.parametrize("bound", BOUNDS)
 @SETTINGS
 @given(entries=small_tables, asked=queries(SMALL_KEYS + ["ж"]))
-def test_lookup_equals_direct_search_on_random_tables(bound, entries, asked):
-    with bounded(mapping, "LOOKUP_MEMO_SIZE", bound):
-        check_lookups(MappingTable(entries), entries, asked + asked[::-1])
+def test_lookup_equals_direct_search_on_random_tables(entries, asked):
+    check_lookups(MappingTable(entries), entries, asked + asked[::-1])
 
 
 @pytest.fixture(scope="module")
@@ -175,13 +158,11 @@ def shipped_rows():
     return dict(load_mapping(shipped.mapping_path())._entries)
 
 
-@pytest.mark.parametrize("bound", BOUNDS)
 @SETTINGS
 @given(asked=queries(MAPPING_KEYS + ["ж"]))
-def test_lookup_equals_direct_search_on_shipped_table(bound, shipped_rows, asked):
-    with bounded(mapping, "LOOKUP_MEMO_SIZE", bound):  # read when the table is built
-        table = load_mapping(shipped.mapping_path())
-        check_lookups(table, shipped_rows, asked + asked[::-1])
+def test_lookup_equals_direct_search_on_shipped_table(shipped_rows, asked):
+    table = load_mapping(shipped.mapping_path())
+    check_lookups(table, shipped_rows, asked + asked[::-1])
 
 
 def test_dropped_engine_is_freed_without_the_cycle_collector(demo_model_path):

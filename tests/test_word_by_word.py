@@ -4,6 +4,7 @@ functions: same output, same units, same trace, same errors."""
 import random
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,10 +15,10 @@ from sindhi_translit import data as shipped
 from sindhi_translit import mapping, pipeline
 from sindhi_translit.errors import MissingModelError, OrphanMatraError, PipelineError
 from sindhi_translit.mapping import UNMAPPED_PASS, MappedUnit, Resolution, map_phonemes
-from sindhi_translit.ngram import MODE_TRIGRAM, candidate_scores
+from sindhi_translit.ngram import BOUNDARY, MODE_TRIGRAM, NgramModel, candidate_scores
 from sindhi_translit.phonemes import ORPHAN_PASS, phonify
 from sindhi_translit.pipeline import EngineConfig, LineResult, TraceRecord, Transliterator
-from sindhi_translit.script import CharClass, normalize
+from sindhi_translit.script import CharClass, ScriptInventory, normalize
 
 
 def raw_offset(line, nfc_offset):
@@ -408,10 +409,78 @@ def test_step_table_is_bounded_over_many_unlisted_letters(demo_model_path):
     for i in range(0, len(letters), 10):
         line = " ".join(letters[i : i + 10]) + " तारो " + "".join(letters[i : i + 10])
         result = engine.transliterate_line(line, collect_trace=True)
-        assert engine._step.cache_info().currsize <= mapping.LOOKUP_MEMO_SIZE
+        assert engine._step.cache_info().currsize <= pipeline.STEP_TABLE_SIZE
         assert result == Transliterator(config).transliterate_line(line, collect_trace=True)
         assert result.output.startswith(" ".join(letters[i : i + 10]) + " تآرا ")
-    assert engine._step.cache_info().currsize == mapping.LOOKUP_MEMO_SIZE
+    assert engine._step.cache_info().currsize == pipeline.STEP_TABLE_SIZE
+
+
+def conversion(path, engine, line):
+    """What one of CONVERSIONS gives for ``line``: its text or
+    :func:`outcome`, errors included."""
+    try:
+        result = CONVERSIONS[path](engine, line)
+    except PipelineError as err:
+        result = err
+    return result if isinstance(result, str) else outcome(result)
+
+
+# counts under which ط, the second candidate, stands for त before ा
+FAVOURS_TAA = {
+    "unigram": {"त": 1, "ा": 1},
+    "bigram": {(BOUNDARY, "त"): 1, ("त", "ा"): 1, ("ा", BOUNDARY): 1},
+    "emission": {("ط", "त"): 1},
+}
+
+
+@pytest.mark.parametrize("path", CONVERSIONS)
+def test_new_model_converts_as_a_fresh_engine_given_it(demo_model, path):
+    # the demo model decides तारो's त as ت, FAVOURS_TAA as ط, the empty
+    # model leaves it to the fallback, and with no model it is an error
+    lines = ["तारो खंड हलु", "तारो", "हलु, तारो"]
+    engine = Transliterator()
+    results = []
+    for model in (demo_model, NgramModel(**FAVOURS_TAA), NgramModel(), None, demo_model):
+        engine.model = model
+        fresh = Transliterator()
+        fresh.model = model
+        results.append([conversion(path, engine, line) for line in lines])
+        assert results[-1] == [conversion(path, fresh, line) for line in lines]
+    assert results[0] == results[4] != results[1] != results[3] != results[0]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(calls=st.lists(st.tuples(lines, st.sampled_from(list(CONVERSIONS))),
+                      min_size=1, max_size=6))
+@example(calls=[("तारो क्षमा तारो", "traced"), ("क्षमा, हलु", "text")])
+def test_engine_reads_the_rows_only_on_a_step_miss(demo_model_path, calls):
+    # the rows are searched, and a key classified, at most once per step
+    # the table misses; the search's virama retry calls itself, and is
+    # not counted again
+    counts = {"search": 0, "grapheme": 0}
+    search, grapheme, depth = mapping._search, ScriptInventory.grapheme, []
+
+    def counted_search(*args):
+        counts["search"] += not depth
+        depth.append(args)
+        try:
+            return search(*args)
+        finally:
+            depth.pop()
+
+    def counted_grapheme(inventory, piece):
+        counts["grapheme"] += 1
+        return grapheme(inventory, piece)
+
+    with mock.patch.object(mapping, "_search", counted_search), \
+            mock.patch.object(ScriptInventory, "grapheme", counted_grapheme):
+        engine = Transliterator(EngineConfig(
+            model=str(demo_model_path), orphan_matra=ORPHAN_PASS, unmapped=UNMAPPED_PASS))
+        for line, path in calls:
+            CONVERSIONS[path](engine, line)
+    misses = engine._step.cache_info().misses
+    assert counts["search"] <= misses
+    assert counts["grapheme"] <= misses
 
 
 @pytest.mark.parametrize("word, ambiguous", [("कमल", 0), ("तमल", 1), ("तरस", 2)])
