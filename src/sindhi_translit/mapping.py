@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 
 from .data import read_rows
-from .errors import DataFormatError, OrphanMatraError, PipelineError, UnmappedGraphemeError
+from .errors import DataFormatError, OrphanMatraError, UnmappedGraphemeError
 from .records import Record
 from .script import VIRAMA, CharClass, Grapheme, is_word_separator, normalize
 
@@ -316,18 +316,19 @@ def _unit(entries, g, role, initial, final, unmapped_policy):
     return g, candidates, None, None, False
 
 
-class _NoStep(PipelineError):
-    """A step whose unit would raise, which a step table does not keep."""
-
-
 def _step(grapheme, entries, reject_orphans, unmapped_policy, key, after_consonant, initial,
           final):
     """One step of an engine's word walk: the unit fields of grapheme
-    ``key`` in its place in a word, and whether it is a consonant."""
+    ``key`` in its place in a word, and whether it is a consonant.  A
+    grapheme whose unit would raise, an orphan sign under the reject
+    policy or one with no row under the error policy, gets the fields
+    ``(g, (), None, <error class>, False)``: no text, and the error in
+    place of a resolution."""
     g = grapheme(key)
     role = _role(g.char_class, after_consonant, reject_orphans)
-    fields = (None if role is _ORPHAN
-              else _unit(entries, g, role, initial, final, unmapped_policy))
-    if fields is None:
-        raise _NoStep
+    if role is _ORPHAN:
+        fields = g, (), None, OrphanMatraError, False
+    else:
+        fields = (_unit(entries, g, role, initial, final, unmapped_policy)
+                  or (g, (), None, UnmappedGraphemeError, False))
     return fields, g.char_class is _CONSONANT

@@ -9,12 +9,14 @@ bounded step table, each step built by the role and row-to-unit rules
 per-grapheme cache: only a step it misses classifies its key and
 searches the mapping rows.  ``ngram.disambiguate`` decides each
 ambiguous unit in a context of the neighbouring grapheme keys within
-the word, word edges contributing the boundary symbol.  Errors are
-raised by ``map_graphemes`` itself.  The staged functions (``phonify``,
-``map_phonemes``) are adapters over the same rules that only add the
-``Phoneme`` objects, which the engine never builds.  Every decision is
-therefore local to a word, and the engine converts a line word by
-word, each distinct word once, traced or not.
+the word, word edges contributing the boundary symbol.  A step whose
+unit would raise holds its error class instead, so the same walk finds
+a line's error, which the engine raises by ``map_graphemes``'
+precedence.  The staged functions (``phonify``, ``map_phonemes``) are
+adapters over the same rules that only add the ``Phoneme`` objects,
+which the engine never builds.  Every decision is therefore local to a
+word, and the engine converts a line word by word, each distinct word
+once, traced or not.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from .errors import (
     ConfigError,
     DataFormatError,
     MissingModelError,
-    PipelineError,
+    OrphanMatraError,
+    UnmappedGraphemeError,
     _GraphemeError,
 )
 from .mapping import (
@@ -38,10 +41,8 @@ from .mapping import (
     UNMAPPED_POLICIES,
     MappedUnit,
     Resolution,
-    _NoStep,
     _step,
     load_mapping,
-    map_graphemes,
 )
 from .ngram import MODE_BIGRAM, MODES, NgramModel, _trace_scores, disambiguate
 from .records import Record
@@ -267,22 +268,11 @@ class Transliterator:
         return "".join(self._convert_line(line, False, False)[0])
 
     def _convert_line(self, line, collect_trace, build_units):
-        """:meth:`_convert_by_word` on the NFC form of ``line``, and the
-        one route of its errors: the whole line converted again, its
+        """:meth:`_convert_by_word` on the NFC form of ``line``, its
         error's offset counted in code points of ``line`` as given."""
         text = normalize(line)
-        try:  # nested: a caught error kept in a local would form a cycle
-            try:
-                return self._convert_by_word(text, collect_trace, build_units)
-            except PipelineError as err:
-                # an error in a later word can take precedence (an orphan
-                # sign over an unmapped grapheme), so the whole line decides,
-                # by the staged route: the step walk's edges hold in a word
-                self._raise_error(text)
-                raise PipelineError(
-                    f"internal error: {text!r} failed word by word ({err}) "
-                    "but not as a whole line"
-                ) from err
+        try:
+            return self._convert_by_word(text, collect_trace, build_units)
         except _GraphemeError as err:
             offset = err.offset
             if text != line:
@@ -302,12 +292,22 @@ class Transliterator:
         record per non-Other unit; every unit and record is a fresh
         object.  Without ``build_units`` (and untraced) the units are the
         words' output texts instead, each kept in its entry the first
-        time it is read; an error passes up as is."""
-        units, trace = [], []
-        for word in self.inventory.words(text):
+        time it is read.
+
+        A line with a fault raises the error ``map_graphemes`` gives the
+        whole line: its first orphan sign, else its first unmapped
+        grapheme, else its first ambiguous grapheme with no model, at its
+        offset in ``text``.  So a fault does not end the walk: the words
+        after it are converted too, and a memoised word has no fault."""
+        units, trace, faults = [], [], {}
+        words = self.inventory.words(text)
+        for word in words:
             entry = self._memo.get(word)
             if entry is None:
-                entry = [self._word_fields(word), None, None]
+                fields = self._word_fields(word, faults)
+                if fields is None:
+                    continue
+                entry = [fields, None, None]
                 if len(word) <= WORD_MEMO_MAX_CHARS:
                     if len(self._memo) >= WORD_MEMO_SIZE:
                         self._memo.clear()
@@ -329,33 +329,42 @@ class Transliterator:
                     for i, source, candidates, scores, resolved, kind in rows
                 ]
             units += [MappedUnit(*f) for f in fields]
+        if faults:
+            for error in (OrphanMatraError, UnmappedGraphemeError, MissingModelError):
+                if error in faults:
+                    # the word that noted it stands at its first place in
+                    # the line: an equal word before it, never memoised,
+                    # would have noted it there
+                    key, offset, word = faults[error]
+                    raise error(key, len("".join(words[:words.index(word)])) + offset)
         return units, trace
 
-    def _word_fields(self, word):
+    def _word_fields(self, word, faults):
         """The unit fields of NFC ``word``: one step per grapheme key, a
         rule unit's fields its step's tuple, and each ambiguous unit
-        decided by :func:`disambiguate` in its word-local context.  A
-        word that would raise goes to :meth:`_raise_error`."""
+        decided by :func:`disambiguate` in its word-local context; None
+        for a word with a grapheme that would raise (its step's error
+        class, or no model for an ambiguous one), which ``faults`` (error
+        class -> grapheme, offset in the word and word) notes unless it
+        holds that class already."""
         keys = self.inventory.grapheme_keys(word)
         step, last = self._step, len(keys) - 1
         fields, after_consonant, ctx = [], False, None
-        try:
-            for i, key in enumerate(keys):
-                unit, after_consonant = step(key, after_consonant, i == 0, i == last)
-                if unit[2] is None:
-                    if ctx is None:
-                        if self._model is None:
-                            raise _NoStep
-                        ctx = self._context_keys(keys)
-                    u = MappedUnit(*unit)
-                    disambiguate(self._model, u, ctx[i + 1], ctx[i + 3],
-                                 mode=self.config.mode, c_prev2=ctx[i])
-                    unit = u.source, u.candidates, u.resolved, u.resolution, u.unmapped
-                fields.append(unit)
-        except _NoStep:
-            self._raise_error(word)
-            raise
-        return fields
+        for i, key in enumerate(keys):
+            unit, after_consonant = step(key, after_consonant, i == 0, i == last)
+            if unit[2] is None:
+                fault = unit[3] or (MissingModelError if self._model is None else None)
+                if fault:
+                    faults.setdefault(fault, (key, sum(map(len, keys[:i])), word))
+                    continue
+                if ctx is None:
+                    ctx = self._context_keys(keys)
+                u = MappedUnit(*unit)
+                disambiguate(self._model, u, ctx[i + 1], ctx[i + 3],
+                             mode=self.config.mode, c_prev2=ctx[i])
+                unit = u.source, u.candidates, u.resolved, u.resolution, u.unmapped
+            fields.append(unit)
+        return fields if len(fields) == len(keys) else None
 
     def _context_keys(self, keys):
         """The word's grapheme keys (texts, not Graphemes) padded with
@@ -364,18 +373,6 @@ class Transliterator:
         before it and ``ctx[i + 3]`` after it."""
         edge = self._model.boundary
         return [edge, edge, *keys, edge]
-
-    def _raise_error(self, text):
-        """Raise the error of NFC ``text`` (a word, or the whole line,
-        whose word edges only this staged route finds): the first orphan
-        sign, else the first unmapped grapheme, both from
-        ``map_graphemes``, else the first ambiguous one with no model."""
-        graphemes = list(map(self.inventory.grapheme, self.inventory.grapheme_keys(text)))
-        units = map_graphemes(self.table, graphemes, orphan_policy=self.config.orphan_matra,
-                              unmapped_policy=self.config.unmapped)
-        for i, unit in enumerate(units):
-            if unit.resolved is None and self._model is None:
-                raise MissingModelError(unit.source.text, sum(len(g.text) for g in graphemes[:i]))
 
     def _trace_rows(self, fields):
         """One row per non-Other unit of a word, from its unit fields, in

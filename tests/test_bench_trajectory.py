@@ -1,5 +1,6 @@
 """`tools/bench_trajectory.py --compare`: medians, ratios and pairs won,
-and a quiet end when its reader stops early."""
+end-to-end metrics checked against their bounds, and a quiet end when
+its reader stops early."""
 
 import importlib.util
 import json
@@ -59,23 +60,80 @@ def test_directions_follow_the_declared_metrics():
     assert better["convert_kchar_per_s"] == "higher"
 
 
-def test_compare_piped_into_a_reader_that_stops_early_ends_quietly(tmp_path):
-    # a checkout of the tool alone, comparing two files whose table is
-    # far larger than a pipe holds, so the tool is mid-write when the
-    # reader closes
+BOUNDS = {"setup_s": ("lower", 0.25), "convert_kchar_per_s": ("higher", 0.2)}
+
+
+def one_run(workload, **metrics):
+    return trajectory(workload, [metrics])
+
+
+def test_higher_is_better_metric_past_its_bound_is_named():
+    parent = one_run("convert-cold", setup_s=1.0, convert_kchar_per_s=100.0)
+    change = one_run("convert-cold", setup_s=1.0, convert_kchar_per_s=79.9)
+    assert bench_trajectory.past_bounds(parent, change, BOUNDS) == [
+        "convert-cold convert_kchar_per_s: median 79.9 against the parent's 100, "
+        "worse by more than its bound 0.2"
+    ]
+
+
+def test_lower_is_better_metric_past_its_bound_is_named():
+    parent = one_run("train-eval", setup_s=1.0, convert_kchar_per_s=100.0)
+    change = one_run("train-eval", setup_s=1.26, convert_kchar_per_s=200.0)
+    assert bench_trajectory.past_bounds(parent, change, BOUNDS) == [
+        "train-eval setup_s: median 1.26 against the parent's 1, "
+        "worse by more than its bound 0.25"
+    ]
+
+
+def test_metrics_just_inside_their_bounds_pass():
+    parent = one_run("convert-hot", setup_s=1.0, convert_kchar_per_s=100.0, other=1)
+    change = one_run("convert-hot", setup_s=1.249, convert_kchar_per_s=80.1, other=9)
+    assert bench_trajectory.past_bounds(parent, change, BOUNDS) == []
+    # better by any amount is never past a bound
+    assert bench_trajectory.past_bounds(change, parent, BOUNDS) == []
+
+
+def checkout(tmp_path, files):
+    """A checkout of the tool alone, with ``BENCHMARK.json`` and the
+    trajectory files ``files`` (label -> contents)."""
     (tmp_path / "tools").mkdir()
     shutil.copy(_PATH, tmp_path / "tools")
     shutil.copy(_PATH.parent.parent / "BENCHMARK.json", tmp_path)
+    for label, contents in files.items():
+        (tmp_path / f"BENCH_{label}.json").write_text(json.dumps(contents), encoding="utf-8")
+    return tmp_path / "tools" / _PATH.name
+
+
+def test_compare_exits_one_past_a_bound_and_prints_the_same_table(tmp_path):
+    parent = one_run("convert-cold", setup_s=1.0, convert_kchar_per_s=100.0)
+    change = one_run("convert-cold", setup_s=1.0, convert_kchar_per_s=70.0)
+    tool = checkout(tmp_path, {"a": parent, "b": change})
+    proc = subprocess.run([sys.executable, str(tool), "--compare", "a", "b"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines() == bench_trajectory.compare(
+        parent, change, bench_trajectory.directions())
+    assert proc.stderr == (
+        "bench_trajectory: convert-cold convert_kchar_per_s: median 70 against the "
+        "parent's 100, worse by more than its bound 0.2\n"
+    )
+    proc = subprocess.run([sys.executable, str(tool), "--compare", "a", "a"],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_compare_piped_into_a_reader_that_stops_early_ends_quietly(tmp_path):
+    # two files whose table is far larger than a pipe holds, so the tool
+    # is mid-write when the reader closes
     units = {f"metric_{i:05}": "count" for i in range(5000)}
     runs = [{"seed": 1, "attempted": 1, "failed": 0, "correct": True, "python": "3",
              "cpu_count": 1, "metrics": dict.fromkeys(units, 1.0)}]
     entry = {"runs": runs, "units": units,
              "summary": bench_trajectory.summarise(runs, units)}
-    text = json.dumps({"label": "x", "workloads": {"train-eval": entry}})
-    for label in ("a", "b"):
-        (tmp_path / f"BENCH_{label}.json").write_text(text, encoding="utf-8")
+    contents = {"label": "x", "workloads": {"train-eval": entry}}
+    tool = checkout(tmp_path, {"a": contents, "b": contents})
     proc = subprocess.Popen(
-        [sys.executable, str(tmp_path / "tools" / _PATH.name), "--compare", "a", "b"],
+        [sys.executable, str(tool), "--compare", "a", "b"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
     assert proc.stdout.readline().split()[0] == b"workload"

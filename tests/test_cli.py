@@ -321,6 +321,33 @@ def test_ambiguity_without_model_exits_six(capsys, monkeypatch):
     assert "स" in err
 
 
+def test_orphan_sign_outranks_an_earlier_ambiguous_grapheme(capsys, monkeypatch):
+    # with no model the त at offset 0 alone would exit 6
+    monkeypatch.setattr(sys, "stdin", io.StringIO("तारो ि\n"))
+    assert run(["transliterate"], capsys) == (
+        EXIT_PIPELINE, "",
+        "translit: line 1: vowel symbol 'ि' at offset 5 has no preceding consonant\n",
+    )
+
+
+def test_orphan_sign_outranks_an_earlier_unmapped_grapheme(
+    tmp_path, capsys, monkeypatch, demo_model_path
+):
+    rows = Path(shipped.mapping_path()).read_text(encoding="utf-8").splitlines(True)
+    trimmed = tmp_path / "trimmed.tsv"
+    trimmed.write_text("".join(r for r in rows if not r.startswith("ग\t")), encoding="utf-8")
+    argv = ["transliterate", "--model", str(demo_model_path), "--mapping", str(trimmed)]
+    monkeypatch.setattr(sys, "stdin", io.StringIO("कमल गम\n"))
+    assert run(argv, capsys) == (
+        EXIT_PIPELINE, "", "translit: line 1: no mapping for grapheme 'ग' at offset 4\n",
+    )
+    monkeypatch.setattr(sys, "stdin", io.StringIO("कमल गम ि\n"))
+    assert run(argv, capsys) == (
+        EXIT_PIPELINE, "",
+        "translit: line 1: vowel symbol 'ि' at offset 7 has no preceding consonant\n",
+    )
+
+
 def test_train_writes_model(tmp_path, capsys):
     out_path = tmp_path / "model.tsv"
     code, out, _ = run(

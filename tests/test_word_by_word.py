@@ -14,7 +14,7 @@ from helpers import choose, lines, word_context
 from sindhi_translit import data as shipped
 from sindhi_translit import mapping, pipeline
 from sindhi_translit.errors import MissingModelError, OrphanMatraError, PipelineError
-from sindhi_translit.mapping import UNMAPPED_PASS, MappedUnit, Resolution, map_phonemes
+from sindhi_translit.mapping import UNMAPPED_PASS, MappedUnit, Resolution, Role, map_phonemes
 from sindhi_translit.ngram import BOUNDARY, MODE_TRIGRAM, NgramModel, candidate_scores
 from sindhi_translit.phonemes import ORPHAN_PASS, phonify
 from sindhi_translit.pipeline import EngineConfig, LineResult, TraceRecord, Transliterator
@@ -118,9 +118,9 @@ def mapping_paths(tmp_path_factory):
     return paths
 
 
-def shared_engine(name, demo_model_path, mapping_paths):
+def shared_engine(name, demo_model_path, mapping_paths, configs=CONFIGS):
     if name not in _engines:
-        cfg = dict(CONFIGS[name])
+        cfg = dict(configs[name])
         if cfg.pop("model", False):
             cfg["model"] = str(demo_model_path)
         if "mapping" in cfg:
@@ -281,20 +281,6 @@ CONVERSIONS = {
 }
 
 
-@pytest.mark.parametrize("path", CONVERSIONS)
-def test_word_split_the_whole_line_accepts_is_an_internal_error(
-    demo_model_path, monkeypatch, path
-):
-    engine = Transliterator(EngineConfig(model=str(demo_model_path)))
-    assert engine.transliterate_line("कि").output
-    # a split that tears the vowel sign from its consonant
-    monkeypatch.setattr(engine.inventory, "words", lambda text: ["क", "ि"])
-    with pytest.raises(PipelineError, match="internal error") as excinfo:
-        CONVERSIONS[path](engine, "कि")
-    assert type(excinfo.value) is PipelineError
-    assert type(excinfo.value.__cause__) is OrphanMatraError
-
-
 def error_fields(err):
     return type(err), err.grapheme, err.offset, str(err)
 
@@ -359,11 +345,12 @@ def test_text_path_builds_no_units_for_memoised_words(demo_model_path, monkeypat
     assert len(built) == len(normalize(line))  # one unit per code point here
 
 
-# A line that fails is converted again as a whole by the staged route,
-# never by the step walk, whose word edges hold only inside a word.  The
-# words of FAILING_LINES end in क, which has a word-final row under
-# "positional", next to spaces; after those lines, NEW_WORDS convert as
-# on a fresh engine.  STEP_CONFIGS gives how many of FAILING_LINES each
+# A line that fails is walked word by word, as any other line, and its
+# failing steps are kept in the step table; each word's edges are its
+# own first and last graphemes, not those of the line.  The words of
+# FAILING_LINES end in क, which has a word-final row under "positional",
+# next to spaces; after those lines, NEW_WORDS convert as on a fresh
+# engine.  STEP_CONFIGS gives how many of FAILING_LINES each
 # configuration rejects: orphan signs under the reject policy, an
 # ambiguous त with no model.
 FAILING_LINES = ["बदक कमक िक", "मक बदक ि", "बदक, कमक  ाक", "कमक बदक तक", "बदक तक ि"]
@@ -423,6 +410,89 @@ def conversion(path, engine, line):
     except PipelineError as err:
         result = err
     return result if isinstance(result, str) else outcome(result)
+
+
+# A line's error is the first orphan sign, else the first unmapped
+# grapheme, else the first ambiguous grapheme with no model, wherever
+# its word stands; the trimmed table leaves some keys of every class
+# without a row
+FAULT_CONFIGS = {
+    "trimmed": CONFIGS["trimmed"],
+    "trimmed-no-model": {"mapping": "trimmed"},
+    "trimmed-pass-model": {"model": True, "mapping": "trimmed", "orphan_matra": ORPHAN_PASS,
+                           "unmapped": UNMAPPED_PASS},
+    "trimmed-pass": CONFIGS["trimmed-pass"],
+}
+_pieces = {}  # config name -> piece kind -> texts
+
+
+def pieces(engine):
+    """Each kind of piece a drawn word is made of, as texts under
+    ``engine``'s inventory and table: mapped keys, and the three faults
+    (an orphan sign, a key with no row, an ambiguous key); क़ and ज़ are
+    spelt precomposed, so that NFC offsets differ from raw ones."""
+    inventory, table = engine.inventory, engine.table
+    by_row = {"mapped": [], "unmapped": [], "ambiguous": []}
+    for keys, role in ((inventory.consonants, Role.ANY),
+                       (inventory.independent_vowels, Role.VOWEL)):
+        for key in sorted(keys):
+            row = table.lookup(key, role)
+            kind = "unmapped" if row is None else "mapped" if len(row) == 1 else "ambiguous"
+            by_row[kind].append(key)
+    consonant = min(k for k in by_row["mapped"] if k in inventory.consonants)
+    for sign in sorted(inventory.vowel_symbols):  # after a consonant: a matra
+        row = table.lookup(sign, Role.MATRA)
+        by_row["unmapped" if row is None else "mapped"].append(consonant + sign)
+    return {**by_row, "orphan": sorted(inventory.vowel_symbols),
+            "precomposed": ["\u0958", "\u095b"]}
+
+
+fault_lines = st.lists(
+    st.tuples(
+        st.lists(st.tuples(st.sampled_from(["mapped", "orphan", "unmapped", "ambiguous",
+                                            "precomposed"]),
+                           st.integers(0, 99)),
+                 min_size=1, max_size=4),
+        st.sampled_from([" ", ", ", "  ", "\u0964"]),
+    ),
+    min_size=1, max_size=5,
+)
+
+
+@pytest.mark.parametrize("name", FAULT_CONFIGS)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(drawn=fault_lines)
+@example(drawn=[([("unmapped", 0)], " "), ([("orphan", 0)], " ")])
+@example(drawn=[([("ambiguous", 0)], " "), ([("mapped", 0), ("unmapped", 1)], ", ")])
+@example(drawn=[([("precomposed", 0), ("ambiguous", 1)], " "), ([("unmapped", 2)], " "),
+                ([("mapped", 3), ("orphan", 4)], " ")])
+@example(drawn=[([("unmapped", 0), ("ambiguous", 0)], " "), ([("mapped", 1)], " "),
+                ([("orphan", 1), ("unmapped", 1)], "\u0964")])
+def test_line_error_follows_the_kinds_precedence_across_words(
+    name, demo_model_path, mapping_paths, drawn
+):
+    engine = shared_engine(name, demo_model_path, mapping_paths, FAULT_CONFIGS)
+    kinds = _pieces.setdefault(name, pieces(engine))
+    line = "".join("".join(kinds[kind][n % len(kinds[kind])] for kind, n in word) + separator
+                   for word, separator in drawn)
+    staged = [outcome(staged_line(engine, line, trace)) for trace in (False, True)]
+    assert conversion("units", engine, line) == staged[0]
+    assert conversion("traced", engine, line) == staged[1]
+    failed = isinstance(staged[0][0], type)
+    assert conversion("text", engine, line) == (staged[0] if failed else staged[0][0])
+
+
+@pytest.mark.parametrize("path", CONVERSIONS)
+def test_failing_line_again_adds_no_step_miss(path):
+    # the orphan sign of मां, and with no model the ambiguous त of तारो
+    engine = Transliterator()
+    line = "कमल मां, तारो हलु"
+    first = conversion(path, engine, line)
+    assert first == (OrphanMatraError,
+                     "vowel symbol 'ं' at offset 6 has no preceding consonant", 6)
+    misses = engine._step.cache_info().misses
+    assert conversion(path, engine, line) == first
+    assert engine._step.cache_info().misses == misses
 
 
 # counts under which ط, the second candidate, stands for त before ा

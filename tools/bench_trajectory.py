@@ -24,8 +24,12 @@ workload in both and each metric, the two medians, their ratio (change
 over parent) and the pairs the change won: run ``i`` of one file is
 paired with run ``i`` of the other, and a pair is won when the change's
 value is strictly better in the direction ``BENCHMARK.json`` gives the
-metric (``-`` for a metric it does not list).  The exit status is 2 when
-a file cannot be read or the files share no workload.
+metric (``-`` for a metric it does not list).  The exit status is 1 when
+the change's median of an end-to-end metric is worse than the parent's by
+more than the metric's ``BENCHMARK.json`` bound, a fraction of the
+parent's median; each such workload and metric is named on stderr, under
+the same table.  It is 2 when a file cannot be read or the files share
+no workload.
 
 Either way, a reader that closes the output early (``| head``) ends the
 run with status 1 and no traceback.
@@ -68,11 +72,51 @@ def summarise(runs, units):
     }
 
 
+def declared():
+    """``BENCHMARK.json`` as read."""
+    return json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+
 def directions():
     """Metric name -> "higher" or "lower", as ``BENCHMARK.json`` declares."""
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     return {m["name"]: m["better"]
-            for group in ("end_to_end", "per_layer") for m in declared.get(group, [])}
+            for group in ("end_to_end", "per_layer") for m in declared().get(group, [])}
+
+
+def bounds():
+    """End-to-end metric name -> (direction, bound), as ``BENCHMARK.json``
+    declares them."""
+    return {m["name"]: (m["better"], m["bound"]) for m in declared().get("end_to_end", [])}
+
+
+def medians(parent, change):
+    """(workload, metric, unit, parent median, change median) for each
+    metric of each workload that both trajectories summarise."""
+    for workload in WORKLOADS:
+        if workload not in parent["workloads"] or workload not in change["workloads"]:
+            continue
+        old, new = parent["workloads"][workload], change["workloads"][workload]
+        units = {**old.get("units", {}), **new.get("units", {})}
+        for name in sorted(units):
+            values = [entry["summary"]["metrics"].get(name, {}).get("median")
+                      for entry in (old, new)]
+            if None not in values:
+                yield workload, name, units[name], *values
+
+
+def past_bounds(parent, change, bounds):
+    """Messages naming each workload and metric of ``bounds`` (name ->
+    direction and bound) whose change median is worse than the parent's
+    by more than the bound times the parent's median."""
+    messages = []
+    for workload, name, _, old, new in medians(parent, change):
+        if name not in bounds:
+            continue
+        better, bound = bounds[name]
+        if new < old * (1 - bound) if better == "higher" else new > old * (1 + bound):
+            messages.append(f"{workload} {name}: median {new:.6g} against the parent's "
+                            f"{old:.6g}, worse by more than its bound {bound:g}")
+    return messages
 
 
 def compare(parent, change, better):
@@ -80,26 +124,17 @@ def compare(parent, change, better):
     from their files) metric by metric; ``better`` maps a metric name to
     its direction."""
     rows = [("workload", "metric", "unit", "parent", "change", "ratio", "won")]
-    for workload in WORKLOADS:
-        if workload not in parent["workloads"] or workload not in change["workloads"]:
-            continue
-        old, new = parent["workloads"][workload], change["workloads"][workload]
-        units = {**old.get("units", {}), **new.get("units", {})}
-        pairs = list(zip(old["runs"], new["runs"]))
-        for name in sorted(units):
-            medians = [entry["summary"]["metrics"].get(name, {}).get("median")
-                       for entry in (old, new)]
-            if None in medians:
-                continue
-            ratio = f"{medians[1] / medians[0]:.3f}" if medians[0] else "-"
-            won = "-"
-            if name in better:
-                sign = 1 if better[name] == "higher" else -1
-                values = [(a["metrics"][name], b["metrics"][name]) for a, b in pairs
-                          if name in a["metrics"] and name in b["metrics"]]
-                won = f"{sum(sign * (b - a) > 0 for a, b in values)}/{len(values)}"
-            rows.append((workload, name, units[name], f"{medians[0]:.6g}",
-                         f"{medians[1]:.6g}", ratio, won))
+    for workload, name, unit, old, new in medians(parent, change):
+        ratio = f"{new / old:.3f}" if old else "-"
+        won = "-"
+        if name in better:
+            sign = 1 if better[name] == "higher" else -1
+            pairs = zip(parent["workloads"][workload]["runs"],
+                        change["workloads"][workload]["runs"])
+            values = [(a["metrics"][name], b["metrics"][name]) for a, b in pairs
+                      if name in a["metrics"] and name in b["metrics"]]
+            won = f"{sum(sign * (b - a) > 0 for a, b in values)}/{len(values)}"
+        rows.append((workload, name, unit, f"{old:.6g}", f"{new:.6g}", ratio, won))
     if len(rows) == 1:
         return []
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
@@ -140,7 +175,11 @@ def main(argv=None):
             print("bench_trajectory: the two files share no workload", file=sys.stderr)
             return 2
         print("\n".join(lines))
-        return 0
+        sys.stdout.flush()  # the table comes before the verdict
+        past = past_bounds(parent, change, bounds())
+        for message in past:
+            print(f"bench_trajectory: {message}", file=sys.stderr)
+        return 1 if past else 0
 
     cmd = [sys.executable, str(args.tree.resolve() / "bench" / "run.py"),
            "--workload", args.workload, "--seed", str(args.seed),
