@@ -8,8 +8,10 @@ alongside float and log values: comparisons use the exact ratio, which
 makes tie handling deterministic and keeps log-space and linear-space
 rankings in agreement at any scale.
 
-:func:`disambiguate` is the one place an ambiguous unit is decided:
-the engine calls it for every unit the rules leave open.  Scores are
+``_decide`` is the one place an ambiguous grapheme is decided, from
+the counts alone: the engine calls it for every unit the rules leave
+open and writes its answer into the unit's fields, and
+:func:`disambiguate` records it on a :class:`MappedUnit`.  Scores are
 only computed for traces, as the floats of :func:`candidate_scores`
 read straight from the counts (``_trace_scores``).
 """
@@ -135,8 +137,7 @@ class NgramModel:
         # resolution, emission logs): each table row's emission ratios,
         # the verdict taken over them, and each ratio's log_value (None
         # for a zero ratio) for the scores a trace prints, filled in by
-        # :func:`disambiguate`, :func:`candidate_scores` and
-        # ``_trace_scores``
+        # ``_decide``, :func:`candidate_scores` and ``_trace_scores``
         self._verdicts = {}
 
     @cached_property
@@ -307,6 +308,24 @@ def _row(model, c, candidates):
     return row
 
 
+def _decide(model, c, candidates, c_prev, c_next, mode, c_prev2):
+    """(resolved, resolution) of an ambiguous unit of source text ``c``
+    and ``candidates`` in its context, as :func:`_argmax` over
+    :func:`candidate_scores` would give them, without building a score.
+
+    The context factors are shared by every candidate.  When both are
+    positive (always, under add-one smoothing) the choice is the row's
+    verdict, :func:`_argmax` over the emission ratios alone, kept on the
+    model per source text and candidates.  Otherwise every score is
+    zero and the leading candidate is a Fallback.
+    """
+    left, right = _context_counts(model, c, c_prev, c_next, mode, c_prev2)
+    if model.add_one_smoothing or min(*left, *right) > 0:
+        row = _row(model, c, candidates)
+        return row[1], row[2]
+    return candidates[0], Resolution.FALLBACK
+
+
 def disambiguate(
     model: NgramModel,
     unit: MappedUnit,
@@ -316,22 +335,11 @@ def disambiguate(
     mode: str = MODE_BIGRAM,
     c_prev2: str = BOUNDARY,
 ) -> str:
-    """Decide an ambiguous unit in its context as :func:`_argmax` over
-    :func:`candidate_scores` would, recording it on the unit, without
-    building a score.
-
-    The context factors are shared by every candidate.  When both are
-    positive (always, under add-one smoothing) the choice is the row's
-    verdict, :func:`_argmax` over the emission ratios alone, kept on the
-    model per source text and candidates.  Otherwise every score is
-    zero and the leading candidate is a Fallback.
-    """
+    """Decide an ambiguous unit in its context by ``_decide``, recording
+    the choice and its resolution on the unit."""
     if len(unit.candidates) < 2:
         raise ValueError("disambiguate needs a unit with at least two candidates")
-    c = unit.source.text
-    left, right = _context_counts(model, c, c_prev, c_next, mode, c_prev2)
-    if model.add_one_smoothing or min(*left, *right) > 0:
-        _, unit.resolved, unit.resolution, _ = _row(model, c, unit.candidates)
-    else:
-        unit.resolved, unit.resolution = unit.candidates[0], Resolution.FALLBACK
+    unit.resolved, unit.resolution = _decide(
+        model, unit.source.text, unit.candidates, c_prev, c_next, mode, c_prev2
+    )
     return unit.resolved

@@ -7,16 +7,20 @@ output.  A new word is one split into grapheme keys
 bounded step table, each step built by the role and row-to-unit rules
 ``mapping.map_graphemes`` runs.  The step table is the engine's one
 per-grapheme cache: only a step it misses classifies its key and
-searches the mapping rows.  ``ngram.disambiguate`` decides each
-ambiguous unit in a context of the neighbouring grapheme keys within
-the word, word edges contributing the boundary symbol.  A step whose
-unit would raise holds its error class instead, so the same walk finds
-a line's error, which the engine raises by ``map_graphemes``'
-precedence.  The staged functions (``phonify``, ``map_phonemes``) are
-adapters over the same rules that only add the ``Phoneme`` objects,
-which the engine never builds.  Every decision is therefore local to a
-word, and the engine converts a line word by word, each distinct word
-once, traced or not.
+searches the mapping rows.  ``ngram._decide`` decides each ambiguous
+grapheme from the model's counts, in a context of the neighbouring
+grapheme keys within the word, word edges contributing the boundary
+symbol, and its answer goes straight into the unit's fields.  A step
+whose unit would raise holds its error class instead, so the same walk
+finds a line's error, which the engine raises by ``map_graphemes``'
+precedence.  One walk per line gives each word's memo entry (its unit
+fields, its output text and, once traced, its trace rows), and units,
+records and the untraced text are all read from that one list.  The
+staged functions (``phonify``, ``map_phonemes``) are adapters over the
+same rules that only add the ``Phoneme`` objects, which the engine
+never builds.  Every decision is therefore local to a word, and the
+engine converts a line word by word, each distinct word once, traced
+or not.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from .errors import (
     MissingModelError,
     OrphanMatraError,
     UnmappedGraphemeError,
-    _GraphemeError,
 )
 from .mapping import (
     ORPHAN_POLICIES,
@@ -44,20 +47,20 @@ from .mapping import (
     _step,
     load_mapping,
 )
-from .ngram import MODE_BIGRAM, MODES, NgramModel, _trace_scores, disambiguate
+from .ngram import MODE_BIGRAM, MODES, NgramModel, _decide, _trace_scores
 from .records import Record
 from .script import CharClass, load_inventory, normalize
 from .training import load_model
 
 # distinct words an engine keeps converted; the memo empties when full.
-# An entry holds its unit fields, its trace rows once a trace has read
-# it, and its output text once the text path (the untraced command
-# line) has read it, and shares its steps' graphemes (and a rule
+# An entry holds its unit fields, its output text and, once a trace has
+# read it, its trace rows, and shares its steps' graphemes (and a rule
 # unit's whole field tuple) with the step table: for a random word about
-# 0.45 KiB untraced and 0.85 KiB traced on average, 99% of traced
-# entries under 2.2 KiB (tracemalloc, 1,000 words of the benchmark's
-# train-eval inputs), so a full traced memo holds about 0.9 MiB; an
-# output text adds about 85 bytes (sys.getsizeof, same words).
+# 0.29 KiB untraced (0.06 KiB of it the text) and 0.60 KiB traced on
+# average, 99% of traced entries under 1.5 KiB (tracemalloc, 1,000
+# distinct tokens of the benchmark's seed-3 train-eval corpus, the step
+# table and the model's rows built first), so a full traced memo holds
+# about 0.6 MiB.
 WORD_MEMO_SIZE = 1024
 
 # (grapheme key, after a consonant, word-initial, word-final) steps an
@@ -203,10 +206,10 @@ class Transliterator:
     every result gets fresh units.  A traced line also gets fresh
     records, built from the word's trace rows, which are computed,
     scores included, when a trace first reads the word's entry and kept
-    there.  The untraced command line reads only the output text, which
-    an entry keeps the same way, so it builds a unit only to decide an
-    ambiguous grapheme.  The memo and the step table fill on demand and
-    never change an output, a trace or an error.
+    there.  An entry holds its word's output text from the start, so the
+    untraced command line, which reads only the text, builds no unit.
+    The memo and the step table fill on demand and never change an
+    output, a trace or an error.
     """
 
     def __init__(self, config: EngineConfig | None = None):
@@ -231,7 +234,7 @@ class Transliterator:
         self._model: NgramModel | None = None
         if config.model is not None:
             self._model = load_model(config.model, add_one_smoothing=config.smoothing)
-        # NFC word -> [unit fields, trace rows or None, output text or None]
+        # NFC word -> [unit fields, output text, trace rows or None]
         self._memo = {}
         # (grapheme key, after a consonant, word-initial, word-final) ->
         # ``mapping._step``; it holds the inventory and the rows, not the
@@ -255,101 +258,78 @@ class Transliterator:
         """Convert one line of Devanagari text; line breaks are not part
         of the input.
 
-        Error offsets count code points of ``line`` as given.
+        Each word's memo entry gives fresh units and, traced, fresh
+        records, one per non-Other unit, from its trace rows.  Error
+        offsets count code points of ``line`` as given.
         """
-        units, trace = self._convert_line(line, collect_trace, True)
-        return LineResult("".join([u.resolved for u in units]), units, trace)
-
-    def _line_text(self, line):
-        """``transliterate_line(line).output``, errors included, joined
-        from the words' output texts in the memo, building a unit only to
-        decide an ambiguous grapheme: the untraced command line prints
-        nothing else."""
-        return "".join(self._convert_line(line, False, False)[0])
-
-    def _convert_line(self, line, collect_trace, build_units):
-        """:meth:`_convert_by_word` on the NFC form of ``line``, its
-        error's offset counted in code points of ``line`` as given."""
-        text = normalize(line)
-        try:
-            return self._convert_by_word(text, collect_trace, build_units)
-        except _GraphemeError as err:
-            offset = err.offset
-            if text != line:
-                # the first raw prefix whose NFC form reaches past the
-                # offset ends with the faulty code point
-                offset = bisect.bisect_right(
-                    range(len(line) + 1),
-                    offset,
-                    key=lambda k: len(normalize(line[:k])),
-                ) - 1
-            raise type(err)(err.grapheme, offset) from None
-
-    def _convert_by_word(self, text, collect_trace, build_units):
-        """Units of NFC ``text``, each word's unit fields taken from the
-        memo or from :meth:`_word_fields` and memoised (unless longer
-        than ``WORD_MEMO_MAX_CHARS``), and with ``collect_trace`` one
-        record per non-Other unit; every unit and record is a fresh
-        object.  Without ``build_units`` (and untraced) the units are the
-        words' output texts instead, each kept in its entry the first
-        time it is read.
-
-        A line with a fault raises the error ``map_graphemes`` gives the
-        whole line: its first orphan sign, else its first unmapped
-        grapheme, else its first ambiguous grapheme with no model, at its
-        offset in ``text``.  So a fault does not end the walk: the words
-        after it are converted too, and a memoised word has no fault."""
-        units, trace, faults = [], [], {}
-        words = self.inventory.words(text)
-        for word in words:
-            entry = self._memo.get(word)
-            if entry is None:
-                fields = self._word_fields(word, faults)
-                if fields is None:
-                    continue
-                entry = [fields, None, None]
-                if len(word) <= WORD_MEMO_MAX_CHARS:
-                    if len(self._memo) >= WORD_MEMO_SIZE:
-                        self._memo.clear()
-                    self._memo[word] = entry
-            if not build_units:
-                output = entry[2]
-                if output is None:
-                    output = entry[2] = "".join([f[2] for f in entry[0]])
-                units.append(output)
-                continue
-            fields = entry[0]
-            if collect_trace:
-                rows = entry[1]
+        entries = self._line_entries(line)
+        units = [MappedUnit(*f) for entry in entries for f in entry[0]]
+        trace, base = [], 0
+        if collect_trace:
+            for entry in entries:
+                rows = entry[2]
                 if rows is None:
-                    rows = entry[1] = self._trace_rows(fields)
-                base = len(units)
+                    rows = entry[2] = self._trace_rows(entry[0])
                 trace += [
                     TraceRecord(base + i, source, candidates, scores, resolved, kind)
                     for i, source, candidates, scores, resolved, kind in rows
                 ]
-            units += [MappedUnit(*f) for f in fields]
-        if faults:
-            for error in (OrphanMatraError, UnmappedGraphemeError, MissingModelError):
-                if error in faults:
-                    # the word that noted it stands at its first place in
-                    # the line: an equal word before it, never memoised,
-                    # would have noted it there
-                    key, offset, word = faults[error]
-                    raise error(key, len("".join(words[:words.index(word)])) + offset)
-        return units, trace
+                base += len(entry[0])
+        return LineResult("".join([entry[1] for entry in entries]), units, trace)
 
-    def _word_fields(self, word, faults):
-        """The unit fields of NFC ``word``: one step per grapheme key, a
-        rule unit's fields its step's tuple, and each ambiguous unit
-        decided by :func:`disambiguate` in its word-local context; None
-        for a word with a grapheme that would raise (its step's error
-        class, or no model for an ambiguous one), which ``faults`` (error
-        class -> grapheme, offset in the word and word) notes unless it
-        holds that class already."""
+    def _line_text(self, line):
+        """``transliterate_line(line).output``, errors included, joined
+        from the words' output texts in the memo, building no unit: the
+        untraced command line prints nothing else."""
+        return "".join([entry[1] for entry in self._line_entries(line)])
+
+    def _line_entries(self, line):
+        """The memo entries of the words of ``line``'s NFC form, in
+        order, each taken from the memo or built by :meth:`_word_entry`.
+
+        A line with a fault raises the error ``map_graphemes`` gives the
+        whole line: its first orphan sign, else its first unmapped
+        grapheme, else its first ambiguous grapheme with no model, at its
+        offset in ``line`` as given.  So a fault does not end the walk:
+        the words after it are converted too, and a memoised word has no
+        fault."""
+        text = normalize(line)
+        memo, entries, faults = self._memo, [], {}
+        words = self.inventory.words(text)
+        for word in words:
+            entry = memo.get(word)
+            if entry is None:
+                entry = self._word_entry(word, faults)
+            entries.append(entry)
+        if not faults:
+            return entries
+        # the kind first in precedence; the word that noted it stands at
+        # its first place in the line: an equal word before it, never
+        # memoised, would have noted it there
+        error = min(faults, key=(OrphanMatraError, UnmappedGraphemeError, MissingModelError).index)
+        key, offset, word = faults[error]
+        offset += len("".join(words[:words.index(word)]))
+        if text != line:
+            # the first raw prefix whose NFC form reaches past the offset
+            # ends with the faulty code point
+            offset = bisect.bisect_right(
+                range(len(line) + 1), offset, key=lambda k: len(normalize(line[:k]))
+            ) - 1
+        raise error(key, offset)
+
+    def _word_entry(self, word, faults):
+        """The memo entry ``[unit fields, output text, None]`` of NFC
+        ``word``, memoised unless the word is longer than
+        ``WORD_MEMO_MAX_CHARS``: one step per grapheme key, a rule unit's
+        fields its step's tuple, and each ambiguous unit's choice made by
+        ``ngram._decide`` in its word-local context.  None for a word
+        with a grapheme that would raise (its step's error class, or no
+        model for an ambiguous one), which ``faults`` (error class ->
+        grapheme, offset in the word and word) notes unless it holds that
+        class already."""
         keys = self.inventory.grapheme_keys(word)
         step, last = self._step, len(keys) - 1
-        fields, after_consonant, ctx = [], False, None
+        fields, text, after_consonant, ctx = [], "", False, None
         for i, key in enumerate(keys):
             unit, after_consonant = step(key, after_consonant, i == 0, i == last)
             if unit[2] is None:
@@ -359,12 +339,19 @@ class Transliterator:
                     continue
                 if ctx is None:
                     ctx = self._context_keys(keys)
-                u = MappedUnit(*unit)
-                disambiguate(self._model, u, ctx[i + 1], ctx[i + 3],
-                             mode=self.config.mode, c_prev2=ctx[i])
-                unit = u.source, u.candidates, u.resolved, u.resolution, u.unmapped
+                resolved, resolution = _decide(self._model, key, unit[1], ctx[i + 1],
+                                               ctx[i + 3], self.config.mode, ctx[i])
+                unit = unit[0], unit[1], resolved, resolution, False
             fields.append(unit)
-        return fields if len(fields) == len(keys) else None
+            text += unit[2]
+        if len(fields) < len(keys):
+            return None
+        entry = [fields, text, None]
+        if len(word) <= WORD_MEMO_MAX_CHARS:
+            if len(self._memo) >= WORD_MEMO_SIZE:
+                self._memo.clear()
+            self._memo[word] = entry
+        return entry
 
     def _context_keys(self, keys):
         """The word's grapheme keys (texts, not Graphemes) padded with

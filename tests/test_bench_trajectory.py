@@ -1,6 +1,7 @@
-"""`tools/bench_trajectory.py --compare`: medians, ratios and pairs won,
-end-to-end metrics checked against their bounds, and a quiet end when
-its reader stops early."""
+"""`tools/bench_trajectory.py --compare`: medians, ratios, pairs won and
+median gaps over the parent's interquartile range, end-to-end metrics
+checked against their bounds, and a quiet end when its reader stops
+early."""
 
 import importlib.util
 import json
@@ -41,10 +42,28 @@ def test_compare_counts_pairs_won_in_each_metrics_direction():
     better = {"setup_s": "lower", "convert_kchar_per_s": "higher"}
     lines = bench_trajectory.compare(parent, change, better)
     assert [line.split() for line in lines] == [
-        ["workload", "metric", "unit", "parent", "change", "ratio", "won"],
-        ["train-eval", "convert_kchar_per_s", "kchar/s", "10", "11", "1.100", "1/3"],
-        ["train-eval", "other", "count", "1", "2", "2.000", "-"],
-        ["train-eval", "setup_s", "s", "1", "0.5", "0.500", "2/3"],
+        ["workload", "metric", "unit", "parent", "change", "ratio", "won", "gap/IQR"],
+        ["train-eval", "convert_kchar_per_s", "kchar/s", "10", "11", "1.100", "1/3", "+1.00"],
+        ["train-eval", "other", "count", "1", "2", "2.000", "-", "-"],
+        ["train-eval", "setup_s", "s", "1", "0.5", "0.500", "2/3", "-"],
+    ]
+
+
+def test_compare_gives_the_median_gap_in_parent_interquartile_ranges():
+    # the parent's quartiles are 102.25 and 106.75: a range of 4.5
+    parent = trajectory("convert-cold", [
+        {"setup_s": float(v), "convert_kchar_per_s": float(v)} for v in range(100, 110)
+    ])
+    change = trajectory("convert-cold", [
+        {"setup_s": v + 2.25, "convert_kchar_per_s": v + 9.0} for v in range(100, 110)
+    ])
+    better = {"setup_s": "lower", "convert_kchar_per_s": "higher"}
+    lines = bench_trajectory.compare(parent, change, better)
+    # signed so that better is positive: faster by two ranges, each pair
+    # won, and a set-up slower by half a range, no pair won
+    assert [line.split()[-3:] for line in lines[1:]] == [
+        ["1.086", "10/10", "+2.00"],
+        ["1.022", "0/10", "-0.50"],
     ]
 
 

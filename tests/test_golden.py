@@ -60,7 +60,8 @@ def test_output_and_trace_match_golden_files(case, demo_model_path):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_untraced_output_matches_golden_files(case, demo_model_path):
-    # the untraced command builds no units, yet prints the same text
+    # the untraced command joins its words' texts from the memo and
+    # builds no unit, yet prints the same text
     assert transliterate(case, demo_model_path, trace=()) == (
         (GOLDEN / f"{case}.out").read_bytes(), b""
     )

@@ -16,6 +16,7 @@ from sindhi_translit.ngram import (
     BOUNDARY,
     MODE_TRIGRAM,
     MODES,
+    _decide,
     candidate_scores,
     disambiguate,
 )
@@ -116,11 +117,11 @@ def test_context_is_word_local(inventory, demo_model_path, monkeypatch):
     engine = Transliterator(EngineConfig(model=str(demo_model_path)))
     contexts = []
 
-    def recording(model, unit, c_prev, c_next, *, mode, c_prev2):
+    def recording(model, c, candidates, c_prev, c_next, mode, c_prev2):
         contexts.append((c_prev2, c_prev, c_next))
-        return disambiguate(model, unit, c_prev, c_next, mode=mode, c_prev2=c_prev2)
+        return _decide(model, c, candidates, c_prev, c_next, mode, c_prev2)
 
-    monkeypatch.setattr(pipeline, "disambiguate", recording)
+    monkeypatch.setattr(pipeline, "_decide", recording)
     result = engine.transliterate_line("त, सत हसी सतसत सच")
     graphemes = [u.source for u in result.units]
     expected = [word_context(graphemes, i) for i, u in enumerate(result.units) if u.is_ambiguous]

@@ -2,11 +2,11 @@
 `cluster_graphemes`, the lookups of `MappingTable` and the integer
 comparison in `ngram._argmax`, each against a direct test-local rule.
 The engine's step table holds neither the engine nor its model, so a
-dropped engine is freed without the cycle collector.  `disambiguate`,
+dropped engine is freed without the cycle collector.  `ngram._decide`,
 which keeps per-row verdicts on the model and gates them by context
-counts, decides as `choose` over `candidate_scores` does, in the engine
-and when one model serves many calls, and a trace prints the floats of
-`candidate_scores`, bit for bit."""
+counts, decides as `choose` over `candidate_scores` does, in the engine,
+through `disambiguate` and when one model serves many calls, and a
+trace prints the floats of `candidate_scores`, bit for bit."""
 
 import gc
 import math
@@ -41,6 +41,7 @@ from sindhi_translit.ngram import (
     NgramModel,
     Probability,
     _argmax,
+    _decide,
     _trace_scores,
     candidate_scores,
     disambiguate,
@@ -278,7 +279,13 @@ def test_verdicts_equal_choose_over_candidate_scores(case):
                     model, fresh, c_prev, c_next, mode=mode, c_prev2=c_prev2
                 )
                 choose(fresh, scores)
-                assert (unit.resolved, unit.resolution) == (fresh.resolved, fresh.resolution)
+                recorded = MappedUnit(unit.source, unit.candidates)
+                disambiguate(model, recorded, c_prev, c_next, mode=mode, c_prev2=c_prev2)
+                decided = _decide(model, unit.source.text, unit.candidates,
+                                  c_prev, c_next, mode, c_prev2)
+                assert decided == (recorded.resolved, recorded.resolution)
+                assert decided == (unit.resolved, unit.resolution)
+                assert decided == (fresh.resolved, fresh.resolution)
                 if collect_trace:
                     # compared as --trace prints them
                     assert list(map(repr, printed[i])) == [repr(s.value) for s in scores]

@@ -21,10 +21,16 @@ The exit status is run.py's, or 2 when no result line came back.
 
 reads ``BENCH_PARENT.json`` and ``BENCH_CHANGE.json`` and prints, for each
 workload in both and each metric, the two medians, their ratio (change
-over parent) and the pairs the change won: run ``i`` of one file is
-paired with run ``i`` of the other, and a pair is won when the change's
-value is strictly better in the direction ``BENCHMARK.json`` gives the
-metric (``-`` for a metric it does not list).  The exit status is 1 when
+over parent), the pairs the change won and the gap between the medians
+over the parent's interquartile range: run ``i`` of one file is paired
+with run ``i`` of the other, a pair is won when the change's value is
+strictly better in the direction ``BENCHMARK.json`` gives the metric, and
+the gap is positive when the change's median is the better one (``-``
+for a metric it does not list, and a gap is ``-`` when the parent's
+quartiles are equal).  A gain may be claimed on a metric only when the
+change won at least 9 of 10 pairs and the gap is greater than 1, i.e.
+the change's median is better by more than the parent's interquartile
+range.  The exit status is 1 when
 the change's median of an end-to-end metric is worse than the parent's by
 more than the metric's ``BENCHMARK.json`` bound, a fraction of the
 parent's median; each such workload and metric is named on stderr, under
@@ -90,18 +96,19 @@ def bounds():
 
 
 def medians(parent, change):
-    """(workload, metric, unit, parent median, change median) for each
-    metric of each workload that both trajectories summarise."""
+    """(workload, metric, unit, parent median, change median, parent
+    interquartile range) for each metric of each workload that both
+    trajectories summarise."""
     for workload in WORKLOADS:
         if workload not in parent["workloads"] or workload not in change["workloads"]:
             continue
         old, new = parent["workloads"][workload], change["workloads"][workload]
         units = {**old.get("units", {}), **new.get("units", {})}
         for name in sorted(units):
-            values = [entry["summary"]["metrics"].get(name, {}).get("median")
-                      for entry in (old, new)]
-            if None not in values:
-                yield workload, name, units[name], *values
+            before, after = (entry["summary"]["metrics"].get(name) for entry in (old, new))
+            if before and after:
+                yield (workload, name, units[name], before["median"], after["median"],
+                       before["q3"] - before["q1"])
 
 
 def past_bounds(parent, change, bounds):
@@ -109,7 +116,7 @@ def past_bounds(parent, change, bounds):
     direction and bound) whose change median is worse than the parent's
     by more than the bound times the parent's median."""
     messages = []
-    for workload, name, _, old, new in medians(parent, change):
+    for workload, name, _, old, new, _ in medians(parent, change):
         if name not in bounds:
             continue
         better, bound = bounds[name]
@@ -122,11 +129,13 @@ def past_bounds(parent, change, bounds):
 def compare(parent, change, better):
     """Lines comparing trajectories ``parent`` and ``change`` (as read
     from their files) metric by metric; ``better`` maps a metric name to
-    its direction."""
-    rows = [("workload", "metric", "unit", "parent", "change", "ratio", "won")]
-    for workload, name, unit, old, new in medians(parent, change):
+    its direction.  The gap column is the change's median less the
+    parent's, signed so that better is positive, over the parent's
+    interquartile range."""
+    rows = [("workload", "metric", "unit", "parent", "change", "ratio", "won", "gap/IQR")]
+    for workload, name, unit, old, new, iqr in medians(parent, change):
         ratio = f"{new / old:.3f}" if old else "-"
-        won = "-"
+        won = gap = "-"
         if name in better:
             sign = 1 if better[name] == "higher" else -1
             pairs = zip(parent["workloads"][workload]["runs"],
@@ -134,7 +143,9 @@ def compare(parent, change, better):
             values = [(a["metrics"][name], b["metrics"][name]) for a, b in pairs
                       if name in a["metrics"] and name in b["metrics"]]
             won = f"{sum(sign * (b - a) > 0 for a, b in values)}/{len(values)}"
-        rows.append((workload, name, unit, f"{old:.6g}", f"{new:.6g}", ratio, won))
+            if iqr:
+                gap = f"{sign * (new - old) / iqr:+.2f}"
+        rows.append((workload, name, unit, f"{old:.6g}", f"{new:.6g}", ratio, won, gap))
     if len(rows) == 1:
         return []
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
