@@ -7,11 +7,11 @@ statistical layer.  Candidate order matters: the first entry is the
 deterministic fallback when statistics cannot decide.
 
 The role rule (``_role``) and the row-to-unit rule (``_unit``) are each
-written once: :func:`map_graphemes` runs the role walk :func:`roles`,
-which the phoneme functions are adapters over, and then the mapping
-walk, and the engine's step table calls the same two rules.  Both
-walks and the lookup search the table's rows (``_search``) directly:
-the engine's step table is the one cache in front of them.
+written once.  The staged functions raise in the order they run:
+``phonemes.phonify_graphemes`` walks the first and raises orphan signs,
+then :func:`map_phonemes` walks both and raises unmapped graphemes.  The
+engine's step table calls both, and it is the one cache in front of the
+table's rows, which the walks and the lookup search (``_search``).
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class Resolution(enum.Enum):
 
 
 # enum members as module names: reading a member off its class runs
-# Python code, and the role and mapping walks read one per grapheme
+# Python code, and the phonify and mapping walks read one per grapheme
 _PASS_THROUGH = Resolution.PASS_THROUGH
 _RULE = Resolution.RULE
 _ANY = Role.ANY
@@ -197,25 +197,6 @@ def load_mapping(path) -> MappingTable:
     return MappingTable(entries)
 
 
-def roles(graphemes, *, orphan_policy: str = ORPHAN_REJECT) -> list[Role | None]:
-    """The role rule (:func:`_role`) as one walk over clustered
-    graphemes; the reject policy raises the first orphan vowel sign as
-    :class:`OrphanMatraError` at its offset."""
-    if orphan_policy not in ORPHAN_POLICIES:
-        raise ValueError(f"unknown orphan policy {orphan_policy!r}")
-    reject = orphan_policy == ORPHAN_REJECT
-    out = []
-    prev = None
-    for i, g in enumerate(graphemes):
-        cls = g.char_class
-        role = _role(cls, prev is _CONSONANT, reject)
-        if role is _ORPHAN:
-            raise OrphanMatraError(g.text, sum(len(x.text) for x in graphemes[:i]))
-        out.append(role)
-        prev = cls
-    return out
-
-
 def _role(char_class, after_consonant, reject_orphans):
     """The role rule for one grapheme: a consonant is any role (A rows),
     an independent vowel a vowel, a vowel sign right after a consonant a
@@ -230,73 +211,45 @@ def _role(char_class, after_consonant, reject_orphans):
     return None
 
 
-def map_graphemes(
-    table: MappingTable,
-    graphemes,
-    *,
-    orphan_policy: str = ORPHAN_REJECT,
-    unmapped_policy: str = UNMAPPED_ERROR,
-) -> list[MappedUnit]:
-    """Map a clustered grapheme sequence: the :func:`roles` walk over the
-    whole sequence, so an orphan sign is reported before any grapheme is
-    looked up, then the mapping walk.
-
-    Output is one unit per grapheme, in order, each looked up in its
-    role.  Single-candidate rows resolve immediately (Rule);
-    multi-candidate rows stay unresolved for the statistical layer;
-    graphemes with no role pass straight through, and so, under the
-    pass policy, do those with no row.
-    """
-    if unmapped_policy not in UNMAPPED_POLICIES:
-        raise ValueError(f"unknown unmapped policy {unmapped_policy!r}")
-    return _map(table, graphemes, roles(graphemes, orphan_policy=orphan_policy),
-                unmapped_policy)
-
-
 def map_phonemes(
     table: MappingTable,
     phonemes,
     *,
     unmapped_policy: str = UNMAPPED_ERROR,
 ) -> list[MappedUnit]:
-    """Map each grapheme of each phoneme to its candidate targets.
+    """Map each grapheme of each phoneme to its candidate targets in one
+    walk, once a check finds that ``phonemes.phonify_graphemes`` would
+    build the phonemes from their graphemes (ValueError otherwise).
 
-    The phonemes are flattened into their graphemes, which
-    :func:`map_graphemes` maps under the pass orphan policy: a phoneme
-    carries no role of its own, so both give the same units and errors.
-    Phonemes that ``phonemes.phonify_graphemes`` would not build from
-    those graphemes raise ValueError.
+    Each grapheme is looked up in the role ``_role`` gives it under the
+    pass orphan policy.  Single-candidate rows resolve immediately
+    (Rule); multi-candidate rows stay unresolved for the statistical
+    layer; graphemes with no role pass straight through, and so, under
+    the pass policy, do those with no row, of which the error policy
+    raises the first.
     """
     # phonemes imports this module, so its import waits for a call; by
     # then the caller's phonemes have loaded it
     from .phonemes import phonify_graphemes
 
+    phonemes = list(phonemes)
     graphemes = [g for ph in phonemes for g in ph.graphemes]
-    if phonify_graphemes(graphemes, orphan_policy=ORPHAN_PASS) != list(phonemes):
+    if phonify_graphemes(graphemes, orphan_policy=ORPHAN_PASS) != phonemes:
         raise ValueError("the phonemes do not group their graphemes as phonify would")
-    return map_graphemes(
-        table, graphemes, orphan_policy=ORPHAN_PASS, unmapped_policy=unmapped_policy
-    )
-
-
-def _map(table, graphemes, roles, unmapped_policy):
-    """The walk: ``roles[i]`` is the role of ``graphemes[i]``, or None."""
-    units = []
-    entries = table._entries
-    last = len(graphemes) - 1
+    if unmapped_policy not in UNMAPPED_POLICIES:
+        raise ValueError(f"unknown unmapped policy {unmapped_policy!r}")
+    units, entries, after_consonant = [], table._entries, False
+    # a unit is at a word edge where the text ends or a separator
+    # grapheme is next to it: grapheme i has edge[i] before it and
+    # edge[i + 2] after it
+    edge = [True, *map(is_word_separator, graphemes), True]
     for i, g in enumerate(graphemes):
-        # a unit is at a word edge where the text ends or a separator
-        # grapheme is next to it; a neighbour with a role is a letter,
-        # never a separator
-        fields = _unit(
-            entries, g, roles[i],
-            i == 0 or (roles[i - 1] is None and is_word_separator(graphemes[i - 1])),
-            i == last or (roles[i + 1] is None and is_word_separator(graphemes[i + 1])),
-            unmapped_policy,
-        )
+        fields = _unit(entries, g, _role(g.char_class, after_consonant, False),
+                       edge[i], edge[i + 2], unmapped_policy)
         if fields is None:
             raise UnmappedGraphemeError(g.text, sum(len(x.text) for x in graphemes[:i]))
         units.append(MappedUnit(*fields))
+        after_consonant = g.char_class is _CONSONANT
     return units
 
 

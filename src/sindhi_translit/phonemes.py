@@ -1,18 +1,22 @@
 """Phoneme segmentation: group classified graphemes into C / V / CV units.
 
-The grouping is an adapter over the role walk ``mapping.roles``, which
-the engine runs without it: a matra joins the consonant before it as a
-CV unit, and every other grapheme is a unit of its own.  Spaces,
+The grouping is one walk of the role rule ``mapping._role``, which the
+engine runs without it: a matra joins the consonant before it as a CV
+unit, and every other grapheme is a unit of its own.  Spaces,
 punctuation and digits, and under the pass policy an orphan vowel sign,
-become Other units, so sentence structure survives to the output.
+become Other units, so sentence structure survives to the output.  Of
+the staged functions this runs first, so its orphan sign outranks any
+other error.
 """
 
 from __future__ import annotations
 
 import enum
 
+from .errors import OrphanMatraError
+
 # the orphan policies are re-exported from their home
-from .mapping import ORPHAN_PASS, ORPHAN_POLICIES, ORPHAN_REJECT, Role, roles
+from .mapping import _CONSONANT, _ORPHAN, ORPHAN_PASS, ORPHAN_POLICIES, ORPHAN_REJECT, Role, _role
 from .records import Record
 from .script import Grapheme, ScriptInventory, cluster_graphemes
 
@@ -56,16 +60,26 @@ class Phoneme(Record, frozen=True):
 
 
 def phonify_graphemes(graphemes, *, orphan_policy: str = ORPHAN_REJECT) -> list[Phoneme]:
-    """Group an already-clustered grapheme sequence into phonemes: the
-    ``mapping.roles`` walk, with a matra joined to the consonant before
-    it as CV, and any other grapheme a phoneme of its own: C for a
-    consonant, V for an independent vowel, Other for one with no role."""
-    out = []
-    for g, role in zip(graphemes, roles(graphemes, orphan_policy=orphan_policy)):
+    """Group an already-clustered grapheme sequence into phonemes in one
+    walk of the role rule (``mapping._role``): a matra joins the
+    consonant before it as CV, and any other grapheme is a phoneme of its
+    own: C for a consonant, V for an independent vowel, Other for one
+    with no role.  The reject policy raises the first orphan vowel sign
+    as :class:`OrphanMatraError` at its offset."""
+    if orphan_policy not in ORPHAN_POLICIES:
+        raise ValueError(f"unknown orphan policy {orphan_policy!r}")
+    reject = orphan_policy == ORPHAN_REJECT
+    out, after_consonant, offset = [], False, 0
+    for g in graphemes:
+        role = _role(g.char_class, after_consonant, reject)
         if role is _MATRA:
             out[-1] = Phoneme((out[-1].graphemes[0], g), _CV)
+        elif role is _ORPHAN:
+            raise OrphanMatraError(g.text, offset)
         else:
             out.append(Phoneme((g,), _C if role is _ANY else _V if role is _VOWEL else _OTHER))
+        after_consonant = g.char_class is _CONSONANT
+        offset += len(g.text)
     return out
 
 

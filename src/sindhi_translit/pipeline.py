@@ -5,22 +5,23 @@ policies) and then converts lines independently: same input, same
 output.  A new word is one split into grapheme keys
 (``ScriptInventory.grapheme_keys``) and one step per grapheme from a
 bounded step table, each step built by the role and row-to-unit rules
-``mapping.map_graphemes`` runs.  The step table is the engine's one
+``mapping.map_phonemes`` runs.  The step table is the engine's one
 per-grapheme cache: only a step it misses classifies its key and
 searches the mapping rows.  ``ngram._decide`` decides each ambiguous
 grapheme from the model's counts, in a context of the neighbouring
 grapheme keys within the word, word edges contributing the boundary
 symbol, and its answer goes straight into the unit's fields.  A step
 whose unit would raise holds its error class instead, so the same walk
-finds a line's error, which the engine raises by ``map_graphemes``'
-precedence.  One walk per line gives each word's memo entry (its unit
-fields, its output text and, once traced, its trace rows), and units,
-records and the untraced text are all read from that one list.  The
-staged functions (``phonify``, ``map_phonemes``) are adapters over the
-same rules that only add the ``Phoneme`` objects, which the engine
-never builds.  Every decision is therefore local to a word, and the
-engine converts a line word by word, each distinct word once, traced
-or not.
+finds a line's error, which the engine raises by the staged functions'
+precedence: the order they run in, ``phonify`` (orphan signs), then
+``map_phonemes`` (unmapped graphemes), then deciding (no model).  One
+walk per line gives each word's memo entry (its unit fields, its output
+text and, once traced, its trace rows), and units, records and the
+untraced text are all read from that one list.  The staged functions
+(``phonify``, ``map_phonemes``) are adapters over the same rules that
+only add the ``Phoneme`` objects, which the engine never builds.  Every
+decision is therefore local to a word, and the engine converts a line
+word by word, each distinct word once, traced or not.
 """
 
 from __future__ import annotations
@@ -287,12 +288,13 @@ class Transliterator:
         """The memo entries of the words of ``line``'s NFC form, in
         order, each taken from the memo or built by :meth:`_word_entry`.
 
-        A line with a fault raises the error ``map_graphemes`` gives the
-        whole line: its first orphan sign, else its first unmapped
-        grapheme, else its first ambiguous grapheme with no model, at its
-        offset in ``line`` as given.  So a fault does not end the walk:
-        the words after it are converted too, and a memoised word has no
-        fault."""
+        A line with a fault raises the error the staged functions give
+        the whole line, in the order they run: its first orphan sign
+        (``phonify``), else its first unmapped grapheme
+        (``map_phonemes``), else its first ambiguous grapheme with no
+        model (deciding), at its offset in ``line`` as given.  So a
+        fault does not end the walk: the words after it are converted
+        too, and a memoised word has no fault."""
         text = normalize(line)
         memo, entries, faults = self._memo, [], {}
         words = self.inventory.words(text)

@@ -1,7 +1,7 @@
 """`tools/bench_trajectory.py --compare`: medians, ratios, pairs won and
-median gaps over the parent's interquartile range, end-to-end metrics
-checked against their bounds, and a quiet end when its reader stops
-early."""
+median gaps over the parent's interquartile range, runs split by seed,
+end-to-end metrics checked against their bounds, and a quiet end when
+its reader stops early."""
 
 import importlib.util
 import json
@@ -16,13 +16,15 @@ bench_trajectory = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_trajectory)
 
 
-def trajectory(workload, runs):
+def trajectory(workload, runs, seeds=None):
     """A trajectory file's contents with ``runs`` (dicts of metric
-    values) of ``workload``."""
+    values) of ``workload``, run ``i`` of seed ``seeds[i]`` (default 1)."""
     unit = {"setup_s": "s", "convert_kchar_per_s": "kchar/s", "other": "count"}
     units = {name: unit[name] for name in runs[0]}
-    entry = {"runs": [{"seed": 1, "attempted": 1, "failed": 0, "correct": True,
-                       "python": "3", "cpu_count": 1, "metrics": m} for m in runs],
+    seeds = seeds or [1] * len(runs)
+    entry = {"runs": [{"seed": seed, "attempted": 1, "failed": 0, "correct": True,
+                       "python": "3", "cpu_count": 1, "metrics": m}
+                      for m, seed in zip(runs, seeds)],
              "units": units}
     entry["summary"] = bench_trajectory.summarise(entry["runs"], units)
     return {"label": "x", "workloads": {workload: entry}}
@@ -73,6 +75,35 @@ def test_compare_skips_a_workload_one_file_lacks():
     assert bench_trajectory.compare(hot, cold, {}) == []
 
 
+def speeds(*values):
+    return [{"convert_kchar_per_s": float(v)} for v in values]
+
+
+def test_compare_splits_runs_by_seed_when_a_file_holds_several():
+    # the parent alternates seeds and the change ran them in blocks: each
+    # seed's k-th runs are paired, not the files' k-th runs
+    parent = trajectory("convert-hot", speeds(10, 100, 11, 101, 12), [3, 7, 3, 7, 3])
+    change = trajectory("convert-hot", speeds(11, 12, 13, 90, 99), [3, 3, 3, 7, 7])
+    better = {"convert_kchar_per_s": "higher"}
+    lines = bench_trajectory.compare(parent, change, better)
+    assert [line.split() for line in lines[1:]] == [
+        ["convert-hot@3", "convert_kchar_per_s", "kchar/s", "11", "12", "1.091", "3/3",
+         "+1.00"],
+        ["convert-hot@7", "convert_kchar_per_s", "kchar/s", "100.5", "94.5", "0.940", "0/2",
+         "-12.00"],
+    ]
+
+
+def test_a_file_with_one_seed_is_split_against_one_with_several():
+    # seed 7 is in one file only, so it has no row
+    parent = trajectory("convert-cold", speeds(10, 11, 50), [3, 3, 7])
+    change = trajectory("convert-cold", speeds(20, 22), [3, 3])
+    lines = bench_trajectory.compare(parent, change, {})
+    assert [line.split()[:6] for line in lines[1:]] == [
+        ["convert-cold@3", "convert_kchar_per_s", "kchar/s", "10.5", "21", "2.000"],
+    ]
+
+
 def test_directions_follow_the_declared_metrics():
     better = bench_trajectory.directions()
     assert better["setup_s"] == "lower"
@@ -110,6 +141,17 @@ def test_metrics_just_inside_their_bounds_pass():
     assert bench_trajectory.past_bounds(parent, change, BOUNDS) == []
     # better by any amount is never past a bound
     assert bench_trajectory.past_bounds(change, parent, BOUNDS) == []
+
+
+def test_each_seed_is_checked_against_the_bounds():
+    # over both seeds the change's median is inside the bound; seed 7's
+    # is not
+    parent = trajectory("train-eval", speeds(100, 100, 100, 100), [3, 3, 7, 7])
+    change = trajectory("train-eval", speeds(130, 130, 75, 75), [3, 3, 7, 7])
+    assert bench_trajectory.past_bounds(parent, change, BOUNDS) == [
+        "train-eval@7 convert_kchar_per_s: median 75 against the parent's 100, "
+        "worse by more than its bound 0.2"
+    ]
 
 
 def checkout(tmp_path, files):

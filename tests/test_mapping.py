@@ -17,10 +17,9 @@ from sindhi_translit.mapping import (
     Resolution,
     Role,
     load_mapping,
-    map_graphemes,
     map_phonemes,
 )
-from sindhi_translit.phonemes import Phoneme, PhonemePattern, phonify
+from sindhi_translit.phonemes import Phoneme, PhonemePattern, phonify, phonify_graphemes
 from sindhi_translit.script import CharClass, cluster_graphemes, is_word_separator, normalize
 
 
@@ -259,19 +258,27 @@ def test_letter_units_take_their_role_from_the_grapheme_classes(inventory, text)
         ]
         for orphan_policy in (ORPHAN_REJECT, ORPHAN_PASS):
             for unmapped_policy in (UNMAPPED_ERROR, UNMAPPED_PASS):
-                policies = {"orphan_policy": orphan_policy, "unmapped_policy": unmapped_policy}
+                policies = orphan_policy, unmapped_policy
                 error = None
                 if orphans and orphan_policy == ORPHAN_REJECT:
                     error, at = OrphanMatraError, orphans[0]
                 elif unmapped and unmapped_policy == UNMAPPED_ERROR:
                     error, at = UnmappedGraphemeError, unmapped[0]
+
+                def staged():
+                    return map_phonemes(
+                        table,
+                        phonify_graphemes(graphemes, orphan_policy=orphan_policy),
+                        unmapped_policy=unmapped_policy,
+                    )
+
                 if error is not None:
                     with pytest.raises(error) as excinfo:
-                        map_graphemes(table, graphemes, **policies)
+                        staged()
                     assert excinfo.type is error, (text, policies)
                     assert excinfo.value.offset == offsets[at], (text, policies)
                     continue
-                units = map_graphemes(table, graphemes, **policies)
+                units = staged()
                 assert [u.source for u in units] == graphemes
                 for i, (unit, want) in enumerate(zip(units, expected)):
                     assert unit.candidates == (want or ()), (text, i)
@@ -298,3 +305,8 @@ def test_phoneme_whose_length_does_not_fit_its_pattern_is_rejected(inventory, ta
     ):
         with pytest.raises(ValueError):
             map_phonemes(table, phonemes)
+
+
+def test_map_phonemes_reads_an_iterator_once(inventory, table):
+    phonemes = phonify(inventory, "तारो कमल")
+    assert map_phonemes(table, iter(phonemes)) == map_phonemes(table, phonemes)

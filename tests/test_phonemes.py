@@ -85,6 +85,15 @@ def test_phonify_graphemes_direct(inventory):
     assert [p.text for p in phonemes] == ["ता", "रो"]
 
 
+def test_phonify_graphemes_reads_an_iterator_once(inventory):
+    # one walk over the input: an iterator gives the list's phonemes,
+    # and its orphan sign the list's error at the same offset
+    graphemes = cluster_graphemes(inventory, "तारो")
+    assert phonify_graphemes(iter(graphemes)) == phonify_graphemes(graphemes)
+    with pytest.raises(OrphanMatraError) as excinfo:
+        phonify_graphemes(iter(cluster_graphemes(inventory, "का ि")))
+    assert excinfo.value.offset == 3
+
 def _random_text(rng, length):
     pool = (
         list("कखगघतथनमसहरल")

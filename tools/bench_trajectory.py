@@ -25,17 +25,20 @@ over parent), the pairs the change won and the gap between the medians
 over the parent's interquartile range: run ``i`` of one file is paired
 with run ``i`` of the other, a pair is won when the change's value is
 strictly better in the direction ``BENCHMARK.json`` gives the metric, and
-the gap is positive when the change's median is the better one (``-``
-for a metric it does not list, and a gap is ``-`` when the parent's
-quartiles are equal).  A gain may be claimed on a metric only when the
-change won at least 9 of 10 pairs and the gap is greater than 1, i.e.
-the change's median is better by more than the parent's interquartile
-range.  The exit status is 1 when
-the change's median of an end-to-end metric is worse than the parent's by
-more than the metric's ``BENCHMARK.json`` bound, a fraction of the
-parent's median; each such workload and metric is named on stderr, under
-the same table.  It is 2 when a file cannot be read or the files share
-no workload.
+the gap is positive when the change's median is the better one (``-`` for
+a metric it does not list, and a gap is ``-`` when the parent's quartiles
+are equal).  When either file holds runs of more than one seed for a
+workload, each seed both files hold gets its own rows, named
+``workload@seed``: medians, quartiles and pairs are taken from that seed's
+runs alone, the k-th run of a seed in one file paired with the k-th run of
+that seed in the other.  A gain may be claimed on a metric only when the
+change won at least 9 of 10 pairs and the gap is greater than 1, i.e. the
+change's median is better by more than the parent's interquartile range.
+The exit status is 1 when the change's median of an end-to-end metric is
+worse than the parent's by more than the metric's ``BENCHMARK.json``
+bound, a fraction of the parent's median, in any row; each such row and
+metric is named on stderr, under the same table.  It is 2 when a file
+cannot be read or the files share no workload.
 
 Either way, a reader that closes the output early (``| head``) ends the
 run with status 1 and no traceback.
@@ -62,6 +65,8 @@ def summarise(runs, units):
     metrics = {}
     for name, unit in sorted(units.items()):
         values = [run["metrics"][name] for run in runs if name in run["metrics"]]
+        if not values:
+            continue
         q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
                           if len(values) > 1 else values * 3)
         metrics[name] = {"unit": unit, "median": median, "q1": q1, "q3": q3,
@@ -95,20 +100,43 @@ def bounds():
     return {m["name"]: (m["better"], m["bound"]) for m in declared().get("end_to_end", [])}
 
 
-def medians(parent, change):
-    """(workload, metric, unit, parent median, change median, parent
-    interquartile range) for each metric of each workload that both
-    trajectories summarise."""
+def groups(parent, change):
+    """(row label, units, parent runs, change runs, parent summary, change
+    summary) for each workload that both trajectories hold.  A workload
+    is one group under its own name, unless either file holds runs of
+    more than one seed for it: then each seed both files hold is a group
+    of that seed's runs, named ``workload@seed`` and summarised from
+    those runs alone."""
     for workload in WORKLOADS:
         if workload not in parent["workloads"] or workload not in change["workloads"]:
             continue
         old, new = parent["workloads"][workload], change["workloads"][workload]
         units = {**old.get("units", {}), **new.get("units", {})}
+        seeds = [{run["seed"] for run in entry["runs"]} for entry in (old, new)]
+        if max(map(len, seeds)) == 1:
+            yield workload, units, old["runs"], new["runs"], old["summary"], new["summary"]
+            continue
+        for seed in sorted(seeds[0] & seeds[1]):
+            runs = [[run for run in entry["runs"] if run["seed"] == seed] for entry in (old, new)]
+            yield (f"{workload}@{seed}", units, *runs,
+                   *(summarise(group, units) for group in runs))
+
+
+def medians(parent, change):
+    """(row label, metric, unit, parent median, change median, parent
+    interquartile range, paired values) for each metric of each group of
+    runs (:func:`groups`) that both trajectories summarise: run ``i`` of
+    a group in one file is paired with run ``i`` of the group in the
+    other."""
+    for label, units, old_runs, new_runs, old, new in groups(parent, change):
         for name in sorted(units):
-            before, after = (entry["summary"]["metrics"].get(name) for entry in (old, new))
+            before, after = (summary["metrics"].get(name) for summary in (old, new))
             if before and after:
-                yield (workload, name, units[name], before["median"], after["median"],
-                       before["q3"] - before["q1"])
+                pairs = [(a["metrics"][name], b["metrics"][name])
+                         for a, b in zip(old_runs, new_runs)
+                         if name in a["metrics"] and name in b["metrics"]]
+                yield (label, name, units[name], before["median"], after["median"],
+                       before["q3"] - before["q1"], pairs)
 
 
 def past_bounds(parent, change, bounds):
@@ -116,7 +144,7 @@ def past_bounds(parent, change, bounds):
     direction and bound) whose change median is worse than the parent's
     by more than the bound times the parent's median."""
     messages = []
-    for workload, name, _, old, new, _ in medians(parent, change):
+    for workload, name, _, old, new, _, _ in medians(parent, change):
         if name not in bounds:
             continue
         better, bound = bounds[name]
@@ -133,16 +161,12 @@ def compare(parent, change, better):
     parent's, signed so that better is positive, over the parent's
     interquartile range."""
     rows = [("workload", "metric", "unit", "parent", "change", "ratio", "won", "gap/IQR")]
-    for workload, name, unit, old, new, iqr in medians(parent, change):
+    for workload, name, unit, old, new, iqr, pairs in medians(parent, change):
         ratio = f"{new / old:.3f}" if old else "-"
         won = gap = "-"
         if name in better:
             sign = 1 if better[name] == "higher" else -1
-            pairs = zip(parent["workloads"][workload]["runs"],
-                        change["workloads"][workload]["runs"])
-            values = [(a["metrics"][name], b["metrics"][name]) for a, b in pairs
-                      if name in a["metrics"] and name in b["metrics"]]
-            won = f"{sum(sign * (b - a) > 0 for a, b in values)}/{len(values)}"
+            won = f"{sum(sign * (b - a) > 0 for a, b in pairs)}/{len(pairs)}"
             if iqr:
                 gap = f"{sign * (new - old) / iqr:+.2f}"
         rows.append((workload, name, unit, f"{old:.6g}", f"{new:.6g}", ratio, won, gap))
