@@ -16,7 +16,7 @@ import shutil
 import stat
 import sys
 
-from .data import open_text, read_rows
+from .data import read_rows, read_text
 from .errors import (
     AlignmentError,
     ConfigError,
@@ -205,10 +205,25 @@ def cmd_transliterate(args) -> int:
 
 def cmd_train(args) -> int:
     inventory = load_inventory(args.inventory)
-    with open_text(args.corpus) as fh:
-        corpus_lines = [line.rstrip("\r\n") for line in fh]
-    pairs = load_aligned(args.aligned)
-    _check_source_units(inventory, pairs, args.aligned)
+    corpus_lines = read_text(args.corpus).split("\n")
+    if not corpus_lines[-1]:
+        corpus_lines.pop()  # the piece after a final line end, or of an empty file
+    checked = {WORD_GAP}
+
+    def parse_row(fields, line_no):
+        # an aligned source unit that the inventory does not cluster into
+        # exactly one grapheme is rejected: text never yields it, so its
+        # emission counts could never be used
+        pair = parse_aligned_row(fields, line_no)
+        for unit in pair.source_units:
+            if unit not in checked:  # normalised by parse_aligned_row
+                if len(inventory.grapheme_keys(unit)) != 1:
+                    raise DataFormatError(f"source unit {unit!r} is not a single grapheme "
+                                          "under the inventory")
+                checked.add(unit)
+        return pair
+
+    pairs = read_rows(args.aligned, parse_row)
     try:
         model = train_model(inventory, corpus_lines, pairs)
     except DataFormatError as err:
@@ -225,25 +240,6 @@ def cmd_train(args) -> int:
     print(f"emission entries  {len(model.emission)}")
     print(f"model written to  {args.out}")
     return EXIT_OK
-
-
-def _check_source_units(inventory, pairs, path):
-    """Reject an aligned source unit that the inventory does not cluster
-    into exactly one grapheme: text never yields it, so its emission
-    counts could never be used."""
-    checked = {WORD_GAP}
-    for pair in pairs:
-        for unit in pair.source_units:
-            if unit not in checked:
-                # parse_aligned_row has normalised the unit
-                if len(inventory.grapheme_keys(unit)) != 1:
-                    raise DataFormatError(
-                        f"source unit {unit!r} is not a single grapheme "
-                        "under the inventory",
-                        path=path,
-                        line=pair.line,
-                    )
-                checked.add(unit)
 
 
 def _load_system_rows(path):

@@ -1,59 +1,57 @@
 """Locations of the data files shipped inside the package, the reader
-every data file goes through, and the reader of the row files."""
+every data file goes through (``read_text``: one decode per file), and
+the reader of the row files, which names a faulty row's file and line."""
 
 from __future__ import annotations
 
-import codecs
-import io
 import os
 
-from .errors import DataFormatError
+from .errors import ConfigError, DataFormatError
 
 
-def open_text(path) -> io.StringIO:
-    """Read a UTF-8 data file into a line-iterable text stream with
-    universal newlines, as ``open(path, encoding="utf-8")`` would.
+def read_text(path) -> str:
+    """A UTF-8 data file's text, decoded in one call with universal
+    newlines, as ``open(path, encoding="utf-8").read()`` gives it, less
+    one leading byte-order mark.
 
-    One leading UTF-8 byte-order mark is dropped.  Bytes that are not
-    UTF-8 raise DataFormatError naming the path, line and byte instead
-    of a bare UnicodeDecodeError.
+    Bytes that are not UTF-8 raise DataFormatError naming the path, line
+    and byte instead of a bare UnicodeDecodeError.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read().removeprefix(codecs.BOM_UTF8)
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as err:
-        # a line ends at \n, \r\n or a lone \r, as universal newlines have it
-        head = raw[: err.start]
-        raise DataFormatError(
-            f"invalid UTF-8 byte 0x{raw[err.start]:02x}",
-            path=path,
-            line=head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1,
-        ) from None
-    return io.StringIO(text, newline=None)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read().removeprefix("\ufeff")
+        except UnicodeDecodeError as err:
+            # the error holds the whole file: read() decodes it in one call;
+            # a line ends at \n, \r\n or a lone \r, as universal newlines have it
+            head = err.object[: err.start]
+            raise DataFormatError(
+                f"invalid UTF-8 byte 0x{err.object[err.start]:02x}",
+                path=path,
+                line=head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1,
+            ) from None
 
 
 def read_rows(path, parse_row) -> list:
-    """Parse each row of a row file: ``parse_row(fields, line)`` for
-    every line that is neither blank nor a ``#`` comment, with the
-    line's tab-separated fields and its number (from 1).
+    """Parse each row of a row file, read by ``read_text``:
+    ``parse_row(fields, line)`` for every line that is neither blank nor
+    a ``#`` comment, with the line's tab-separated fields and its number
+    (from 1).
 
     The inventory, mapping, aligned, gold, system and config files are
-    row files.  A DataFormatError that ``parse_row`` raises is raised
-    again, of the same class, naming ``path`` and the line.  Returns the
-    parsed rows in file order.
+    row files.  A ConfigError or DataFormatError that ``parse_row``
+    raises is raised again, of the same class, naming ``path`` and the
+    line, so no row parser names them.  Returns the parsed rows in file
+    order.
     """
     rows = []
-    with open_text(path) as fh:
-        for line_no, raw in enumerate(fh, 1):
-            line = raw.rstrip("\r\n")
-            head = line.lstrip()
-            if not head or head[0] == "#":
-                continue
-            try:
-                rows.append(parse_row(line.split("\t"), line_no))
-            except DataFormatError as err:
-                raise type(err)(str(err), path=path, line=line_no) from None
+    for line_no, line in enumerate(read_text(path).split("\n"), 1):
+        head = line.lstrip()
+        if not head or head[0] == "#":
+            continue
+        try:
+            rows.append(parse_row(line.split("\t"), line_no))
+        except (ConfigError, DataFormatError) as err:
+            raise type(err)(str(err), path=path, line=line_no) from None
     return rows
 
 

@@ -6,15 +6,8 @@ should subclass the closest existing family rather than Exception.
 
 
 class TransliterationError(Exception):
-    """Base class for every error raised by this package."""
-
-
-class ConfigError(TransliterationError):
-    """Bad or missing configuration: unknown key, bad value, absent path."""
-
-
-class DataFormatError(TransliterationError):
-    """Malformed data file (inventory, mapping table, model, corpus)."""
+    """Base class for every error raised by this package; one raised
+    with a ``path`` (and a ``line``) names them first."""
 
     def __init__(self, message, path=None, line=None):
         self.path = path
@@ -26,6 +19,14 @@ class DataFormatError(TransliterationError):
                 prefix += f"{line}:"
             prefix += " "
         super().__init__(prefix + message)
+
+
+class ConfigError(TransliterationError):
+    """Bad or missing configuration: unknown key, bad value, absent path."""
+
+
+class DataFormatError(TransliterationError):
+    """Malformed data file (inventory, mapping table, model, corpus)."""
 
 
 class AlignmentError(DataFormatError):

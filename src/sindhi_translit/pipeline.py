@@ -115,9 +115,9 @@ class EngineConfig(Record, frozen=True):
 
     @classmethod
     def from_file(cls, path) -> "EngineConfig":
-        """Parse a key=value config file, a row file (``data.read_rows``)
-        whose tabs are part of a line; relative paths are taken relative
-        to the file itself."""
+        """Parse a key=value config file, a row file (``data.read_rows``,
+        which names a faulty row's line) whose tabs are part of a line;
+        relative paths are taken relative to the file itself."""
         values = {}
         base = os.path.dirname(os.path.abspath(path))
 
@@ -125,24 +125,22 @@ class EngineConfig(Record, frozen=True):
             key, sep, value = "\t".join(fields).partition("=")
             key, value = key.strip(), value.strip()
             if not sep or not key:
-                raise ConfigError(f"{path}:{line_no}: expected key=value")
+                raise ConfigError("expected key=value")
             if key not in cls._fields:
-                raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
+                raise ConfigError(f"unknown key {key!r}")
             if key in values:
-                raise ConfigError(f"{path}:{line_no}: duplicate key {key!r}")
+                raise ConfigError(f"duplicate key {key!r}")
             if key == "smoothing":
                 flag = _BOOL_VALUES.get(value.lower())
                 if flag is None:
-                    raise ConfigError(
-                        f"{path}:{line_no}: smoothing must be true or false"
-                    )
+                    raise ConfigError("smoothing must be true or false")
                 values[key] = flag
             elif key in ("inventory", "mapping", "model"):
                 if not value:
-                    raise ConfigError(f"{path}:{line_no}: {key} needs a path")
+                    raise ConfigError(f"{key} needs a path")
                 values[key] = os.path.join(base, value)
             elif value not in _CHOICES[key][0]:  # a policy
-                raise ConfigError(f"{path}:{line_no}: unknown {_CHOICES[key][1]} {value!r}")
+                raise ConfigError(f"unknown {_CHOICES[key][1]} {value!r}")
             else:
                 values[key] = value
 

@@ -16,7 +16,7 @@ from collections import Counter
 from functools import partial
 from itertools import chain, islice
 
-from .data import open_text, read_rows
+from .data import read_rows, read_text
 from .errors import AlignmentError, DataFormatError
 from .ngram import BOUNDARY, NgramModel
 from .records import Record
@@ -229,8 +229,7 @@ def load_model(path, *, add_one_smoothing: bool = False) -> NgramModel:
     never does; any other file goes through a per-line loop, the one
     place that names a faulty line.
     """
-    with open_text(path) as fh:
-        text = fh.read()
+    text = read_text(path)
     if not text:
         raise DataFormatError("empty model file", path=path)
     # the two header lines end at "\n" only, the one line end universal
@@ -274,43 +273,35 @@ def load_model(path, *, add_one_smoothing: bool = False) -> NgramModel:
         for line_no, line in enumerate(text.split("\n")[2:], 3):
             if not line:
                 continue
-            if line.startswith("[") and line.endswith("]"):
-                name = line[1:-1]
-                if name not in _SECTIONS:
-                    raise DataFormatError(
-                        f"unknown section {name!r}", path=path, line=line_no
-                    )
-                current, counts, arity = name, sections[name], _KEY_ARITY[name]
-                continue
-            if current is None:
-                raise DataFormatError("counts before any section header",
-                                      path=path, line=line_no)
-            key_part, tab, count_part = line.partition("\t")
-            if not tab:
-                raise DataFormatError("expected <key>TAB<count>", path=path, line=line_no)
-            # save_model writes plain ASCII digits; int() alone would also
-            # take signs, spaces, underscores and non-ASCII digits
-            if not (count_part.isascii() and count_part.isdigit()):
-                raise DataFormatError(
-                    f"count {count_part!r} is not a run of ASCII digits",
-                    path=path,
-                    line=line_no,
-                )
             try:
-                count = int(count_part)
-            except ValueError:  # more digits than int() converts
-                raise DataFormatError(f"count of {len(count_part)} digits is too long to read",
-                                      path=path, line=line_no) from None
-            parts = key_part.split(" ")
-            if len(parts) != arity:
-                raise DataFormatError(
-                    f"{current} key needs {arity} part(s), got {len(parts)}",
-                    path=path,
-                    line=line_no,
-                )
-            key = parts[0] if arity == 1 else tuple(parts)
-            if key in counts:
-                raise DataFormatError(f"duplicate key {key_part!r}", path=path, line=line_no)
+                if line.startswith("[") and line.endswith("]"):
+                    name = line[1:-1]
+                    if name not in _SECTIONS:
+                        raise DataFormatError(f"unknown section {name!r}")
+                    current, counts, arity = name, sections[name], _KEY_ARITY[name]
+                    continue
+                if current is None:
+                    raise DataFormatError("counts before any section header")
+                key_part, tab, count_part = line.partition("\t")
+                if not tab:
+                    raise DataFormatError("expected <key>TAB<count>")
+                # save_model writes plain ASCII digits; int() alone would
+                # also take signs, spaces, underscores and non-ASCII digits
+                if not (count_part.isascii() and count_part.isdigit()):
+                    raise DataFormatError(f"count {count_part!r} is not a run of ASCII digits")
+                try:
+                    count = int(count_part)
+                except ValueError:  # more digits than int() converts
+                    raise DataFormatError(f"count of {len(count_part)} digits is too "
+                                          "long to read") from None
+                parts = key_part.split(" ")
+                if len(parts) != arity:
+                    raise DataFormatError(f"{current} key needs {arity} part(s), got {len(parts)}")
+                key = parts[0] if arity == 1 else tuple(parts)
+                if key in counts:
+                    raise DataFormatError(f"duplicate key {key_part!r}")
+            except DataFormatError as err:
+                raise DataFormatError(str(err), path=path, line=line_no) from None
             counts[key] = count
         for name, counts in sections.items():
             if len(counts) != declared[name]:

@@ -202,3 +202,24 @@ def test_compare_piped_into_a_reader_that_stops_early_ends_quietly(tmp_path):
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(), err) == (1, b"")
+
+
+def test_compare_checks_a_workload_the_benchmark_declares_past_its_bound(tmp_path):
+    # a fourth workload, declared in BENCHMARK.json alone, has its rows
+    # and its bounds checked as the first three do
+    parent = one_run("convert-zipf", setup_s=1.0, convert_kchar_per_s=100.0)
+    change = one_run("convert-zipf", setup_s=1.0, convert_kchar_per_s=70.0)
+    tool = checkout(tmp_path, {"a": parent, "b": change})
+    declared = json.loads((tmp_path / "BENCHMARK.json").read_text(encoding="utf-8"))
+    declared["workloads"].append({"name": "convert-zipf", "why": "a fourth workload"})
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(declared), encoding="utf-8")
+    proc = subprocess.run([sys.executable, str(tool), "--compare", "a", "b"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert [line.split()[:2] for line in proc.stdout.splitlines()[1:]] == [
+        ["convert-zipf", "convert_kchar_per_s"], ["convert-zipf", "setup_s"],
+    ]
+    assert proc.stderr == (
+        "bench_trajectory: convert-zipf convert_kchar_per_s: median 70 against the "
+        "parent's 100, worse by more than its bound 0.2\n"
+    )

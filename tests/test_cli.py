@@ -389,6 +389,48 @@ def test_train_rejects_source_unit_of_several_graphemes(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def train_argv(corpus, aligned, out_path):
+    return [
+        "train",
+        "--inventory", str(shipped.inventory_path()),
+        "--corpus", str(corpus),
+        "--aligned", str(aligned),
+        "-o", str(out_path),
+    ]
+
+
+def test_train_names_the_first_faulty_aligned_line(tmp_path, capsys):
+    # a source unit the inventory does not take for one grapheme is
+    # found as its row (line 2) is read, before the row with no tab
+    # (line 5) is reached
+    aligned = tmp_path / "aligned.tsv"
+    aligned.write_text("क\tK\nकि\tKI\nख\tX\nग\tG\nno tab\n", encoding="utf-8")
+    out_path = tmp_path / "model.tsv"
+    assert run(train_argv(shipped.demo_corpus_path(), aligned, out_path), capsys) == (
+        EXIT_DATA,
+        "",
+        f"translit: data error: {aligned}:2: source unit 'कि' is not a single "
+        "grapheme under the inventory\n",
+    )
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("raw, lines", [
+    ("तारो\nखंड".encode(), 2),  # no final line end
+    (b"", 0),
+    ("तारो\nखंड\n\n".encode(), 3),  # a blank last line
+    ("तारो\r\nखंड\r\n".encode(), 2),
+    ("तारो\rखंड\r".encode(), 2),
+])
+def test_train_counts_corpus_lines(raw, lines, tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(raw)
+    argv = train_argv(corpus, shipped.demo_aligned_path(), tmp_path / "model.tsv")
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[0] == f"corpus lines      {lines}"
+
+
 def test_train_rejects_corpus_key_with_whitespace(tmp_path, capsys):
     # a space or tab before a nukta joins the word, and such a key could
     # not be read back from the model file
@@ -1099,5 +1141,25 @@ def test_invalid_utf8_after_byte_order_mark_names_its_line(tmp_path):
     path = tmp_path / "rows.tsv"
     path.write_bytes(codecs.BOM_UTF8 + b"ab\n\xff\n")
     with pytest.raises(DataFormatError) as info:
-        shipped.open_text(path)
+        shipped.read_text(path)
     assert (info.value.line, str(info.value)) == (2, f"{path}:2: invalid UTF-8 byte 0xff")
+
+
+def test_truncated_byte_order_mark_is_not_utf8(tmp_path, capsys, monkeypatch, demo_model_path):
+    # the first two bytes of a mark: a data file holding them is not read
+    # as empty, and neither is an input file
+    bad = tmp_path / "bad.tsv"
+    bad.write_bytes(codecs.BOM_UTF8[:2])
+    monkeypatch.setattr(sys, "stdin", io.StringIO("क\n"))
+    for argv in (
+        ["transliterate", "--model", str(bad)],
+        ["transliterate", "--inventory", str(bad)],
+        train_argv(bad, shipped.demo_aligned_path(), tmp_path / "model.tsv"),
+    ):
+        assert run(argv, capsys) == (
+            EXIT_DATA, "", f"translit: data error: {bad}:1: invalid UTF-8 byte 0xef\n"
+        )
+    argv = ["transliterate", "--model", str(demo_model_path), "-i", str(bad)]
+    assert run(argv, capsys) == (
+        EXIT_PIPELINE, "", "translit: line 1: invalid UTF-8 byte 0xef at offset 0\n"
+    )

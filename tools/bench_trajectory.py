@@ -4,10 +4,11 @@
     python3 tools/bench_trajectory.py --label L --tree DIR --workload W --seed S --seconds N
 
 runs ``DIR/bench/run.py --workload W --seed S --seconds N --trace 0`` (the
-end-to-end metrics), and appends its result line to ``BENCH_<L>.json`` at
-the root of this checkout.  ``DIR`` may be another checkout, such as the
-parent commit's: alternating runs of two trees into two labels give paired
-runs, run ``i`` of one file against run ``i`` of the other.
+end-to-end metrics of ``W``, a workload ``BENCHMARK.json`` declares), and
+appends its result line to ``BENCH_<L>.json`` at the root of this
+checkout.  ``DIR`` may be another checkout, such as the parent commit's:
+alternating runs of two trees into two labels give paired runs, run ``i``
+of one file against run ``i`` of the other.
 
 For each workload the file keeps every run (seed, seconds, correct,
 attempted, failed and each metric's value) and a summary: the median and
@@ -20,10 +21,11 @@ The exit status is run.py's, or 2 when no result line came back.
     python3 tools/bench_trajectory.py --compare PARENT CHANGE
 
 reads ``BENCH_PARENT.json`` and ``BENCH_CHANGE.json`` and prints, for each
-workload in both and each metric, the two medians, their ratio (change
-over parent), the pairs the change won and the gap between the medians
-over the parent's interquartile range: run ``i`` of one file is paired
-with run ``i`` of the other, a pair is won when the change's value is
+workload in both that ``BENCHMARK.json`` declares, in its order, and each
+metric, the two medians, their ratio (change over parent), the pairs the
+change won and the gap between the medians over the parent's
+interquartile range: run ``i`` of one file is paired with run ``i`` of
+the other, a pair is won when the change's value is
 strictly better in the direction ``BENCHMARK.json`` gives the metric, and
 the gap is positive when the change's median is the better one (``-`` for
 a metric it does not list, and a gap is ``-`` when the parent's quartiles
@@ -56,7 +58,10 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("convert-hot", "convert-cold", "train-eval")
+# read once: the workloads, in the order their rows are printed, and each
+# metric's direction and bound
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+WORKLOADS = tuple(workload["name"] for workload in BENCHMARK["workloads"])
 
 
 def summarise(runs, units):
@@ -83,21 +88,16 @@ def summarise(runs, units):
     }
 
 
-def declared():
-    """``BENCHMARK.json`` as read."""
-    return json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-
-
 def directions():
     """Metric name -> "higher" or "lower", as ``BENCHMARK.json`` declares."""
     return {m["name"]: m["better"]
-            for group in ("end_to_end", "per_layer") for m in declared().get(group, [])}
+            for group in ("end_to_end", "per_layer") for m in BENCHMARK.get(group, [])}
 
 
 def bounds():
     """End-to-end metric name -> (direction, bound), as ``BENCHMARK.json``
     declares them."""
-    return {m["name"]: (m["better"], m["bound"]) for m in declared().get("end_to_end", [])}
+    return {m["name"]: (m["better"], m["bound"]) for m in BENCHMARK.get("end_to_end", [])}
 
 
 def groups(parent, change):
