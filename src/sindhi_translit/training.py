@@ -14,7 +14,7 @@ import re
 import sys
 from collections import Counter
 from functools import partial
-from itertools import chain, islice
+from itertools import compress, groupby, islice
 
 from .data import read_rows, read_text
 from .errors import AlignmentError, DataFormatError
@@ -39,12 +39,10 @@ _KEY_ARITY = {"unigram": 1, "bigram": 2, "trigram": 3, "emission": 2}
 # the memory a section takes beyond its counts is bounded by a block's
 _BLOCK = 1024
 
-# a block of the count lines of each section as save_model writes them:
-# up to _BLOCK lines, each of key parts free of space, tab and line end
-# (maybe empty), space-joined, a tab and ASCII digits, no more than the
-# least limit int() can be given (sys.set_int_max_str_digits), so
-# reading them later cannot fail; re keeps state for every line a
-# repeat matches, which the bound caps
+# a block of a section's count lines as save_model writes them: up to
+# _BLOCK lines of space-joined key parts free of space, tab and line end
+# (maybe empty), a tab and ASCII digits, no more than int() always reads
+# (sys.set_int_max_str_digits); the bound caps the state re keeps per line
 _COUNT_LINES = {
     name: re.compile(r"(?:%s\t[0-9]{1,%d}\n){0,%d}" % (
         " ".join([r"[^ \t\n]*"] * arity),
@@ -63,35 +61,44 @@ class AlignedPair(Record, frozen=True, compare=("source_units", "target_units"))
 
     __slots__ = ("source_units", "target_units", "line")
 
-    def __init__(
-        self,
-        source_units: tuple[str, ...],
-        target_units: tuple[str, ...],
-        line: int | None = None,
-    ):
+    def __init__(self, source_units: tuple[str, ...], target_units: tuple[str, ...],
+                 line: int | None = None):
         object.__setattr__(self, "source_units", source_units)
         object.__setattr__(self, "target_units", target_units)
         object.__setattr__(self, "line", line)
 
 
-def corpus_words(inventory: ScriptInventory, line: str) -> list[list[str]]:
-    """Split a raw line into words of grapheme keys.
+class _Tokens(dict):
+    """Grapheme key -> the token training counts for it under one
+    inventory, set on first sight: BOUNDARY for a separator piece (a
+    character the word rule splits at), else the key interned, so equal
+    keys are one object, which the tallies hash once and save_model's
+    sort compares by identity.  ``spaced``: the first of these with whitespace."""
 
-    The words are the inventory's (``ScriptInventory.words``), the ones
-    the engine converts, and each is split into keys by the one split
-    the engine uses (``ScriptInventory.grapheme_keys``); training counts
-    the key strings and builds no Grapheme for them.  Separator pieces
-    are dropped; unlisted letters are kept and counted under their own
-    keys.
-    """
-    return [
-        # interned, so equal keys are one object: the tallies hash each
-        # once, and save_model's sort compares them by identity
-        list(map(sys.intern, inventory.grapheme_keys(piece)))
-        for piece in inventory.words(normalize(line))
-        # a separator piece is one unlisted character, not a letter or mark
-        if len(piece) > 1 or piece in inventory._class_by_key or _letter_or_mark(piece)
-    ]
+    def __init__(self, inventory: ScriptInventory):
+        self.inventory, self.spaced = inventory, None
+
+    def __missing__(self, key):
+        split = self.inventory._word_break.fullmatch(key) and not _letter_or_mark(key)
+        if not split and self.spaced is None and _SPACE.search(key):
+            self.spaced = key
+        token = self[key] = BOUNDARY if split else sys.intern(key)
+        return token
+
+    def framed(self, line: str) -> list[str]:
+        """The tokens of raw ``line``'s NFC keys between two BOUNDARY."""
+        keys = self.inventory.grapheme_keys(normalize(line))
+        return [BOUNDARY, *map(self.__getitem__, keys), BOUNDARY]
+
+
+def corpus_words(inventory: ScriptInventory, line: str) -> list[list[str]]:
+    """Split a raw line into words of grapheme keys: training's tokens
+    (``_Tokens.framed``) split at BOUNDARY.  A separator is a key of its
+    own, so these are the inventory's words (``ScriptInventory.words``),
+    which the engine converts, in keys of the engine's one split
+    (``grapheme_keys``); unlisted letters are counted as their own keys."""
+    framed = _Tokens(inventory).framed(line)
+    return [list(word) for real, word in groupby(framed, BOUNDARY.__ne__) if real]
 
 
 def count_ngrams(inventory: ScriptInventory, lines) -> NgramModel:
@@ -145,30 +152,31 @@ def count_emissions(pairs) -> dict:
 def train_model(inventory: ScriptInventory, corpus_lines, aligned_pairs) -> NgramModel:
     """Count a text corpus and an aligned corpus into one model.
 
-    Each corpus word is padded with one boundary symbol per edge before
-    the bigram and trigram tallies; unigrams count only real characters.
-    The aligned rows are counted (``count_emissions``) after the corpus.
-    Smoothing is not part of a model's counts; it is chosen when the
-    model is loaded.
+    Each corpus line is one token list (``_Tokens.framed``): its words
+    with one boundary symbol per edge.  Unigrams count the real keys,
+    bigrams all adjacent pairs but two boundaries and trigrams all
+    triples centred on a real key, so each word counts as if padded on
+    its own.  The aligned rows are counted (``count_emissions``) after
+    the corpus.  Smoothing is chosen when the model is loaded.
 
     A key holding whitespace (a space or tab that a nukta follows joins
     its word) could not be written to a model file and read back, so it
-    is rejected at the end of the corpus line that first counts it,
-    naming that line (from 1).
+    is rejected at the corpus line that first holds it, naming that
+    line (from 1).
     """
     unigram, bigram, trigram = Counter(), Counter(), Counter()
+    tokens = _Tokens(inventory)
     for line_no, line in enumerate(corpus_lines, 1):
-        known = len(unigram)
-        words = corpus_words(inventory, line)
-        padded = [[BOUNDARY, *word, BOUNDARY] for word in words]
-        unigram.update(chain.from_iterable(words))
-        bigram.update(chain.from_iterable(zip(p, p[1:]) for p in padded))
-        trigram.update(chain.from_iterable(zip(p, p[1:], p[2:]) for p in padded))
-        # keys stay in the order first counted: the line's new ones last
-        new = len(unigram) - known
-        if new and _SPACE.search("".join(islice(reversed(unigram), new))):
-            key = next(k for k in islice(unigram, known, None) if _SPACE.search(k))
-            raise DataFormatError(f"corpus key {key!r} holds whitespace", line=line_no)
+        framed = tokens.framed(line)
+        if tokens.spaced is not None:
+            raise DataFormatError(f"corpus key {tokens.spaced!r} holds whitespace", line=line_no)
+        after = framed[1:]
+        unigram.update(framed)
+        bigram.update(zip(framed, after))
+        trigram.update(compress(zip(framed, after, framed[2:]), map(BOUNDARY.__ne__, after)))
+    # BOUNDARY as a unigram, and two as the bigram of an empty line or of
+    # separators at a line's ends or in a run (del skips a missing key)
+    del unigram[BOUNDARY], bigram[(BOUNDARY, BOUNDARY)]
     return NgramModel(unigram, bigram, trigram, count_emissions(aligned_pairs))
 
 
@@ -186,9 +194,7 @@ def parse_aligned_row(fields, line_no: int | None) -> AlignedPair:
     source = tuple(normalize(fields[0]).split())
     target = tuple(normalize(fields[1]).split())
     if len(source) != len(target):
-        raise AlignmentError(
-            f"{len(source)} source units vs {len(target)} target units"
-        )
+        raise AlignmentError(f"{len(source)} source units vs {len(target)} target units")
     return AlignedPair(source, target, line_no)
 
 
@@ -224,10 +230,12 @@ def load_model(path, *, add_one_smoothing: bool = False) -> NgramModel:
 
     Every section is checked here, so a bad file fails at load with its
     path and line.  The sections are read one of two ways, chosen once:
-    a file as ``save_model`` writes it is read by ``_saved_sections``,
-    its trigram dict built on first read, which bigram-mode conversion
-    never does; any other file goes through a per-line loop, the one
-    place that names a faulty line.
+    a file as ``save_model`` writes it whose key texts ascend is read by
+    ``_saved_sections``, its trigram dict built on first read, which
+    bigram-mode conversion never does.  Any other file, such as a saved
+    one whose sorted tuple keys do not sort as their texts (parts ``a``
+    and ``a\x01``), goes through a per-line loop, the one place that
+    names a faulty line.
     """
     text = read_text(path)
     if not text:
@@ -240,9 +248,7 @@ def load_model(path, *, add_one_smoothing: bool = False) -> NgramModel:
     if len(header) != 3 or header[0] != _MAGIC:
         raise DataFormatError("not a model file (bad magic)", path=path, line=1)
     if header[1] != _VERSION:
-        raise DataFormatError(
-            f"unsupported model version {header[1]!r}", path=path, line=1
-        )
+        raise DataFormatError(f"unsupported model version {header[1]!r}", path=path, line=1)
     if not header[2].startswith("boundary=") or len(header[2]) <= len("boundary="):
         raise DataFormatError("missing boundary symbol", path=path, line=1)
     boundary = header[2][len("boundary="):]
@@ -252,9 +258,7 @@ def load_model(path, *, add_one_smoothing: bool = False) -> NgramModel:
     for token in head[2].split(" ")[1:]:
         name, _, size = token.partition("=")
         if name not in _SECTIONS or not (size.isascii() and size.isdigit()):
-            raise DataFormatError(
-                f"bad sections token {token!r}", path=path, line=2
-            )
+            raise DataFormatError(f"bad sections token {token!r}", path=path, line=2)
         if name in declared:
             raise DataFormatError(f"section {name!r} declared twice", path=path, line=2)
         try:
@@ -305,15 +309,11 @@ def load_model(path, *, add_one_smoothing: bool = False) -> NgramModel:
             counts[key] = count
         for name, counts in sections.items():
             if len(counts) != declared[name]:
-                raise DataFormatError(
-                    f"section {name!r} declares {declared[name]} entries "
-                    f"but holds {len(counts)} (truncated or corrupt file)",
-                    path=path,
-                )
+                raise DataFormatError(f"section {name!r} declares {declared[name]} entries but "
+                                      f"holds {len(counts)} (truncated or corrupt file)", path=path)
         sections = sections.values()
-    return NgramModel(  # the sections in the constructor's order
-        *sections, boundary=boundary, add_one_smoothing=add_one_smoothing
-    )
+    # the sections in the constructor's order
+    return NgramModel(*sections, boundary=boundary, add_one_smoothing=add_one_smoothing)
 
 
 def _saved_sections(text, start, declared):

@@ -1,5 +1,6 @@
 """Test-side definitions shared by several test modules."""
 
+import unicodedata
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from sindhi_translit.script import (
     cluster_graphemes,
     is_word_separator,
     load_inventory,
+    normalize,
 )
 
 
@@ -60,6 +62,18 @@ def separator_runs(inventory, line):
     if current:
         words.append(current)
     return words
+
+
+def word_pieces(inventory, line):
+    """The words the engine converts: ``ScriptInventory.words`` of the
+    NFC line, less the separators it splits off (one character that no
+    key holds and that is neither a letter nor a mark)."""
+    key_chars = set("".join(inventory._class_by_key))
+    return [
+        piece
+        for piece in inventory.words(normalize(line))
+        if len(piece) > 1 or piece in key_chars or unicodedata.category(piece)[0] in "LM"
+    ]
 
 
 # inventory keys, words of the demo sample (so contexts the model has

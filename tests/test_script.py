@@ -4,7 +4,7 @@ import unicodedata
 import pytest
 from hypothesis import example, given, settings
 
-from helpers import INVENTORY_NAMES, classify, lines, make_inventory, rule_texts
+from helpers import INVENTORY_NAMES, classify, lines, make_inventory, rule_texts, word_pieces
 from sindhi_translit.errors import DataFormatError
 from sindhi_translit.script import (
     NUKTA,
@@ -126,8 +126,7 @@ def clustered_corpus_words(inventory, line):
     normalised again and clustered into Graphemes, whose texts are read."""
     return [
         [g.text for g in cluster_graphemes(inventory, piece)]
-        for piece in inventory.words(normalize(line))
-        if len(piece) > 1 or not is_word_separator(inventory.grapheme(piece))
+        for piece in word_pieces(inventory, line)
     ]
 
 
@@ -138,6 +137,7 @@ def clustered_corpus_words(inventory, line):
 @example(text="क \u093cख \u093c")
 @example(text="\u0958\u0959 \u095b\u095f, \u0929\u0931\u0934")
 @example(text="क\u0301ख\u05b0 \u064bग\u0e31 ,\u0300 \u0338=\u0338a\u0308")
+@example(text="[ क[ख")
 def test_words_of_nfc_text_are_nfc_and_split_into_the_clustered_keys(name, text):
     # the engine and training split each word of the NFC line into keys
     # without normalising again: that needs every word to be NFC already

@@ -2,15 +2,16 @@ import random
 import sys
 import tracemalloc
 import unicodedata
-from itertools import count, islice, product
+from collections import Counter
+from itertools import chain, count, islice, product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from helpers import lines, separator_runs
-from sindhi_translit import cli
+from helpers import INVENTORY_NAMES, lines, make_inventory, separator_runs, word_pieces
+from sindhi_translit import cli, training
 from sindhi_translit.errors import AlignmentError, DataFormatError
 from sindhi_translit.ngram import BOUNDARY, NgramModel
 from sindhi_translit.script import normalize
@@ -51,6 +52,25 @@ def test_corpus_words_unlisted_letter_is_a_token(toy_inventory):
 @example(line="\u0958\u093c\u093c ,")
 def test_corpus_words_equals_separator_runs(inventory, line):
     assert corpus_words(inventory, line) == separator_runs(inventory, line)
+
+
+def engine_words(inventory, line):
+    """The words the engine converts, each split by ``grapheme_keys``."""
+    return [inventory.grapheme_keys(piece) for piece in word_pieces(inventory, line)]
+
+
+@pytest.mark.parametrize("name", INVENTORY_NAMES)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(line=lines)
+@example(line="[ क[ख -")
+@example(line=", \u093cक1\u093c \u094d\u093cख")
+def test_corpus_words_are_the_words_the_engine_converts(name, line):
+    # training splits a whole line into keys once; its words must be the
+    # engine's, split word by word, so the model holds the contexts the
+    # engine asks for ("[" is a key character of the constructed
+    # inventory but no key: a word there, alone or not)
+    inventory = make_inventory(name)
+    assert corpus_words(inventory, line) == engine_words(inventory, line)
 
 
 def test_count_single_word(toy_inventory):
@@ -132,6 +152,66 @@ def test_count_ngrams_agrees_with_reference(toy_inventory):
                     words, a, b
                 )
         assert model.context_count(BOUNDARY) == len(words)
+
+
+# corpus lines with empty lines, lines of separators only, and runs of
+# separators at a line's start, in its middle and at its end
+_separators = st.text(st.sampled_from(" ,।1\t-"), max_size=3)
+_edge_lines = st.one_of(
+    st.just(""),
+    _separators,
+    st.tuples(_separators, lines, _separators, lines, _separators).map("".join),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(corpus=st.lists(_edge_lines, max_size=5))
+@example(corpus=["", " ,", ",, अब  अच ।", "अ", "- "])
+def test_counts_equal_the_reference_tallies(inventory, corpus):
+    words = [word for line in corpus for word in engine_words(inventory, line)]
+    if any(ch.isspace() for word in words for key in word for ch in key):
+        with pytest.raises(DataFormatError, match="holds whitespace"):
+            count_ngrams(inventory, corpus)
+        return
+    model = count_ngrams(inventory, corpus)
+    for key, n in model.unigram.items():
+        assert n == reference.unigram_count(words, key)
+    for key, n in model.bigram.items():
+        assert n == reference.bigram_count(words, *key)
+    for key, n in model.trigram.items():
+        assert n == reference.trigram_count(words, *key)
+    # every count above is right; these totals of the padded words show
+    # that none is missing
+    assert sum(model.unigram.values()) == sum(map(len, words))
+    assert sum(model.bigram.values()) == sum(len(word) + 1 for word in words)
+    assert sum(model.trigram.values()) == sum(map(len, words))
+
+
+def test_whitespace_error_names_the_line_and_the_key_that_holds_it(toy_inventory):
+    # line 2 adds two new keys, ग and a space that a nukta follows; only
+    # the second holds whitespace
+    spaced = " \u093c"
+    with pytest.raises(DataFormatError, match="holds whitespace") as info:
+        train_model(toy_inventory, ["अब", "अग" + spaced, "अच"], [])
+    assert info.value.line == 2
+    assert repr(spaced) in str(info.value)
+
+
+def test_each_call_classifies_its_keys_afresh(toy_inventory, inventory):
+    # a key table kept from an earlier call would skip the whitespace
+    # check for a key seen there, and keep another inventory's
+    # separators: "-" is a key of the constructed inventory, and a
+    # separator of the other two
+    constructed = make_inventory("constructed")
+    corpus = ["कख-क", "अग \u093c"]
+    for inv in [toy_inventory, inventory, constructed, toy_inventory, constructed, inventory]:
+        with pytest.raises(DataFormatError, match="holds whitespace") as info:
+            train_model(inv, corpus, [])
+        assert info.value.line == 2
+        words = engine_words(inv, corpus[0])
+        model = train_model(inv, corpus[:1], [])
+        assert model.unigram == Counter(chain.from_iterable(words))
+        assert sum(model.bigram.values()) == sum(len(word) + 1 for word in words)
 
 
 def test_count_emissions_basic():
@@ -323,6 +403,25 @@ def test_save_load_key_beginning_with_hash(inventory, tmp_path):
     save_model(model, path)
     assert any(line.startswith("#") for line in path.read_text("utf-8").splitlines())
     assert load_model(path) == model
+
+
+def test_saved_model_whose_key_texts_do_not_ascend_loads_back(tmp_path, monkeypatch):
+    # save_model sorts tuple keys, ("a", "s") before ("a\x01", "s"),
+    # while their texts "a s" and "a\x01 s" sort the other way: the
+    # file is not in the form _saved_sections reads, and the per-line
+    # loop reads it
+    model = NgramModel({"s": 2}, {}, {}, {("a", "s"): 1, ("a\x01", "s"): 1})
+    path = tmp_path / "model.tsv"
+    save_model(model, path)
+    real, forms = training._saved_sections, []
+
+    def saved_sections(*args):
+        forms.append(real(*args))
+        return forms[-1]
+
+    monkeypatch.setattr(training, "_saved_sections", saved_sections)
+    assert load_model(path) == model
+    assert forms == [None]
 
 
 # key parts as counting produces them: non-empty text with no whitespace
