@@ -17,15 +17,9 @@ from .errors import UndefinedAccuracyError
 from .mapping import Resolution
 from .training import WORD_GAP, misalignment
 
-# the tally each resolution kind counts towards
-_BUCKET_OF = {
-    Resolution.RULE: "rule",
-    Resolution.STATISTICAL: "ml",
-    Resolution.FALLBACK: "ml",
-    Resolution.PASS_THROUGH: "passthrough",
-}
-# rule and ml are always scored; passthrough only when asked for
-_BUCKETS = ("rule", "ml", "passthrough")
+# module names, so a unit picks its tally by identity (hashing a member runs Python code)
+_RULE, _PASS_THROUGH = Resolution.RULE, Resolution.PASS_THROUGH
+_STATISTICAL, _FALLBACK = Resolution.STATISTICAL, Resolution.FALLBACK
 
 # Arabic Presentation Forms-A and -B
 _PRESENTATION_FORM = re.compile("[\ufb50-\ufdff\ufe70-\ufeff]")
@@ -108,7 +102,7 @@ class EvaluationReport:
             raise ValueError(
                 f"error_count={self.error_count} is not total minus correct"
             )
-        for name in _BUCKETS:
+        for name in ("rule", "ml", "passthrough"):
             correct = getattr(self, f"{name}_correct")
             total = getattr(self, f"{name}_total")
             if not 0 <= correct <= total:
@@ -133,99 +127,105 @@ class EvaluationReport:
         return accuracy(self.error_count, self.total_characters)
 
 
-def _word_count(source_units) -> int:
-    words, in_word = 0, False
-    for unit in source_units:
-        if unit == WORD_GAP:
-            in_word = False
-        elif not in_word:
-            words += 1
-            in_word = True
-    return words
-
-
-def _skip_reason(index, units, gold) -> str | None:
-    """Why a system row cannot be scored against its gold row, or None
-    when it lines up; a row that is a string is that reason.  An
-    unresolved unit in a row that lines up so far raises ValueError."""
-    if isinstance(units, str):
-        return units
-    if misalignment(gold.source_units, gold.target_units) is not None:
-        return "gold row is not positionally aligned"
-    if len(units) != len(gold.source_units):
-        return f"{len(units)} system units vs {len(gold.source_units)} gold units"
-    for pos, (unit, src) in enumerate(zip(units, gold.source_units)):
-        expected = " " if src == WORD_GAP else src
-        if unit.source.text != expected:
-            return (
-                f"source mismatch at position {pos}: "
-                f"{unit.source.text!r} vs {expected!r}"
-            )
-        if unit.resolved is None:
-            raise ValueError(f"row {index} position {pos}: unit is still unresolved")
-    return None
-
-
 def evaluate(
     system_sentences,
     gold_pairs,
     *,
     include_passthrough: bool = False,
 ) -> EvaluationReport:
-    """Score system output against gold, row by row, position by position.
+    """Score system output against gold in one walk of each row's units.
 
     ``system_sentences`` holds, for each gold row, its list of resolved
     units, or a string giving the reason the system produced none; a
     system file and an engine run over the gold rows both take this one
-    route.  Each unit counts towards the bucket ``_BUCKET_OF`` gives its
-    resolution kind, one ``[correct, total]`` pair per bucket.  A string
-    row is skipped with the string as the reason, and so is a gold row
-    that ``training.misalignment`` faults, or a row whose unit count or
-    source side disagrees with its gold row; each is reported, never
-    silently dropped.
+    route.  A row is skipped, with its reason reported, when it is that
+    string, when ``training.misalignment`` faults its gold row, or when
+    its unit count or, at some position, its source (a word gap reads
+    as ``" "``) disagrees with the gold row.  An unresolved unit before
+    any such position raises ValueError.  The walk counts the row's
+    words and tallies each unit's hit into rule, ml (statistical and
+    fallback) or passthrough; the row's tallies join the run's once it
+    is scored, where a unit with no resolution kind raises ValueError.
     """
     if len(system_sentences) != len(gold_pairs):
         raise ValueError(
             f"{len(system_sentences)} system rows vs {len(gold_pairs)} gold rows"
         )
-    tally = {name: [0, 0] for name in _BUCKETS}
+    # the run's tallies: (rule, ml, passthrough) x (correct, total)
+    rule_ok = rule_n = ml_ok = ml_n = pass_ok = pass_n = 0
     sentences = words = 0
     skipped = []
     for index, (units, gold) in enumerate(zip(system_sentences, gold_pairs)):
-        reason = _skip_reason(index, units, gold)
+        if isinstance(units, str):
+            skipped.append((index, units))
+            continue
+        sources = gold.source_units
+        if misalignment(sources, gold.target_units) is not None:
+            skipped.append((index, "gold row is not positionally aligned"))
+            continue
+        if len(units) != len(sources):
+            skipped.append((index, f"{len(units)} system units vs {len(sources)} gold units"))
+            continue
+        # this row's tallies and words, and what stops it being scored
+        r_ok = r_n = m_ok = m_n = p_ok = p_n = row_words = 0
+        in_word = kindless = False
+        reason = None
+        for pos, (unit, src, tgt) in enumerate(zip(units, sources, gold.target_units)):
+            if src == WORD_GAP:  # the gold row is aligned: so is tgt
+                src = tgt = " "
+                in_word = False
+            elif not in_word:
+                row_words += 1
+                in_word = True
+            if unit.source.text != src:
+                reason = f"source mismatch at position {pos}: {unit.source.text!r} vs {src!r}"
+                break
+            resolved = unit.resolved
+            if resolved is None:
+                raise ValueError(f"row {index} position {pos}: unit is still unresolved")
+            # normalisation is a function: equal strings need none
+            hit = resolved == tgt or normalize_target(resolved) == normalize_target(tgt)
+            kind = unit.resolution
+            if kind is _RULE:
+                r_n += 1
+                r_ok += hit
+            elif kind is _STATISTICAL or kind is _FALLBACK:
+                m_n += 1
+                m_ok += hit
+            elif kind is _PASS_THROUGH:
+                p_n += 1
+                p_ok += hit
+            else:
+                kindless = True
         if reason is not None:
             skipped.append((index, reason))
             continue
+        if kindless:
+            raise ValueError(f"row {index}: unit has no resolution kind")
         sentences += 1
-        words += _word_count(gold.source_units)
-        for unit, tgt in zip(units, gold.target_units):
-            bucket = _BUCKET_OF.get(unit.resolution)
-            if bucket is None:
-                raise ValueError(f"row {index}: unit has no resolution kind")
-            counts = tally[bucket]
-            counts[1] += 1
-            expected = " " if tgt == WORD_GAP else tgt
-            # normalisation is a function: equal strings need none
-            if unit.resolved == expected or (
-                normalize_target(unit.resolved) == normalize_target(expected)
-            ):
-                counts[0] += 1
-    scored = _BUCKETS if include_passthrough else _BUCKETS[:2]
-    total = sum(tally[name][1] for name in scored)
-    overall = sum(tally[name][0] for name in scored)
+        words += row_words
+        rule_ok += r_ok
+        rule_n += r_n
+        ml_ok += m_ok
+        ml_n += m_n
+        pass_ok += p_ok
+        pass_n += p_n
+    total = rule_n + ml_n + (pass_n if include_passthrough else 0)
+    overall = rule_ok + ml_ok + (pass_ok if include_passthrough else 0)
     return EvaluationReport(
         total_sentences=sentences,
         total_words=words,
         total_characters=total,
+        rule_correct=rule_ok,
+        rule_total=rule_n,
+        ml_correct=ml_ok,
+        ml_total=ml_n,
         overall_correct=overall,
         error_count=total - overall,
+        passthrough_total=pass_n,
+        passthrough_correct=pass_ok,
         include_passthrough=include_passthrough,
         skipped=tuple(skipped),
-        **{
-            f"{name}_{part}": count
-            for name, counts in tally.items()
-            for part, count in zip(("correct", "total"), counts)
-        },
     )
 
 

@@ -29,6 +29,10 @@ WORD_GAP = "_"
 # whitespace as str.isspace has it; a key holding any could not be
 # written to a model file and read back
 _SPACE = re.compile(r"\s")
+# a control character (category Cc) that str.split keeps inside a unit:
+# a target unit holding one, say "a\x01" beside "a", would not sort by
+# its text in a saved model
+_CONTROL = re.compile("[\x00-\x08\x0e-\x1b\x7f-\x84\x86-\x9f]")
 
 _MAGIC = "TLMODEL"
 _VERSION = "v1"
@@ -188,13 +192,22 @@ def parse_aligned_row(fields, line_no: int | None) -> AlignedPair:
     Each field is normalised once and then split.  Whitespace is an NFC
     barrier (no whitespace character composes or reorders with a
     neighbour, and NFC keeps it whitespace), so the units are those of
-    normalising each unit on its own."""
+    normalising each unit on its own.  A target unit holding a control
+    character is a DataFormatError."""
     if len(fields) < 2:
         raise DataFormatError("expected <source units>TAB<target units>")
     source = tuple(normalize(fields[0]).split())
-    target = tuple(normalize(fields[1]).split())
+    target_text = normalize(fields[1])
+    target = tuple(target_text.split())
     if len(source) != len(target):
         raise AlignmentError(f"{len(source)} source units vs {len(target)} target units")
+    # most fields are printable, which one C-level scan tells
+    control = not target_text.isprintable() and _CONTROL.search(target_text)
+    if control:
+        unit = next(unit for unit in target if control.group() in unit)
+        raise DataFormatError(
+            f"target unit {unit!r} holds control character U+{ord(control.group()):04X}"
+        )
     return AlignedPair(source, target, line_no)
 
 
@@ -234,8 +247,9 @@ def load_model(path, *, add_one_smoothing: bool = False) -> NgramModel:
     ``_saved_sections``, its trigram dict built on first read, which
     bigram-mode conversion never does.  Any other file, such as a saved
     one whose sorted tuple keys do not sort as their texts (parts ``a``
-    and ``a\x01``), goes through a per-line loop, the one place that
-    names a faulty line.
+    and ``a\x01``, which ``parse_aligned_row`` rejects but a model built
+    in memory may hold), goes through a per-line loop, the one place
+    that names a faulty line.
     """
     text = read_text(path)
     if not text:

@@ -6,6 +6,8 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from sindhi_translit import data as shipped
+from sindhi_translit.evaluation import EvaluationReport, normalize_target
+from sindhi_translit.mapping import Resolution
 from sindhi_translit.ngram import BOUNDARY, _argmax
 from sindhi_translit.script import (
     NUKTA,
@@ -17,6 +19,7 @@ from sindhi_translit.script import (
     load_inventory,
     normalize,
 )
+from sindhi_translit.training import WORD_GAP, misalignment
 
 
 def choose(unit, scores):
@@ -194,3 +197,102 @@ def mutate(lines, steps):
             j = b % len(lines)
             lines[i], lines[j] = lines[j], line
     return lines
+
+
+# the tally each resolution kind counts towards
+_BUCKET_OF = {
+    Resolution.RULE: "rule",
+    Resolution.STATISTICAL: "ml",
+    Resolution.FALLBACK: "ml",
+    Resolution.PASS_THROUGH: "passthrough",
+}
+# rule and ml are always scored; passthrough only when asked for
+_BUCKETS = ("rule", "ml", "passthrough")
+
+
+def _word_count(source_units) -> int:
+    words, in_word = 0, False
+    for unit in source_units:
+        if unit == WORD_GAP:
+            in_word = False
+        elif not in_word:
+            words += 1
+            in_word = True
+    return words
+
+
+def _skip_reason(index, units, gold) -> str | None:
+    """Why a system row cannot be scored against its gold row, or None
+    when it lines up; a row that is a string is that reason.  An
+    unresolved unit in a row that lines up so far raises ValueError."""
+    if isinstance(units, str):
+        return units
+    if misalignment(gold.source_units, gold.target_units) is not None:
+        return "gold row is not positionally aligned"
+    if len(units) != len(gold.source_units):
+        return f"{len(units)} system units vs {len(gold.source_units)} gold units"
+    for pos, (unit, src) in enumerate(zip(units, gold.source_units)):
+        expected = " " if src == WORD_GAP else src
+        if unit.source.text != expected:
+            return (
+                f"source mismatch at position {pos}: "
+                f"{unit.source.text!r} vs {expected!r}"
+            )
+        if unit.resolved is None:
+            raise ValueError(f"row {index} position {pos}: unit is still unresolved")
+    return None
+
+
+def evaluate_reference(
+    system_sentences,
+    gold_pairs,
+    *,
+    include_passthrough: bool = False,
+) -> EvaluationReport:
+    """``evaluation.evaluate`` as three loops per row, the oracle its one
+    walk is held to: ``_skip_reason`` walks the row for a reason to skip
+    it, ``_word_count`` counts its words, and the tally loop counts each
+    unit towards the bucket ``_BUCKET_OF`` gives its resolution kind."""
+    if len(system_sentences) != len(gold_pairs):
+        raise ValueError(
+            f"{len(system_sentences)} system rows vs {len(gold_pairs)} gold rows"
+        )
+    tally = {name: [0, 0] for name in _BUCKETS}
+    sentences = words = 0
+    skipped = []
+    for index, (units, gold) in enumerate(zip(system_sentences, gold_pairs)):
+        reason = _skip_reason(index, units, gold)
+        if reason is not None:
+            skipped.append((index, reason))
+            continue
+        sentences += 1
+        words += _word_count(gold.source_units)
+        for unit, tgt in zip(units, gold.target_units):
+            bucket = _BUCKET_OF.get(unit.resolution)
+            if bucket is None:
+                raise ValueError(f"row {index}: unit has no resolution kind")
+            counts = tally[bucket]
+            counts[1] += 1
+            expected = " " if tgt == WORD_GAP else tgt
+            # normalisation is a function: equal strings need none
+            if unit.resolved == expected or (
+                normalize_target(unit.resolved) == normalize_target(expected)
+            ):
+                counts[0] += 1
+    scored = _BUCKETS if include_passthrough else _BUCKETS[:2]
+    total = sum(tally[name][1] for name in scored)
+    overall = sum(tally[name][0] for name in scored)
+    return EvaluationReport(
+        total_sentences=sentences,
+        total_words=words,
+        total_characters=total,
+        overall_correct=overall,
+        error_count=total - overall,
+        include_passthrough=include_passthrough,
+        skipped=tuple(skipped),
+        **{
+            f"{name}_{part}": count
+            for name, counts in tally.items()
+            for part, count in zip(("correct", "total"), counts)
+        },
+    )

@@ -223,3 +223,56 @@ def test_compare_checks_a_workload_the_benchmark_declares_past_its_bound(tmp_pat
         "bench_trajectory: convert-zipf convert_kchar_per_s: median 70 against the "
         "parent's 100, worse by more than its bound 0.2\n"
     )
+
+
+# a stand-in for bench/run.py: its result line gives the --trace it was
+# called with as the value of a per-layer metric
+FAKE_RUN = """import json, sys
+trace = int(sys.argv[sys.argv.index("--trace") + 1])
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": {
+    "evaluation.evaluate_s": {"value": 1.0 + trace, "unit": "s"}}}))
+"""
+
+
+def record(tool, *options):
+    """Run the tool on a tree whose bench/run.py is ``FAKE_RUN``,
+    appending one convert-hot run to ``BENCH_t.json``."""
+    tree = tool.parent.parent / "tree"
+    (tree / "bench").mkdir(parents=True, exist_ok=True)
+    (tree / "bench" / "run.py").write_text(FAKE_RUN, encoding="utf-8")
+    return subprocess.run(
+        [sys.executable, str(tool), "--label", "t", "--tree", str(tree),
+         "--workload", "convert-hot", "--seconds", "1", *options],
+        capture_output=True, text=True)
+
+
+def test_a_traced_run_is_recorded_and_not_mixed_with_untraced_ones(tmp_path):
+    tool = checkout(tmp_path, {})
+    assert record(tool, "--trace", "1").returncode == 0
+    path = tmp_path / "BENCH_t.json"
+    entry = json.loads(path.read_text(encoding="utf-8"))["workloads"]["convert-hot"]
+    assert [run["trace"] for run in entry["runs"]] == [1]
+    assert entry["summary"]["trace"] == 1
+    assert entry["runs"][0]["metrics"] == {"evaluation.evaluate_s": 2.0}
+    # an untraced run, the default, is refused and leaves the file as it was
+    before = path.read_bytes()
+    proc = record(tool)
+    assert (proc.returncode, proc.stderr) == (
+        2, "bench_trajectory: BENCH_t.json holds convert-hot runs with trace 1, not 0\n")
+    assert path.read_bytes() == before
+    # --compare shows the per-layer metric, in the direction BENCHMARK.json
+    # gives it
+    proc = subprocess.run([sys.executable, str(tool), "--compare", "t", "t"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert [line.split() for line in proc.stdout.splitlines()[1:]] == [
+        ["convert-hot", "evaluation.evaluate_s", "s", "2", "2", "1.000", "0/1", "-"],
+    ]
+
+
+def test_a_run_recorded_without_a_mode_counts_as_untraced(tmp_path):
+    untraced = trajectory("convert-hot", [{"setup_s": 1.0}])
+    assert "trace" not in untraced["workloads"]["convert-hot"]["runs"][0]
+    proc = record(checkout(tmp_path, {"t": untraced}), "--trace", "1")
+    assert (proc.returncode, proc.stderr) == (
+        2, "bench_trajectory: BENCH_t.json holds convert-hot runs with trace 0, not 1\n")

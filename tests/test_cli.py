@@ -415,6 +415,32 @@ def test_train_names_the_first_faulty_aligned_line(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_train_names_the_aligned_line_of_a_control_character_in_a_target(tmp_path, capsys):
+    aligned = tmp_path / "aligned.tsv"
+    aligned.write_text("क\tK\n# a comment\nख ग\tX G\x01\n", encoding="utf-8")
+    out_path = tmp_path / "model.tsv"
+    assert run(train_argv(shipped.demo_corpus_path(), aligned, out_path), capsys) == (
+        EXIT_DATA,
+        "",
+        f"translit: data error: {aligned}:3: target unit 'G\\x01' holds control "
+        "character U+0001\n",
+    )
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("faulty, other", [("--gold", "--system"), ("--system", "--gold")])
+def test_evaluate_names_the_line_of_a_control_character_in_a_target(
+    faulty, other, tmp_path, capsys
+):
+    good, bad = tmp_path / "good.tsv", tmp_path / "bad.tsv"
+    good.write_text("क\tK\nख\tX\n", encoding="utf-8")
+    bad.write_text("क\tK\nख\tX\x7f\n", encoding="utf-8")
+    code, out, err = run(["evaluate", faulty, str(bad), other, str(good)], capsys)
+    assert (code, out) == (EXIT_DATA, "")
+    assert err == (f"translit: data error: {bad}:2: target unit 'X\\x7f' holds control "
+                   "character U+007F\n")
+
+
 @pytest.mark.parametrize("raw, lines", [
     ("तारो\nखंड".encode(), 2),  # no final line end
     (b"", 0),

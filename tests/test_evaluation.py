@@ -1,7 +1,8 @@
 import unicodedata
 
 import pytest
-from hypothesis import given, settings
+from helpers import evaluate_reference
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sindhi_translit.errors import UndefinedAccuracyError
@@ -423,3 +424,93 @@ def test_evaluate_equals_per_unit_rule(rows, include_passthrough):
     gold = [pair for _, pair in rows]
     report = evaluate(system, gold, include_passthrough=include_passthrough)
     assert report == per_unit_report(system, gold, include_passthrough)
+
+
+def one_unit(text, resolved="K", kind=Resolution.RULE):
+    unit = MappedUnit(Grapheme(text, CharClass.CONSONANT), (resolved or "K",))
+    unit.resolved = resolved
+    unit.resolution = kind
+    return unit
+
+
+# a source mismatch, an unresolved unit, a unit with no resolution kind
+UNIT_FAULTS = [("source", Grapheme("घ", CharClass.CONSONANT)), ("resolved", None),
+               ("resolution", None)]
+
+
+@st.composite
+def faulted_row(draw):
+    """What the system gave for a gold row, and the gold row, with any
+    of the faults evaluate tells apart, alone or together: a string row,
+    a gold row that does not line up (a unit more on one side, or a
+    one-sided word gap), a unit too many or too few, a source mismatch,
+    an unresolved unit and a unit with no resolution kind; with word
+    gaps, every resolution kind and shaped and plain targets."""
+    sources, targets, units = [], [], []
+    for _ in range(draw(st.integers(0, 8))):
+        gap = draw(st.integers(0, 3)) == 0
+        src = "_" if gap else draw(st.sampled_from("कखग"))
+        sources.append(src)
+        targets.append("_" if gap else draw(st.sampled_from(TARGET_SPELLINGS)))
+        resolved = draw(st.sampled_from([" "] + TARGET_SPELLINGS))
+        kind = draw(st.sampled_from(list(Resolution)))
+        units.append(one_unit(" " if gap else src, resolved, kind))
+    # faulty units, none in half the rows
+    for pos, fault in draw(st.lists(st.tuples(st.integers(0, 7), st.sampled_from(UNIT_FAULTS)),
+                                    max_size=draw(st.sampled_from([0, 2])))):
+        if pos < len(units):
+            setattr(units[pos], *fault)
+    fault = draw(st.sampled_from([None, None, "string", "gold", "gap", "more", "fewer"]))
+    if fault == "gold":
+        targets.append(draw(st.sampled_from(TARGET_SPELLINGS)))
+    elif fault == "gap" and targets:
+        pos = draw(st.integers(0, len(targets) - 1))
+        targets[pos] = "ك" if sources[pos] == "_" else "_"
+    elif fault == "more":
+        units.append(one_unit("क"))
+    elif fault == "fewer" and units:
+        units.pop(draw(st.integers(0, len(units) - 1)))
+    system = "engine gave no units" if fault == "string" else units
+    return system, AlignedPair(tuple(sources), tuple(targets))
+
+
+def outcome(score, rows, include_passthrough):
+    """The report ``score`` gives, or the type and message it raises."""
+    try:
+        return score(
+            [system for system, _ in rows],
+            [pair for _, pair in rows],
+            include_passthrough=include_passthrough,
+        )
+    except ValueError as err:
+        return type(err), str(err)
+
+
+def gold_row(*sources):
+    return AlignedPair(sources, tuple("_" if s == "_" else "K" for s in sources))
+
+
+UNRESOLVED = one_unit("क", None)
+KINDLESS = one_unit("क", "K", None)
+MISMATCHED = one_unit("ख")
+
+
+# one example per step of the precedence: a string row before a gold row
+# that does not line up, that before the unit count, and per position a
+# source mismatch before an unresolved unit; a unit with no resolution
+# kind raises only in a row that lines up
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(faulted_row(), max_size=5), include_passthrough=st.booleans())
+@example(rows=[("no units", AlignedPair(("क", "ख"), ("K",)))], include_passthrough=False)
+@example(rows=[([UNRESOLVED], AlignedPair(("क",), ("K", "X")))], include_passthrough=False)
+@example(rows=[([UNRESOLVED, KINDLESS], gold_row("क"))], include_passthrough=False)
+@example(rows=[([MISMATCHED, UNRESOLVED], gold_row("क", "क"))], include_passthrough=False)
+@example(rows=[([UNRESOLVED, MISMATCHED], gold_row("क", "क"))], include_passthrough=False)
+@example(rows=[([KINDLESS, MISMATCHED], gold_row("क", "क"))], include_passthrough=True)
+@example(rows=[([KINDLESS, UNRESOLVED], gold_row("क", "क"))], include_passthrough=True)
+@example(rows=[([one_unit(" ", " ", Resolution.PASS_THROUGH), KINDLESS], gold_row("_", "क"))],
+         include_passthrough=False)
+def test_evaluate_equals_its_three_loop_reference(rows, include_passthrough):
+    assert outcome(evaluate, rows, include_passthrough) == outcome(
+        evaluate_reference, rows, include_passthrough
+    )

@@ -7,7 +7,9 @@ under add-one smoothing (set by ``smoothed.conf``), and edge lines
 under ``--orphan-matra pass`` (an orphan vowel sign, a nukta after
 punctuation, conjuncts, unlisted letters, both digit scripts).  The
 demo model itself is pinned too: ``translit train`` on the shipped demo
-files writes ``demo.model`` byte for byte.  A change meant to alter
+files writes ``demo.model`` byte for byte.  So are the reports of
+``translit evaluate --end-to-end`` on the demo gold rows with that
+model, with and without ``--include-passthrough``.  A change meant to alter
 output or the model regenerates the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and commits the
 difference.
@@ -34,21 +36,39 @@ CASES = {
 }
 
 
-def transliterate(case, model_path, trace=("--trace",)):
-    """(stdout, stderr) bytes of one case's run."""
+EVALUATE_CASES = {
+    "demo_evaluate": [],
+    "demo_evaluate_passthrough": ["--include-passthrough"],
+}
+
+
+def run_cli(*args):
+    """(stdout, stderr) bytes of one ``translit`` run in a fresh process."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-m", "sindhi_translit.cli", "transliterate",
-         "--model", str(model_path), *trace, *CASES[case]],
+        [sys.executable, "-m", "sindhi_translit.cli", *args],
         env=env,
         capture_output=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")
     return proc.stdout, proc.stderr
+
+
+def transliterate(case, model_path, trace=("--trace",)):
+    """(stdout, stderr) bytes of one case's run."""
+    return run_cli("transliterate", "--model", str(model_path), *trace, *CASES[case])
+
+
+def evaluate_report(case, model_path):
+    """stdout bytes of one evaluate case's run; it writes no stderr."""
+    out, err = run_cli("evaluate", "--gold", shipped.demo_gold_path(), "--end-to-end",
+                       "--model", str(model_path), *EVALUATE_CASES[case])
+    assert err == b""
+    return out
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -65,6 +85,13 @@ def test_untraced_output_matches_golden_files(case, demo_model_path):
     assert transliterate(case, demo_model_path, trace=()) == (
         (GOLDEN / f"{case}.out").read_bytes(), b""
     )
+
+
+@pytest.mark.parametrize("case", sorted(EVALUATE_CASES))
+def test_evaluate_report_matches_golden_file(case):
+    assert evaluate_report(case, GOLDEN / "demo.model") == (
+        GOLDEN / f"{case}.txt"
+    ).read_bytes()
 
 
 def test_train_writes_the_golden_demo_model(tmp_path):
@@ -93,3 +120,5 @@ if __name__ == "__main__":
         out, trace = transliterate(name, model_path)
         (GOLDEN / f"{name}.out").write_bytes(out)
         (GOLDEN / f"{name}.trace").write_bytes(trace)
+    for name in EVALUATE_CASES:
+        (GOLDEN / f"{name}.txt").write_bytes(evaluate_report(name, model_path))

@@ -1,8 +1,10 @@
+import io
 import random
 import sys
 import tracemalloc
 import unicodedata
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import chain, count, islice, product
 
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 import reference
 from helpers import INVENTORY_NAMES, lines, make_inventory, separator_runs, word_pieces
 from sindhi_translit import cli, training
+from sindhi_translit import data as shipped
 from sindhi_translit.errors import AlignmentError, DataFormatError
 from sindhi_translit.ngram import BOUNDARY, NgramModel
 from sindhi_translit.script import normalize
@@ -335,6 +338,22 @@ def test_parse_aligned_row_equals_per_unit_normalisation(source, target):
     assert pair == AlignedPair(*units) and pair.line == 3
 
 
+@pytest.mark.parametrize("control", ["\x00", "\x01", "\x1b", "\x7f", "\x84", "\x86", "\x9f"])
+def test_parse_aligned_row_rejects_a_control_character_in_a_target_unit(control):
+    with pytest.raises(DataFormatError) as excinfo:
+        parse_aligned_row(["क ख", f"K a{control}b"], 2)
+    assert not isinstance(excinfo.value, AlignmentError)
+    assert str(excinfo.value) == (
+        f"target unit {'a' + control + 'b'!r} holds control character U+{ord(control):04X}"
+    )
+
+
+def test_parse_aligned_row_splits_at_control_characters_that_are_whitespace():
+    # U+001C-U+001F and U+0085 are control characters str.split splits at
+    pair = parse_aligned_row(["क ख ग त द", "A\x1cB\x1dC\x1eD\x85E"], None)
+    assert pair.target_units == ("A", "B", "C", "D", "E")
+
+
 def test_load_aligned(tmp_path):
     path = tmp_path / "aligned.tsv"
     path.write_text("# head\nक\tK\nक ख _ ग\tK X _ G\n", encoding="utf-8")
@@ -422,6 +441,61 @@ def test_saved_model_whose_key_texts_do_not_ascend_loads_back(tmp_path, monkeypa
     monkeypatch.setattr(training, "_saved_sections", saved_sections)
     assert load_model(path) == model
     assert forms == [None]
+
+
+@pytest.fixture(scope="module")
+def train_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("train")
+
+
+# aligned rows of word gaps and target units with and without control
+# characters, some the prefixes of others ("a" and "a\x01")
+_TARGET_CHARS = ["a", "ب", "\x00", "\x01", "\x1b", "\x7f", "\x9f"]
+_aligned_rows = st.lists(
+    st.lists(
+        st.one_of(
+            st.just(("_", "_")),
+            st.tuples(st.sampled_from(["क", "ख"]),
+                      st.text(st.sampled_from(_TARGET_CHARS), min_size=1, max_size=2)),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    max_size=6,
+)
+
+
+# the model of the rows a control character in a target unit would
+# give: its emission keys ("a", "क") and ("a\x01", "क") sort one way as
+# tuples, the other way as texts
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(corpus=st.lists(lines, max_size=4), rows=_aligned_rows)
+@example(corpus=["तारो"], rows=[[("क", "a")], [("क", "a\x01")]])
+def test_every_model_train_accepts_is_read_in_the_saved_form(train_dir, corpus, rows):
+    paths = [train_dir / name for name in ("corpus.txt", "aligned.tsv", "model.tsv")]
+    paths[0].write_text("\n".join(corpus), encoding="utf-8")
+    paths[1].write_text("".join(
+        " ".join(src for src, _ in row) + "\t" + " ".join(tgt for _, tgt in row) + "\n"
+        for row in rows
+    ), encoding="utf-8")
+    paths[2].unlink(missing_ok=True)
+    argv = ["train", "--inventory", shipped.inventory_path(), "--corpus", str(paths[0]),
+            "--aligned", str(paths[1]), "-o", str(paths[2])]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        code = cli.main(argv)
+    if code != 0:
+        assert code == cli.EXIT_DATA, err.getvalue()
+        return
+    real, forms = training._saved_sections, []
+
+    def saved_sections(*args):
+        forms.append(real(*args))
+        return forms[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training, "_saved_sections", saved_sections)
+        load_model(paths[2])
+    assert len(forms) == 1 and forms[0] is not None
 
 
 # key parts as counting produces them: non-empty text with no whitespace

@@ -1,35 +1,39 @@
 #!/usr/bin/env python3
 """Append one benchmark run to a committed trajectory file.
 
-    python3 tools/bench_trajectory.py --label L --tree DIR --workload W --seed S --seconds N
+    python3 tools/bench_trajectory.py --label L --tree DIR --workload W
+        --seed S --seconds N [--trace T]
 
-runs ``DIR/bench/run.py --workload W --seed S --seconds N --trace 0`` (the
-end-to-end metrics of ``W``, a workload ``BENCHMARK.json`` declares), and
-appends its result line to ``BENCH_<L>.json`` at the root of this
-checkout.  ``DIR`` may be another checkout, such as the parent commit's:
-alternating runs of two trees into two labels give paired runs, run ``i``
-of one file against run ``i`` of the other.
+runs ``DIR/bench/run.py --workload W --seed S --seconds N --trace T`` (with
+``T`` 0, the default, the end-to-end metrics of ``W``, a workload
+``BENCHMARK.json`` declares; with 1, its per-layer metrics), and appends
+its result line to ``BENCH_<L>.json`` at the root of this checkout.
+``DIR`` may be another checkout, such as the parent commit's: alternating
+runs of two trees into two labels give paired runs, run ``i`` of one file
+against run ``i`` of the other.
 
-For each workload the file keeps every run (seed, seconds, correct,
-attempted, failed and each metric's value) and a summary: the median and
-the quartiles of each metric over the runs, the seeds, the totals of
-attempted and failed operations, the Python version and
-``os.cpu_count()``.  A run from another Python version or core count than
-the runs already in the file is refused, so a summary never mixes them.
+For each workload the file keeps every run (seed, seconds, trace mode,
+correct, attempted, failed and each metric's value) and a summary: the
+median and the quartiles of each metric over the runs, the seeds, the
+totals of attempted and failed operations, the trace mode, the Python
+version and ``os.cpu_count()``.  A run from another trace mode, Python
+version or core count than the runs already in the file is refused, so a
+summary never mixes them (a run recorded without a mode was untraced).
 The exit status is run.py's, or 2 when no result line came back.
 
     python3 tools/bench_trajectory.py --compare PARENT CHANGE
 
 reads ``BENCH_PARENT.json`` and ``BENCH_CHANGE.json`` and prints, for each
 workload in both that ``BENCHMARK.json`` declares, in its order, and each
-metric, the two medians, their ratio (change over parent), the pairs the
-change won and the gap between the medians over the parent's
-interquartile range: run ``i`` of one file is paired with run ``i`` of
-the other, a pair is won when the change's value is
-strictly better in the direction ``BENCHMARK.json`` gives the metric, and
-the gap is positive when the change's median is the better one (``-`` for
-a metric it does not list, and a gap is ``-`` when the parent's quartiles
-are equal).  When either file holds runs of more than one seed for a
+metric the runs recorded (the per-layer ones, such as
+``evaluation.evaluate_s``, in files of traced runs), the two medians,
+their ratio (change over parent), the pairs the change won and the gap
+between the medians over the parent's interquartile range: run ``i`` of
+one file is paired with run ``i`` of the other, a pair is won when the
+change's value is strictly better in the direction ``BENCHMARK.json``
+gives the metric, and the gap is positive when the change's median is the
+better one (``-`` for a metric it does not list, and a gap is ``-`` when
+the parent's quartiles are equal).  When either file holds runs of more than one seed for a
 workload, each seed both files hold gets its own rows, named
 ``workload@seed``: medians, quartiles and pairs are taken from that seed's
 runs alone, the k-th run of a seed in one file paired with the k-th run of
@@ -82,6 +86,7 @@ def summarise(runs, units):
         "attempted": sum(run["attempted"] for run in runs),
         "failed": sum(run["failed"] for run in runs),
         "correct": all(run["correct"] for run in runs),
+        "trace": runs[-1].get("trace", 0),
         "python": runs[-1]["python"],
         "cpu_count": runs[-1]["cpu_count"],
         "metrics": metrics,
@@ -185,6 +190,8 @@ def main(argv=None):
     parser.add_argument("--workload", choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=30)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                        help="1 records the per-layer metrics of a traced run")
     parser.add_argument("--compare", nargs=2, metavar=("PARENT", "CHANGE"),
                         help="compare BENCH_PARENT.json with BENCH_CHANGE.json; runs nothing")
     args = parser.parse_args(argv)
@@ -218,7 +225,7 @@ def main(argv=None):
 
     cmd = [sys.executable, str(args.tree.resolve() / "bench" / "run.py"),
            "--workload", args.workload, "--seed", str(args.seed),
-           "--seconds", f"{args.seconds:g}", "--trace", "0"]
+           "--seconds", f"{args.seconds:g}", "--trace", str(args.trace)]
     proc = subprocess.run(cmd, cwd=args.tree, stdin=subprocess.DEVNULL,
                           stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.splitlines()
@@ -238,6 +245,7 @@ def main(argv=None):
     run = {
         "seed": args.seed,
         "seconds": args.seconds,
+        "trace": args.trace,
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
@@ -245,10 +253,11 @@ def main(argv=None):
         "cpu_count": os.cpu_count(),
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
     }
-    for key in ("python", "cpu_count"):
-        if entry["runs"] and entry["runs"][-1][key] != run[key]:
+    for key in ("trace", "python", "cpu_count"):
+        held = entry["runs"][-1].get(key, 0) if entry["runs"] else run[key]
+        if held != run[key]:
             print(f"bench_trajectory: {path.name} holds {args.workload} runs with "
-                  f"{key} {entry['runs'][-1][key]}, not {run[key]}", file=sys.stderr)
+                  f"{key} {held}, not {run[key]}", file=sys.stderr)
             return 2
     entry["runs"].append(run)
     units = entry.setdefault("units", {})
@@ -257,8 +266,9 @@ def main(argv=None):
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(json.dumps(trajectory, indent=1) + "\n", encoding="utf-8")
     os.replace(tmp, path)
-    print(f"# appended {args.workload} seed={args.seed} as run {len(entry['runs'])} "
-          f"to {path.name}: correct={run['correct']} failed={run['failed']}")
+    print(f"# appended {args.workload} seed={args.seed} trace={args.trace} as run "
+          f"{len(entry['runs'])} to {path.name}: correct={run['correct']} "
+          f"failed={run['failed']}")
     return proc.returncode
 
 
