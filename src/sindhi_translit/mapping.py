@@ -6,12 +6,13 @@ or more mark the grapheme as ambiguous and leave the choice to the
 statistical layer.  Candidate order matters: the first entry is the
 deterministic fallback when statistics cannot decide.
 
-The role rule (``_role``) and the row-to-unit rule (``_unit``) are each
-written once.  The staged functions raise in the order they run:
-``phonemes.phonify_graphemes`` walks the first and raises orphan signs,
-then :func:`map_phonemes` walks both and raises unmapped graphemes.  The
-engine's step table calls both, and it is the one cache in front of the
-table's rows, which the walks and the lookup search (``_search``).
+The role rule (``_role``) is written once, and one step function
+(``_step``) builds every unit from it and the table's rows.  The staged
+functions raise in the order they run: ``phonemes.phonify_graphemes``
+walks the role rule and raises orphan signs, then :func:`map_phonemes`
+walks ``_step`` and raises unmapped graphemes.  The engine's step table
+calls ``_step`` too, and it is the one cache in front of the table's
+rows, which the walks and the lookup search (``_search``).
 """
 
 from __future__ import annotations
@@ -221,12 +222,12 @@ def map_phonemes(
     walk, once a check finds that ``phonemes.phonify_graphemes`` would
     build the phonemes from their graphemes (ValueError otherwise).
 
-    Each grapheme is looked up in the role ``_role`` gives it under the
-    pass orphan policy.  Single-candidate rows resolve immediately
-    (Rule); multi-candidate rows stay unresolved for the statistical
-    layer; graphemes with no role pass straight through, and so, under
-    the pass policy, do those with no row, of which the error policy
-    raises the first.
+    Each grapheme takes one ``_step`` under the pass orphan policy, which
+    looks it up in the role ``_role`` gives it.  Single-candidate rows
+    resolve immediately (Rule); multi-candidate rows stay unresolved for
+    the statistical layer; graphemes with no role pass straight through,
+    and so, under the pass policy, do those with no row, of which the
+    error policy raises the first.
     """
     # phonemes imports this module, so its import waits for a call; by
     # then the caller's phonemes have loaded it
@@ -244,44 +245,36 @@ def map_phonemes(
     # edge[i + 2] after it
     edge = [True, *map(is_word_separator, graphemes), True]
     for i, g in enumerate(graphemes):
-        fields = _unit(entries, g, _role(g.char_class, after_consonant, False),
-                       edge[i], edge[i + 2], unmapped_policy)
-        if fields is None:
+        fields, after_consonant = _step(entries, False, unmapped_policy, g, after_consonant,
+                                        edge[i], edge[i + 2])
+        if fields[3] is UnmappedGraphemeError:
             raise UnmappedGraphemeError(g.text, sum(len(x.text) for x in graphemes[:i]))
         units.append(MappedUnit(*fields))
-        after_consonant = g.char_class is _CONSONANT
     return units
 
 
-def _unit(entries, g, role, initial, final, unmapped_policy):
-    """The row-to-unit rule: the unit fields of ``g`` in ``role`` at the
-    word edges given, searched in a table's rows ``entries``, or None for
-    no row under the error policy."""
-    if role is None:
-        return g, (), g.text, _PASS_THROUGH, False
-    candidates = _search(entries, g.text, role, initial, final)
-    if candidates is None:
-        if unmapped_policy == UNMAPPED_ERROR:
-            return None
-        return g, (), g.text, _PASS_THROUGH, True
-    if len(candidates) == 1:
-        return g, candidates, candidates[0], _RULE, False
-    return g, candidates, None, None, False
-
-
-def _step(grapheme, entries, reject_orphans, unmapped_policy, key, after_consonant, initial,
-          final):
-    """One step of an engine's word walk: the unit fields of grapheme
-    ``key`` in its place in a word, and whether it is a consonant.  A
-    grapheme whose unit would raise, an orphan sign under the reject
-    policy or one with no row under the error policy, gets the fields
-    ``(g, (), None, <error class>, False)``: no text, and the error in
-    place of a resolution."""
-    g = grapheme(key)
+def _step(entries, reject_orphans, unmapped_policy, g, after_consonant, initial, final):
+    """The row-to-unit rule, one step of a word walk: the unit fields of
+    Grapheme ``g`` in the role ``_role`` gives it, at the word edges
+    given, searched in a table's rows ``entries``, and whether ``g`` is
+    a consonant.  A grapheme whose unit would raise, an orphan sign
+    under the reject policy or one with no row under the error policy,
+    gets the fields ``(g, (), None, <error class>, False)``: no text,
+    and the error in place of a resolution."""
     role = _role(g.char_class, after_consonant, reject_orphans)
-    if role is _ORPHAN:
+    if role is None:
+        fields = g, (), g.text, _PASS_THROUGH, False
+    elif role is _ORPHAN:
         fields = g, (), None, OrphanMatraError, False
     else:
-        fields = (_unit(entries, g, role, initial, final, unmapped_policy)
-                  or (g, (), None, UnmappedGraphemeError, False))
+        candidates = _search(entries, g.text, role, initial, final)
+        if candidates is None:
+            if unmapped_policy == UNMAPPED_ERROR:
+                fields = g, (), None, UnmappedGraphemeError, False
+            else:
+                fields = g, (), g.text, _PASS_THROUGH, True
+        elif len(candidates) == 1:
+            fields = g, candidates, candidates[0], _RULE, False
+        else:
+            fields = g, candidates, None, None, False
     return fields, g.char_class is _CONSONANT

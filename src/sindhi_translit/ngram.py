@@ -134,10 +134,9 @@ class NgramModel:
         sources.update(source for (_t, source) in self.emission)
         self._vocab = len(sources) + 1
         # (source text, candidates) -> (emission factors, resolved,
-        # resolution, emission logs): each table row's emission ratios,
-        # the verdict taken over them, and each ratio's log_value (None
-        # for a zero ratio) for the scores a trace prints, filled in by
-        # ``_decide``, :func:`candidate_scores` and ``_trace_scores``
+        # resolution): each table row's emission ratios and the verdict
+        # taken over them, filled in by ``_decide``,
+        # :func:`candidate_scores` and ``_trace_scores``
         self._verdicts = {}
 
     @cached_property
@@ -248,8 +247,8 @@ def _trace_scores(model, c, candidates, c_prev, c_next, mode, c_prev2):
     """The ``value`` of each score :func:`candidate_scores` gives for a
     unit of source text ``c`` and ``candidates``, bit for bit, with no
     :class:`Probability` built: the context counts are smoothed as by
-    ``_ratio`` and summed with the row's emission logs in the order of
-    :meth:`Probability.product`."""
+    ``_ratio`` and summed with the ``log_value`` of the row's emission
+    ratios in the order of :meth:`Probability.product`."""
     (ln, ld), (rn, rd) = _context_counts(model, c, c_prev, c_next, mode, c_prev2)
     if model.add_one_smoothing:
         vocab = model._vocab
@@ -259,12 +258,12 @@ def _trace_scores(model, c, candidates, c_prev, c_next, mode, c_prev2):
     left = math.log(ln) - math.log(ld)
     right = math.log(rn) - math.log(rd)
     scores = []
-    for e in _row(model, c, candidates)[3]:
-        if e is None:
+    for e in _row(model, c, candidates)[0]:
+        if not e.numerator:
             scores.append(0.0)
             continue
         try:
-            scores.append(math.exp(((0.0 + e) + left) + right))
+            scores.append(math.exp(((0.0 + e.log_value) + left) + right))
         except OverflowError:
             scores.append(math.inf)
     return tuple(scores)
@@ -292,19 +291,15 @@ def _argmax(scores):
 
 
 def _row(model, c, candidates):
-    """The (emission factors, resolved, resolution, emission logs) of
-    the table row ``candidates`` for source ``c``, read from the model's
-    cache or built and cached: its verdict is :func:`_argmax` over the
-    emission ratios alone, and its logs are the ratios' ``log_value``,
-    None for a zero ratio."""
+    """The (emission factors, resolved, resolution) of the table row
+    ``candidates`` for source ``c``, read from the model's cache or built
+    and cached: its verdict is :func:`_argmax` over the emission ratios
+    alone."""
     row = model._verdicts.get((c, candidates))
     if row is None:
         factors = tuple(emission_prob(model, b, c) for b in candidates)
         index, resolution = _argmax(factors)
-        logs = tuple(f.log_value if f.numerator else None for f in factors)
-        row = model._verdicts[c, candidates] = (
-            factors, candidates[index], resolution, logs
-        )
+        row = model._verdicts[c, candidates] = factors, candidates[index], resolution
     return row
 
 

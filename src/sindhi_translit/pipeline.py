@@ -236,11 +236,13 @@ class Transliterator:
         # NFC word -> [unit fields, output text, trace rows or None]
         self._memo = {}
         # (grapheme key, after a consonant, word-initial, word-final) ->
-        # ``mapping._step``; it holds the inventory and the rows, not the
-        # engine, and, as a step does not read the model, outlives a new one
-        self._step = lru_cache(maxsize=STEP_TABLE_SIZE)(partial(
-            _step, self.inventory.grapheme, self.table._entries,
-            config.orphan_matra == ORPHAN_REJECT, config.unmapped))
+        # ``mapping._step`` of the key's Grapheme; it holds the inventory
+        # and the rows, not the engine, and, as a step does not read the
+        # model, outlives a new one
+        grapheme, step = self.inventory.grapheme, partial(
+            _step, self.table._entries, config.orphan_matra == ORPHAN_REJECT, config.unmapped)
+        self._step = lru_cache(maxsize=STEP_TABLE_SIZE)(
+            lambda key, *place: step(grapheme(key), *place))
 
     @property
     def model(self) -> NgramModel | None:

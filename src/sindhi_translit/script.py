@@ -26,10 +26,6 @@ from .records import Record
 NUKTA = "़"
 VIRAMA = "्"
 
-# whitespace as str.isspace defines it: for str patterns re's \s
-# matches exactly the code points that str.isspace accepts
-_WHITESPACE = re.compile(r"\s")
-
 # what follows a grapheme's base: any nuktas, then, after a consonant
 # only, one virama
 _TAIL = NUKTA + "*"
@@ -89,8 +85,10 @@ def normalize(text: str) -> str:
 class ScriptInventory:
     """The three character classes of the source script.
 
-    Immutable after construction.  A key may not be empty or hold
-    whitespace, which always separates words.  Multi-code-point entries
+    Immutable after construction.  Every key is non-empty and holds
+    letters and marks only (ValueError names the first that does not),
+    so a separator is the same under every inventory: a grapheme whose
+    text holds no letter and no mark.  Multi-code-point entries
     (nukta consonants, the nasalised vowel) are allowed; clustering matches
     them longest-first.  ``words`` holds the word rule and
     ``grapheme_keys`` the grapheme rule, which the engine, training and
@@ -104,12 +102,15 @@ class ScriptInventory:
         self.consonants = frozenset(normalize(k) for k in consonants)
         self.independent_vowels = frozenset(normalize(k) for k in independent_vowels)
         self.vowel_symbols = frozenset(normalize(k) for k in vowel_symbols)
-        # one search over all keys joined: a key-by-key test costs about
-        # ten times as much, in every engine's construction
+        # one test over all keys joined, and a key-by-key one only to name
+        # the first faulty key
         keys = self.consonants | self.independent_vowels | self.vowel_symbols
-        if "" in keys or _WHITESPACE.search("".join(keys)):
-            bad = min(k for k in keys if not k or _WHITESPACE.search(k))
-            raise ValueError(f"grapheme {bad!r} is empty or holds whitespace")
+        if "" in keys or not all(map(_letter_or_mark, "".join(keys))):
+            bad = min(k for k in keys if not k or not all(map(_letter_or_mark, k)))
+            raise ValueError(
+                f"grapheme {bad!r} is empty or holds a character that is neither "
+                "a letter nor a mark"
+            )
         overlap = (
             (self.consonants & self.independent_vowels)
             | (self.consonants & self.vowel_symbols)
@@ -125,8 +126,9 @@ class ScriptInventory:
             **dict.fromkeys(self.independent_vowels, CharClass.INDEPENDENT_VOWEL),
             **dict.fromkeys(self.vowel_symbols, CharClass.VOWEL_SYMBOL),
         }
-        # characters that may split words: any not in a key, and not
-        # followed by a nukta
+        # characters that may split words: any not in a key (keys hold
+        # letters and marks, so leaving them out only spares the test
+        # that ``words`` makes), and not followed by a nukta
         key_chars = "".join(self._class_by_key)
         self._word_break = re.compile(
             ("[^" + re.escape(key_chars) + "]" if key_chars else ".")
@@ -148,13 +150,13 @@ class ScriptInventory:
     def words(self, text: str) -> list[str]:
         """Split NFC ``text`` into words and single separator characters.
 
-        A character splits when it is neither a letter nor a mark, no
-        nukta follows it and no key holds it.  Keys read from a file
-        hold letters and marks only, so clustering makes exactly these
-        characters separator graphemes of their own, which no grapheme,
-        word position or context reaches across.  The compiled pattern
-        yields the characters outside every key that no nukta follows;
-        only those take the letter-or-mark test.
+        A character splits when it is neither a letter nor a mark and no
+        nukta follows it.  Keys hold letters and marks only, so
+        clustering makes exactly these characters separator graphemes of
+        their own (``is_word_separator``), which no grapheme, word
+        position or context reaches across.  The compiled pattern
+        yields the characters outside every key that no nukta follows,
+        a filter for speed only; those take the letter-or-mark test.
         """
         pieces = []
         start = 0
@@ -236,10 +238,12 @@ def cluster_graphemes(inventory: ScriptInventory, text: str) -> list[Grapheme]:
 
 
 def is_word_separator(grapheme: Grapheme) -> bool:
-    """True for OTHER graphemes that delimit words (spaces, punctuation,
-    digits): the graphemes that ``ScriptInventory.words`` splits off.
-    Unlisted letters are not separators: they count as tokens under
-    their own keys."""
+    """True for a grapheme that delimits words (a space, punctuation, a
+    digit): one whose text holds no letter and no mark, the graphemes
+    that ``ScriptInventory.words`` splits off.  An inventory key holds
+    letters and marks only, so only an OTHER grapheme can be one, and
+    only those take the test.  Unlisted letters are not separators:
+    they count as tokens under their own keys."""
     if grapheme.char_class is not CharClass.OTHER:
         return False
     return not any(map(_letter_or_mark, grapheme.text))
@@ -248,10 +252,12 @@ def is_word_separator(grapheme: Grapheme) -> bool:
 def load_inventory(path) -> ScriptInventory:
     """Read an inventory file: ``<class>TAB<grapheme>`` per row.
 
-    Class is C, V or M.  A grapheme holds letters and marks only, so a
-    character of any other kind in text is always a separator grapheme
-    of its own (unless a nukta follows it), as ``ScriptInventory.words``
-    assumes; a grapheme listed under two different classes is an error.
+    Class is C, V or M.  A grapheme holds letters and marks only, the
+    rule :class:`ScriptInventory` enforces, so a character of any other
+    kind in text is always a separator grapheme of its own (unless a
+    nukta follows it); the rule is checked here row by row, so that the
+    faulty line is named.  A grapheme listed under two different classes
+    is an error.
     """
     class_of = {}  # grapheme -> class code
 

@@ -14,7 +14,7 @@ import re
 import sys
 from collections import Counter
 from functools import partial
-from itertools import compress, groupby, islice
+from itertools import compress, islice
 
 from .data import read_rows, read_text
 from .errors import AlignmentError, DataFormatError
@@ -74,16 +74,19 @@ class AlignedPair(Record, frozen=True, compare=("source_units", "target_units"))
 
 class _Tokens(dict):
     """Grapheme key -> the token training counts for it under one
-    inventory, set on first sight: BOUNDARY for a separator piece (a
-    character the word rule splits at), else the key interned, so equal
-    keys are one object, which the tallies hash once and save_model's
-    sort compares by identity.  ``spaced``: the first of these with whitespace."""
+    inventory, set on first sight: BOUNDARY for a separator (a key that
+    holds no letter and no mark, as ``script.is_word_separator`` has
+    it), else the key interned, so equal keys are one object, which the
+    tallies hash once and save_model's sort compares by identity.  The
+    tokens between two BOUNDARY are the inventory's words
+    (``ScriptInventory.words``), which the engine converts.
+    ``spaced``: the first of these with whitespace."""
 
     def __init__(self, inventory: ScriptInventory):
         self.inventory, self.spaced = inventory, None
 
     def __missing__(self, key):
-        split = self.inventory._word_break.fullmatch(key) and not _letter_or_mark(key)
+        split = not any(map(_letter_or_mark, key))
         if not split and self.spaced is None and _SPACE.search(key):
             self.spaced = key
         token = self[key] = BOUNDARY if split else sys.intern(key)
@@ -93,16 +96,6 @@ class _Tokens(dict):
         """The tokens of raw ``line``'s NFC keys between two BOUNDARY."""
         keys = self.inventory.grapheme_keys(normalize(line))
         return [BOUNDARY, *map(self.__getitem__, keys), BOUNDARY]
-
-
-def corpus_words(inventory: ScriptInventory, line: str) -> list[list[str]]:
-    """Split a raw line into words of grapheme keys: training's tokens
-    (``_Tokens.framed``) split at BOUNDARY.  A separator is a key of its
-    own, so these are the inventory's words (``ScriptInventory.words``),
-    which the engine converts, in keys of the engine's one split
-    (``grapheme_keys``); unlisted letters are counted as their own keys."""
-    framed = _Tokens(inventory).framed(line)
-    return [list(word) for real, word in groupby(framed, BOUNDARY.__ne__) if real]
 
 
 def count_ngrams(inventory: ScriptInventory, lines) -> NgramModel:

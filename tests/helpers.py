@@ -1,6 +1,7 @@
 """Test-side definitions shared by several test modules."""
 
 import unicodedata
+from itertools import groupby
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -19,7 +20,7 @@ from sindhi_translit.script import (
     load_inventory,
     normalize,
 )
-from sindhi_translit.training import WORD_GAP, misalignment
+from sindhi_translit.training import WORD_GAP, _Tokens, misalignment
 
 
 def choose(unit, scores):
@@ -67,15 +68,21 @@ def separator_runs(inventory, line):
     return words
 
 
+def corpus_words(inventory, line):
+    """The words of grapheme keys that training counts in a raw line:
+    its tokens (``training._Tokens.framed``) split at BOUNDARY."""
+    framed = _Tokens(inventory).framed(line)
+    return [list(word) for real, word in groupby(framed, BOUNDARY.__ne__) if real]
+
+
 def word_pieces(inventory, line):
     """The words the engine converts: ``ScriptInventory.words`` of the
-    NFC line, less the separators it splits off (one character that no
-    key holds and that is neither a letter nor a mark)."""
-    key_chars = set("".join(inventory._class_by_key))
+    NFC line, less the separators it splits off (one character that is
+    neither a letter nor a mark)."""
     return [
         piece
         for piece in inventory.words(normalize(line))
-        if len(piece) > 1 or piece in key_chars or unicodedata.category(piece)[0] in "LM"
+        if len(piece) > 1 or unicodedata.category(piece)[0] in "LM"
     ]
 
 
@@ -109,12 +116,13 @@ lines = st.lists(
 # inventories for the compiled word and grapheme rules, by name: the
 # shipped one; one built with the public constructor that holds
 # multi-code-point keys of every class (some sharing a first character
-# across classes, one a prefix of a longer key of another class) and
-# keys made of regular-expression syntax; and the empty one
+# across classes, one a prefix of a longer key of another class), keys
+# of letters that the shipped inventory leaves unlisted, and consonant
+# keys that take a virama; and the empty one
 CONSTRUCTED_KEYS = (
-    {"क", "ख", "क\u093c", "कष", "]", "\\", "-", "^", "]]", "\\-", "ख्ख"},
-    {"अ", "अं", "कषा", "(", ".*", "(ं", "[^"},
-    {"ा", "ाँ", "*", ".", "-^", "ाा", "*\\"},
+    {"क", "ख", "क\u093c", "कष", "q", "z", "qq", "zq", "ख्ख"},
+    {"अ", "अं", "कषा", "o", "oं", "ζ"},
+    {"ा", "ाँ", "ω", "ाा", "ωz"},
 )
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from helpers import lines, word_context
+from helpers import corpus_words, lines, word_context
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +32,7 @@ from sindhi_translit.ngram import (
 )
 from sindhi_translit.phonemes import ORPHAN_PASS, phonify
 from sindhi_translit.script import CharClass, Grapheme
-from sindhi_translit.training import AlignedPair, corpus_words, count_ngrams, train_model
+from sindhi_translit.training import AlignedPair, count_ngrams, train_model
 
 
 def unit_for(source, candidates):
